@@ -424,8 +424,10 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     cap = int(cfg["history_cap"])
     item_hist_table = None
     if kind.uses_item_memory:
+        # As in evaluate: a list that fits the cap is not subsampled, so its stream is never derived.
         item_hist_table = [
-            item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v))
+            item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v)
+                         if len(split.train.item_users[v]) > cap else None)
             for v in range(split.num_items)
         ]
     lines: list[str] = []
@@ -461,7 +463,8 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 def _user_eval_history(split, u: int, kind: ModelKind, cap: int) -> np.ndarray:
     if not kind.uses_history:
         return np.empty(0, dtype=np.int64)
-    return user_history(split, u, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 0, u))
+    gen = rng.substream(split.seed, rng.EVALUATION, 0, u) if len(split.train.user_items[u]) > cap else None
+    return user_history(split, u, cap=cap, gen=gen)
 
 
 # ---------------------------------------------------------------------------

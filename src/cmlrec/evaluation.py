@@ -192,15 +192,19 @@ def evaluate(
 
     item_hist_table: list[np.ndarray] | None = None
     if kind.uses_item_memory:
+        # A list that fits the cap is not subsampled, so its stream is never derived.
         item_hist_table = [
-            item_history(split, v, cap=history_cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v))
+            item_history(split, v, cap=history_cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v)
+                         if len(split.train.item_users[v]) > history_cap else None)
             for v in range(split.num_items)
         ]
 
     def eval_user(u: int) -> UserEval:
         history = _EMPTY
         if kind.uses_history:
-            history = user_history(split, u, cap=history_cap, gen=rng.substream(split.seed, rng.EVALUATION, 0, u))
+            gen = (rng.substream(split.seed, rng.EVALUATION, 0, u)
+                   if len(split.train.user_items[u]) > history_cap else None)
+            history = user_history(split, u, cap=history_cap, gen=gen)
         exclusions = exclusions_for(u)
         item_hists = None
         if item_hist_table is not None:

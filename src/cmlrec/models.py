@@ -15,9 +15,17 @@ a (possibly translated) user point and the item point:
                  candidate item's user history, backed by a second memory.
 
 Single-pair scoring (:func:`score`) is written with the small composable
-operations below; training and ranking use the stacked batch code
-(:func:`backward`, :func:`batch_distances`), and the two paths are held
-together by tests.
+operations below and is the readable reference. Training uses the stacked
+batch code (:func:`backward`, :func:`batch_distances`), and so does ranking
+for ``cml``, ``lrml`` and ``adacml``. ``hlr``/``hlr++`` ranking
+(:func:`candidate_distances`) scores one user against the candidate matrix
+Q in the collapsed array form of the memory read: a key logit
+⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n), an attention logit over a
+relation w M is w · (M p), and an attention-weighted sum of relations is
+(Σ_h α_h w_h) M. So it builds no per-candidate context and no (C, H, d)
+relation tensor; the key logits of every (history item, candidate) pair of
+a block of candidates come from one GEMM. Tests hold all three paths
+together.
 """
 from __future__ import annotations
 
@@ -146,14 +154,26 @@ def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return ex / ex.sum(axis=axis, keepdims=True)
 
 
-def _masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row softmax over the unmasked entries; fully-masked rows yield zeros."""
+def _masked_softmax(logits: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over the unmasked entries along ``axis``; fully-masked slices yield zeros."""
     guarded = np.where(mask, logits, -np.inf)
-    mx = np.max(guarded, axis=-1, keepdims=True)
+    mx = np.max(guarded, axis=axis, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     ex = np.where(mask, np.exp(guarded - mx), 0.0)
-    denom = ex.sum(axis=-1, keepdims=True)
+    denom = ex.sum(axis=axis, keepdims=True)
     return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+
+
+def _softmax_leading(logits: np.ndarray) -> np.ndarray:
+    """In-place max-subtracted softmax over axis 0; returns ``logits``.
+
+    Reducing over the leading axis combines whole contiguous rows, which is
+    much cheaper than many short last-axis reductions.
+    """
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0)
+    return logits
 
 
 def joint_embedding(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -413,6 +433,9 @@ class _ForwardCache:
     item_att: _AttentionCache | None = None
 
 
+# Diverging parameters overflow here; callers detect the non-finite distances
+# and raise NonFiniteScoreError, so numpy's warnings would only repeat that.
+@np.errstate(over="ignore", invalid="ignore")
 def _forward_stacked(stacked: _Stacked, kind: ModelKind, store: ParameterStore) -> _ForwardCache:
     pu = store.user_vecs[stacked.users]
     qv = store.item_vecs[stacked.items]
@@ -556,6 +579,60 @@ def backward(
     return grads, total
 
 
+def _user_side_relations(
+    query: np.ndarray, anchors: np.ndarray, support: np.ndarray, keys: np.ndarray, memories: np.ndarray
+) -> np.ndarray:
+    """User-side relations (C, d) of many candidates sharing one history.
+
+    ``anchors`` (C, d) are the candidate vectors, ``support`` (H, d) the
+    history vectors and ``query`` (d,) the user vector. The key logit of
+    slot n for history row h and candidate c is q_c · (k_n ⊙ s_h), so one
+    GEMM gives all of them as an (N, H·C) array.
+    """
+    n_rel, dim = keys.shape
+    width = len(support)
+    key_w = ((keys[:, None, :] * support).reshape(n_rel * width, dim) @ anchors.T).reshape(n_rel, -1)
+    _softmax_leading(key_w)
+    alpha = _softmax_leading(((memories @ query) @ key_w).reshape(width, -1))  # (H, C)
+    key_w = key_w.reshape(n_rel, width, -1)
+    key_w *= alpha
+    return key_w.sum(axis=1).T @ memories
+
+
+def _item_side_relations(
+    cand: np.ndarray,
+    item_histories: Sequence[np.ndarray],
+    lengths: np.ndarray,
+    user_w: np.ndarray,
+    memories: np.ndarray,
+) -> np.ndarray | None:
+    """Item-side relations (C, d) for ``hlr++``, or None if every item history is empty.
+
+    The anchor (the ranked user's vector) is shared by every candidate, so
+    the key weights ``user_w`` (N, num_users) of a support user depend on
+    that user alone: they are computed once per ranked user and gathered
+    through the padded (J, C) item histories. The attention logit of
+    support user j for candidate c is w_j · (M q_c).
+    """
+    width = int(lengths.max(initial=0))
+    if width == 0:
+        return None
+    mask = np.arange(width)[:, None] < lengths  # (J, C)
+    support = np.zeros((width, len(cand)), dtype=np.int64)
+    support.T[mask.T] = np.concatenate(item_histories)
+    key_w = user_w[:, support]  # (N, J, C)
+    logits = np.einsum("njc,nc->jc", key_w, memories @ cand.T)
+    key_w *= _masked_softmax(logits, mask, axis=0)
+    return key_w.sum(axis=1).T @ memories
+
+
+# ``hlr``/``hlr++`` ranking scores the candidates in blocks whose largest
+# temporary, the (N, H, block) key weights, holds about this many float64s
+# (1 MiB): a block's passes over it then stay in a core's L2 cache instead
+# of streaming through the shared last-level cache.
+_RANK_BLOCK_ELEMENTS = 1 << 17
+
+
 def candidate_distances(
     user: int,
     candidates: np.ndarray,
@@ -564,16 +641,53 @@ def candidate_distances(
     history: np.ndarray | None = None,
     item_histories: Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Distances from one user to many candidate items.
+    """Distances from one user to many candidate items; agrees with :func:`score`.
 
     ``history`` is the user's (already capped) train history shared by every
     candidate; ``item_histories`` supplies one user list per candidate for
-    the ``hlr++`` head.
+    the ``hlr++`` head. ``cml``, ``lrml`` and ``adacml`` rank through
+    :func:`batch_distances`. ``hlr`` and ``hlr++`` read their memories in the
+    collapsed array form, one cache-sized block of candidates at a time, so
+    no per-candidate context or (C, H, d) relation tensor is built.
     """
-    if history is None:
-        history = _EMPTY
-    contexts = []
-    for i, v in enumerate(candidates):
-        ih = item_histories[i] if item_histories is not None else _EMPTY
-        contexts.append(RelationContext(user=user, item=int(v), history=history, item_history=ih))
-    return batch_distances(contexts, kind, store)
+    if kind not in (ModelKind.HLR, ModelKind.HLRPP):
+        if history is None:
+            history = _EMPTY
+        contexts = []
+        for i, v in enumerate(candidates):
+            ih = item_histories[i] if item_histories is not None else _EMPTY
+            contexts.append(RelationContext(user=user, item=int(v), history=history, item_history=ih))
+        return batch_distances(contexts, kind, store)
+    if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
+        raise ValueError("hlr++ requires a store initialized with the item memory")
+    pu = store.user_vecs[user]
+    hist = store.item_vecs[history] if history is not None and len(history) > 0 else None
+    widest = 1 if hist is None else len(hist)
+    user_w = lengths = None
+    if kind is ModelKind.HLRPP and item_histories is not None:
+        lengths = np.fromiter(map(len, item_histories), dtype=np.int64, count=len(item_histories))
+        if len(lengths) != len(candidates):
+            raise ValueError(f"item_histories has {len(lengths)} entries for {len(candidates)} candidates")
+        user_w = _softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T)  # (N, num_users)
+        widest = max(widest, int(lengths.max(initial=0)))
+    step = max(1, _RANK_BLOCK_ELEMENTS // (len(store.rel_keys) * widest))
+    diff = np.empty((len(candidates), store.dim))
+    for start in range(0, len(candidates), step):
+        block = slice(start, start + step)
+        cand = store.item_vecs[candidates[block]]
+        relation = None
+        if hist is not None:
+            relation = _user_side_relations(pu, cand, hist, store.rel_keys, store.rel_memories)
+        if user_w is not None:
+            item_rel = _item_side_relations(
+                cand, item_histories[block], lengths[block], user_w, store.item_rel_memories
+            )
+            if item_rel is not None:
+                relation = item_rel if relation is None else relation + item_rel
+        if relation is None:
+            np.subtract(pu, cand, out=diff[block])
+        else:
+            np.add(pu, relation, out=diff[block])
+            diff[block] -= cand
+    # The same contraction as _forward_stacked, so an empty history ranks exactly like cml.
+    return np.einsum("cd,cd->c", diff, diff, optimize=True)

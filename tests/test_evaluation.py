@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cmlrec import rng
 from cmlrec.datasets import InteractionDataset, SplitDataset, split_dataset
 from cmlrec.evaluation import (
     EvaluationError,
@@ -17,7 +18,7 @@ from cmlrec.evaluation import (
     report_csv,
     report_table,
 )
-from cmlrec.models import ModelKind
+from cmlrec.models import ModelKind, RelationContext, score
 from cmlrec.parameters import init_parameters
 from cmlrec.synthetic import planted_split
 from cmlrec.training import Hyperparams, train
@@ -189,6 +190,23 @@ class TestRankItems:
         assert set(ranked.tolist()) == {1, 3}
 
 
+    @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP])
+    def test_matches_brute_force_sort_of_scores(self, kind):
+        gen = np.random.default_rng(31)
+        store = init_parameters(6, 30, 5, 3, with_item_memory=True, seed=31)
+        exclusions = np.array([2, 7, 11, 20], dtype=np.int64)
+        hist = exclusions[:3]
+        candidates = np.setdiff1d(np.arange(30), exclusions)
+        ihists = [np.sort(gen.choice(6, size=int(gen.integers(0, 4)), replace=False)).astype(np.int64)
+                  for _ in candidates]
+        ranked = rank_items(1, store, kind, exclusions, 10, history=hist, item_histories=ihists)
+        dist = {
+            int(v): score(RelationContext(1, int(v), hist, ihists[i]), kind, store).distance
+            for i, v in enumerate(candidates)
+        }
+        assert ranked.tolist() == sorted(dist, key=lambda v: (dist[v], v))[:10]
+
+
 def _oracle_split():
     """4 users x 12 items; test items sit exactly on their user's point."""
     train_pairs = [(u, 3 * u + 2) for u in range(4)]
@@ -234,6 +252,27 @@ class TestEvaluate:
         serial = evaluate(store, ModelKind.HLR, split, phase="test", k=5, workers=1)
         parallel = evaluate(store, ModelKind.HLR, split, phase="test", k=5, workers=4)
         assert serial == parallel
+
+    def test_workers_do_not_change_hlrpp_results(self):
+        split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=3)
+        store = init_parameters(40, 30, 6, 3, with_item_memory=True, seed=3)
+        serial = evaluate(store, ModelKind.HLRPP, split, phase="test", k=5, history_cap=8, workers=1)
+        parallel = evaluate(store, ModelKind.HLRPP, split, phase="test", k=5, history_cap=8, workers=4)
+        assert serial == parallel
+
+    def test_history_streams_derived_only_over_the_cap(self, monkeypatch):
+        split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=3)
+        store = init_parameters(40, 30, 6, 3, with_item_memory=True, seed=3)
+        cap = 9  # some user and some item lists fit the cap, others exceed it
+        derived = []
+        real = rng.substream
+        monkeypatch.setattr(rng, "substream", lambda seed, *path: derived.append(path[1:]) or real(seed, *path))
+        evaluate(store, ModelKind.HLRPP, split, phase="test", k=5, history_cap=cap)
+        evaluated = [u for u in range(40) if len(split.test.user_items[u])]
+        expected = [(0, u) for u in evaluated if len(split.train.user_items[u]) > cap]
+        expected += [(1, v) for v in range(30) if len(split.train.item_users[v]) > cap]
+        assert {side for side, _ in expected} == {0, 1}
+        assert sorted(derived) == sorted(expected)
 
     def test_excluded_items_absent_from_rankings(self):
         split = planted_split(num_users=30, num_items=25, n_clusters=5, interactions_per_user=12, seed=4)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from cmlrec import models
 from cmlrec.models import (
     ModelKind,
     RelationContext,
@@ -313,6 +314,73 @@ class TestBatchedConsistency:
     def test_empty_context_list(self):
         store = init_parameters(2, 2, 2, 2, seed=0)
         assert len(batch_distances([], ModelKind.CML, store)) == 0
+
+
+class TestCandidateDistances:
+    """The ranking path (array form for hlr/hlr++) against the single-pair reference."""
+
+    @staticmethod
+    def _assert_matches_score(user, cands, kind, store, hist, ihists):
+        d = candidate_distances(user, cands, kind, store, history=hist, item_histories=ihists)
+        ref = [
+            score(RelationContext(user, int(v), hist, ihists[i] if ihists is not None else EMPTY), kind, store).distance
+            for i, v in enumerate(cands)
+        ]
+        np.testing.assert_allclose(d, ref, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    @pytest.mark.parametrize("n_relations", [1, 4])
+    def test_matches_score_randomized(self, kind, n_relations):
+        gen = np.random.default_rng(21 + n_relations)
+        store = init_parameters(8, 14, 5, n_relations, with_item_memory=True, seed=n_relations)
+        for _ in range(20):
+            cands = np.sort(gen.choice(14, size=int(gen.integers(1, 15)), replace=False)).astype(np.int64)
+            hist = np.sort(gen.choice(14, size=int(gen.integers(0, 7)), replace=False)).astype(np.int64)
+            ihists = [np.sort(gen.choice(8, size=int(gen.integers(0, 5)), replace=False)).astype(np.int64)
+                      for _ in cands]
+            self._assert_matches_score(int(gen.integers(8)), cands, kind, store, hist, ihists)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_empty_histories_fall_back_to_cml(self, kind):
+        store = init_parameters(4, 9, 5, 3, with_item_memory=True, seed=22)
+        cands = np.arange(9, dtype=np.int64)
+        ihists = [EMPTY] * len(cands)
+        d = candidate_distances(1, cands, kind, store, history=EMPTY, item_histories=ihists)
+        if kind is not ModelKind.LRML:
+            assert d.tolist() == candidate_distances(1, cands, ModelKind.CML, store).tolist()
+        self._assert_matches_score(1, cands, kind, store, EMPTY, ihists)
+
+    @pytest.mark.parametrize("hist", [EMPTY, np.array([0, 5], dtype=np.int64)])
+    def test_hlrpp_mixed_item_history_lengths(self, hist):
+        store = init_parameters(9, 7, 4, 3, with_item_memory=True, seed=23)
+        cands = np.array([1, 2, 3, 4, 6], dtype=np.int64)
+        ihists = [np.array(a, dtype=np.int64) for a in ([], [3], [], [0, 2, 5, 7, 8], [1, 4])]
+        self._assert_matches_score(6, cands, ModelKind.HLRPP, store, hist, ihists)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_single_slot_memory_and_single_candidate(self, kind):
+        store = init_parameters(3, 5, 4, 1, with_item_memory=True, seed=24)
+        hist = np.array([0, 2], dtype=np.int64)
+        self._assert_matches_score(2, np.array([3], dtype=np.int64), kind, store, hist, [np.array([0, 1])])
+        assert candidate_distances(2, EMPTY, kind, store, history=hist, item_histories=[]).shape == (0,)
+
+    @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP])
+    @pytest.mark.parametrize("budget", [1, 40])
+    def test_candidate_blocks_match_score(self, kind, budget, monkeypatch):
+        # budget 1 scores one candidate per block; 40 gives blocks of 3-4 with 3 slots.
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        gen = np.random.default_rng(26)
+        store = init_parameters(8, 14, 5, 3, with_item_memory=True, seed=26)
+        cands = np.arange(1, 14, dtype=np.int64)
+        ihists = [np.sort(gen.choice(8, size=int(gen.integers(0, 5)), replace=False)).astype(np.int64)
+                  for _ in cands]
+        for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
+            self._assert_matches_score(3, cands, kind, store, hist, ihists)
+
+    def test_item_histories_must_align_with_candidates(self):
+        store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)
+        with pytest.raises(ValueError, match="candidates"):
+            candidate_distances(0, np.arange(5), ModelKind.HLRPP, store, item_histories=[EMPTY] * 4)
 
 
 class TestBackwardBasics:

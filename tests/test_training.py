@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ class TestTrain:
         assert report.diverged
         assert report.diagnostics is not None
         store.check_finite()
+
+    def test_divergence_raises_no_runtime_warning(self):
+        split = _block_split()
+        hp = _tiny_hp(kind=ModelKind.LRML, lr=1e200, max_epochs=6, batch_size=32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, report = train(split, hp)
+        assert report.diverged
+        assert "non-finite" in report.diagnostics
 
     def test_invalid_hyperparams_rejected(self):
         split = _block_split()
