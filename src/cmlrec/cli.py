@@ -26,9 +26,8 @@ from .datasets import (
     load_split_dir,
     save_split_dir,
     split_dataset,
-    user_history,
 )
-from .evaluation import EvaluationError, evaluate, rank_items, report_csv, report_table
+from .evaluation import EvaluationError, evaluate, rank_items, ranking_history, report_csv, report_table
 from .models import ModelKind, NonFiniteScoreError
 from .parameters import (
     CheckpointError,
@@ -439,7 +438,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             continue
         u = index[key]
         exclusions = split.all_user_items(u)
-        history = _user_eval_history(split, u, kind, cap)
+        history = ranking_history(split, u, kind, cap)
         item_hists = None
         if item_hist_table is not None:
             candidates = np.setdiff1d(np.arange(split.num_items, dtype=np.int64), exclusions)
@@ -458,13 +457,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(body)
     return EXIT_OK
-
-
-def _user_eval_history(split, u: int, kind: ModelKind, cap: int) -> np.ndarray:
-    if not kind.uses_history:
-        return np.empty(0, dtype=np.int64)
-    gen = rng.substream(split.seed, rng.EVALUATION, 0, u) if len(split.train.user_items[u]) > cap else None
-    return user_history(split, u, cap=cap, gen=gen)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from __future__ import annotations
 import logging
 import math
 import os
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,10 +29,11 @@ class DataError(Exception):
 
 
 class ParseError(DataError):
-    """A raw input row could not be parsed; carries the 1-based line number."""
+    """A raw input row could not be parsed; carries the 1-based line number
+    and, when known, names the file."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path: str | None = None):
+        super().__init__(f"{path}: line {line_number}: {message}" if path else f"line {line_number}: {message}")
         self.line_number = line_number
 
 
@@ -64,80 +65,87 @@ class Stats:
     median_interactions_per_user: int
 
 
+class _Rows(Sequence[np.ndarray]):
+    """Rows cut from one array at running-sum offsets of the row lengths:
+    row ``i`` is the read-only slice ``values[starts[i]:ends[i]]``, and
+    indexing follows list rules (negative rows count from the end)."""
+
+    __slots__ = ("_values", "_starts", "_ends")
+
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
+        values.flags.writeable = False
+        ends = np.cumsum(counts)
+        self._values = values
+        self._starts = (ends - counts).tolist()
+        self._ends = ends.tolist()
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self._values[self._starts[i] : self._ends[i]]
+
+
 class InteractionDataset:
     """Bipartite user-item interaction store with dense indices.
 
-    Keeps both adjacency directions (items per user, users per item) as
-    sorted integer arrays, plus the bijections between original opaque keys
-    and dense indices. Immutable after construction; safe for concurrent
-    reads.
+    The interactions are one read-only int64 ``(n, 2)`` array of
+    ``(user, item)`` pairs sorted by user and then by item. ``user_items[u]``
+    is a slice of its item column, and ``item_users[v]`` a slice of its user
+    column in item-major order, so both directions read as sorted int64
+    arrays without a copy per row. The store also keeps the bijections
+    between original opaque keys and dense indices. Immutable after
+    construction; safe for concurrent reads.
     """
 
     def __init__(
         self,
         num_users: int,
         num_items: int,
-        user_items: Sequence[np.ndarray],
-        item_users: Sequence[np.ndarray],
+        pairs: Iterable[tuple[int, int]],
         user_keys: Sequence[str],
         item_keys: Sequence[str],
     ):
-        if len(user_items) != num_users or len(user_keys) != num_users:
-            raise ValueError("user adjacency/keys do not match num_users")
-        if len(item_users) != num_items or len(item_keys) != num_items:
-            raise ValueError("item adjacency/keys do not match num_items")
+        if len(user_keys) != num_users:
+            raise ValueError("user keys do not match num_users")
+        if len(item_keys) != num_items:
+            raise ValueError("item keys do not match num_items")
+        arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
+        if len(arr) and ((arr.min(axis=0) < 0).any() or (arr.max(axis=0) >= (num_users, num_items)).any()):
+            raise ValueError("pair index out of range")
+        # Column-major, so that every user's items are one contiguous slice.
+        self._pairs = np.asfortranarray(arr[np.argsort(arr @ (num_items, 1), kind="stable")])
+        self._pairs.flags.writeable = False
+        by_item = np.argsort(self._pairs[:, 1], kind="stable")
         self.num_users = num_users
         self.num_items = num_items
-        self.user_items = [np.asarray(a, dtype=np.int64) for a in user_items]
-        self.item_users = [np.asarray(a, dtype=np.int64) for a in item_users]
+        self.user_items = _Rows(self._pairs[:, 1], np.bincount(self._pairs[:, 0], minlength=num_users))
+        self.item_users = _Rows(self._pairs[by_item, 0], np.bincount(self._pairs[:, 1], minlength=num_items))
         self.user_keys = list(user_keys)
         self.item_keys = list(item_keys)
         self.user_index = {k: i for i, k in enumerate(self.user_keys)}
         self.item_index = {k: i for i, k in enumerate(self.item_keys)}
 
     @classmethod
-    def from_pairs(
-        cls,
-        num_users: int,
-        num_items: int,
-        pairs: Iterable[tuple[int, int]],
-        user_keys: Sequence[str],
-        item_keys: Sequence[str],
-    ) -> "InteractionDataset":
-        user_items: list[list[int]] = [[] for _ in range(num_users)]
-        item_users: list[list[int]] = [[] for _ in range(num_items)]
-        for u, v in pairs:
-            user_items[u].append(v)
-            item_users[v].append(u)
-        ui = [np.array(sorted(s), dtype=np.int64) for s in user_items]
-        iu = [np.array(sorted(s), dtype=np.int64) for s in item_users]
-        return cls(num_users, num_items, ui, iu, user_keys, item_keys)
+    def from_pairs(cls, *args, **kwargs) -> "InteractionDataset":
+        """Same as ``InteractionDataset(num_users, num_items, pairs, user_keys, item_keys)``."""
+        return cls(*args, **kwargs)
 
     @property
     def num_interactions(self) -> int:
-        return sum(len(a) for a in self.user_items)
+        return len(self._pairs)
 
     def has_pair(self, u: int, v: int) -> bool:
         items = self.user_items[u]
         pos = int(np.searchsorted(items, v))
         return pos < len(items) and items[pos] == v
 
-    def iter_pairs(self) -> Iterable[tuple[int, int]]:
-        for u in range(self.num_users):
-            for v in self.user_items[u]:
-                yield u, int(v)
+    def iter_pairs(self) -> Iterator[tuple[int, int]]:
+        return zip(self._pairs[:, 0].tolist(), self._pairs[:, 1].tolist())
 
     def pair_array(self) -> np.ndarray:
-        """All (user, item) pairs as an (n, 2) array, sorted by user then item."""
-        n = self.num_interactions
-        out = np.empty((n, 2), dtype=np.int64)
-        pos = 0
-        for u in range(self.num_users):
-            items = self.user_items[u]
-            out[pos : pos + len(items), 0] = u
-            out[pos : pos + len(items), 1] = items
-            pos += len(items)
-        return out
+        """All (user, item) pairs as a read-only (n, 2) array, sorted by user then item."""
+        return self._pairs
 
 
 @dataclass
@@ -152,7 +160,7 @@ class SplitDataset:
     validation: InteractionDataset
     test: InteractionDataset
     seed: int
-    _all_user_items: list[np.ndarray] | None = field(default=None, repr=False)
+    _all_user_items: _Rows | None = field(default=None, init=False, repr=False)
 
     @property
     def num_users(self) -> int:
@@ -165,18 +173,9 @@ class SplitDataset:
     def all_user_items(self, u: int) -> np.ndarray:
         """Union of the user's items over all three views (sorted)."""
         if self._all_user_items is None:
-            self._all_user_items = [
-                np.unique(
-                    np.concatenate(
-                        [
-                            self.train.user_items[i],
-                            self.validation.user_items[i],
-                            self.test.user_items[i],
-                        ]
-                    )
-                )
-                for i in range(self.num_users)
-            ]
+            pairs = np.concatenate([v.pair_array() for v in (self.train, self.validation, self.test)])
+            users, items = np.divmod(np.unique(pairs @ (self.num_items, 1)), self.num_items)
+            self._all_user_items = _Rows(items, np.bincount(users, minlength=self.num_users))
         return self._all_user_items[u]
 
 
@@ -302,8 +301,9 @@ def k_core_filter(raw: RawInteractions, k: int) -> InteractionDataset:
     item_keys = sorted(item_sets)
     uidx = {u: i for i, u in enumerate(user_keys)}
     iidx = {v: i for i, v in enumerate(item_keys)}
-    pairs = ((uidx[u], iidx[v]) for u, items in user_sets.items() for v in items)
-    ds = InteractionDataset.from_pairs(len(user_keys), len(item_keys), pairs, user_keys, item_keys)
+    users = np.repeat([uidx[u] for u in user_sets], [len(items) for items in user_sets.values()])
+    items = np.array([iidx[v] for s in user_sets.values() for v in s], dtype=np.int64)
+    ds = InteractionDataset(len(user_keys), len(item_keys), np.column_stack((users, items)), user_keys, item_keys)
     assert min(len(a) for a in ds.user_items) >= k
     assert min(len(a) for a in ds.item_users) >= k
     return ds
@@ -327,9 +327,8 @@ def split_dataset(
         raise ValueError("all ratios must be > 0")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
-    train_pairs: list[tuple[int, int]] = []
-    valid_pairs: list[tuple[int, int]] = []
-    test_pairs: list[tuple[int, int]] = []
+    # Each user's shuffled items, cut per view; a view is assembled once.
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
     small_users = 0
     for u in range(ds.num_users):
         items = ds.user_items[u]
@@ -343,16 +342,18 @@ def split_dataset(
             n_valid = int(n * ratios[1])
             n_test = int(n * ratios[2])
         n_train = n - n_valid - n_test
-        train_pairs.extend((u, int(v)) for v in perm[:n_train])
-        valid_pairs.extend((u, int(v)) for v in perm[n_train : n_train + n_valid])
-        test_pairs.extend((u, int(v)) for v in perm[n_train + n_valid :])
+        parts[0].append(perm[:n_train])
+        parts[1].append(perm[n_train : n_train + n_valid])
+        parts[2].append(perm[n_train + n_valid :])
     if small_users:
         logger.warning("%d users had fewer than 3 interactions; all their interactions went to train", small_users)
 
-    def view(pairs: list[tuple[int, int]]) -> InteractionDataset:
-        return InteractionDataset.from_pairs(ds.num_users, ds.num_items, pairs, ds.user_keys, ds.item_keys)
+    def view(part: list[np.ndarray]) -> InteractionDataset:
+        users = np.repeat(np.arange(ds.num_users, dtype=np.int64), [len(p) for p in part])
+        pairs = np.column_stack((users, np.concatenate(part or [users])))  # no parts: no users
+        return InteractionDataset(ds.num_users, ds.num_items, pairs, ds.user_keys, ds.item_keys)
 
-    return SplitDataset(train=view(train_pairs), validation=view(valid_pairs), test=view(test_pairs), seed=seed)
+    return SplitDataset(train=view(parts[0]), validation=view(parts[1]), test=view(parts[2]), seed=seed)
 
 
 def interaction_density(num_users: int, num_items: int, num_interactions: int) -> float:
@@ -438,8 +439,7 @@ def save_split_dir(split: SplitDataset, path: str | os.PathLike, *, k: int, thre
         fh.write(f"threshold={threshold}\n")
     for name, view in views.items():
         with open(os.path.join(path, VIEW_FILES[name]), "w", encoding="utf-8") as fh:
-            for u, v in view.iter_pairs():
-                fh.write(f"{u}\t{v}\n")
+            fh.writelines(f"{u}\t{v}\n" for u, v in view.iter_pairs())
     with open(os.path.join(path, USER_KEYS_FILE), "w", encoding="utf-8") as fh:
         for i, key in enumerate(split.train.user_keys):
             fh.write(f"{i}\t{key}\n")
@@ -461,7 +461,7 @@ def _read_meta(path: str) -> dict[str, str]:
 
 
 def _read_keys(path: str, expected: int) -> list[str]:
-    keys: list[str] = [""] * expected
+    keys: list[str | None] = [None] * expected
     seen = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -472,9 +472,11 @@ def _read_keys(path: str, expected: int) -> list[str]:
             try:
                 idx = int(idx_str)
             except ValueError as exc:
-                raise ParseError(lineno, f"bad index in key map: {idx_str!r}") from exc
+                raise ParseError(lineno, f"bad index in key map: {idx_str!r}", path) from exc
             if not 0 <= idx < expected:
-                raise ParseError(lineno, f"key-map index {idx} out of range 0..{expected - 1}")
+                raise ParseError(lineno, f"key-map index {idx} out of range 0..{expected - 1}", path)
+            if keys[idx] is not None:
+                raise ParseError(lineno, f"key-map index {idx} is listed twice", path)
             keys[idx] = key
             seen += 1
     if seen != expected:
@@ -482,7 +484,7 @@ def _read_keys(path: str, expected: int) -> list[str]:
     return keys
 
 
-def _read_pairs(path: str, num_users: int, num_items: int) -> list[tuple[int, int]]:
+def _read_pairs(path: str, num_users: int, num_items: int) -> np.ndarray:
     pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -491,19 +493,37 @@ def _read_pairs(path: str, num_users: int, num_items: int) -> list[tuple[int, in
                 continue
             parts = line.split("\t")
             if len(parts) != 2:
-                raise ParseError(lineno, f"expected 'user<TAB>item', got {line!r}")
+                raise ParseError(lineno, f"expected 'user<TAB>item', got {line!r}", path)
             try:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
-                raise ParseError(lineno, f"non-integer index in {line!r}") from exc
+                raise ParseError(lineno, f"non-integer index in {line!r}", path) from exc
             if not (0 <= u < num_users and 0 <= v < num_items):
-                raise ParseError(lineno, f"index out of range in {line!r}")
+                raise ParseError(lineno, f"index out of range in {line!r}", path)
             pairs.append((u, v))
-    return pairs
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _check_disjoint(path: str, views: dict[str, InteractionDataset], num_items: int) -> None:
+    """Reject a pair listed twice in one view or present in two views."""
+    pairs = np.concatenate([view.pair_array() for view in views.values()])
+    keys, counts = np.unique(pairs @ (num_items, 1), return_counts=True)
+    if (counts == 1).all():
+        return
+    u, v = divmod(int(keys[np.argmax(counts > 1)]), num_items)
+    files = [os.path.join(path, VIEW_FILES[name]) for name, view in views.items() if view.has_pair(u, v)]
+    if len(files) == 1:
+        raise DataError(f"{files[0]}: pair ({u}, {v}) is listed more than once")
+    raise DataError(f"{files[0]} and {files[1]} both hold pair ({u}, {v}); the views must be disjoint")
 
 
 def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str]]:
-    """Load a dataset directory written by :func:`save_split_dir`."""
+    """Load a dataset directory written by :func:`save_split_dir`.
+
+    Raises :class:`DataError` naming the file when a line does not parse,
+    a key-map index is listed twice, a view's row count differs from its
+    ``meta`` count, or a pair repeats within one view or across two.
+    """
     path = os.fspath(path)
     meta_path = os.path.join(path, META_FILE)
     if not os.path.exists(meta_path):
@@ -512,6 +532,7 @@ def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str
     try:
         num_users = int(meta["num_users"])
         num_items = int(meta["num_items"])
+        counts = {name: int(meta[f"num_{name}"]) for name in VIEW_FILES}
         seed = int(meta.get("seed", "0"))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{meta_path}: missing or malformed counts") from exc
@@ -519,7 +540,11 @@ def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str
     item_keys = _read_keys(os.path.join(path, ITEM_KEYS_FILE), num_items)
     views = {}
     for name, fname in VIEW_FILES.items():
-        pairs = _read_pairs(os.path.join(path, fname), num_users, num_items)
-        views[name] = InteractionDataset.from_pairs(num_users, num_items, pairs, user_keys, item_keys)
+        view_path = os.path.join(path, fname)
+        pairs = _read_pairs(view_path, num_users, num_items)
+        if len(pairs) != counts[name]:
+            raise DataError(f"{view_path}: holds {len(pairs)} pairs, but {meta_path} gives num_{name}={counts[name]}")
+        views[name] = InteractionDataset(num_users, num_items, pairs, user_keys, item_keys)
+    _check_disjoint(path, views, num_items)
     split = SplitDataset(train=views["train"], validation=views["validation"], test=views["test"], seed=seed)
     return split, meta

@@ -149,6 +149,17 @@ def median_popularity(topk_lists: Sequence[Sequence[int]], train: InteractionDat
 # ---------------------------------------------------------------------------
 
 
+def ranking_history(split: SplitDataset, u: int, kind: ModelKind, cap: int) -> np.ndarray:
+    """The user history that ranking attends over: the train items of ``u``,
+    subsampled to ``cap`` from the user's ``EVALUATION`` substream. A list
+    that fits the cap is used whole, so its stream is never derived. Kinds
+    without a user history get an empty array."""
+    if not kind.uses_history:
+        return _EMPTY
+    gen = rng.substream(split.seed, rng.EVALUATION, 0, u) if len(split.train.user_items[u]) > cap else None
+    return user_history(split, u, cap=cap, gen=gen)
+
+
 def _exclusion_sets(split: SplitDataset, phase: str) -> Callable[[int], np.ndarray]:
     if phase == "validation":
         return lambda u: split.train.user_items[u]
@@ -200,11 +211,7 @@ def evaluate(
         ]
 
     def eval_user(u: int) -> UserEval:
-        history = _EMPTY
-        if kind.uses_history:
-            gen = (rng.substream(split.seed, rng.EVALUATION, 0, u)
-                   if len(split.train.user_items[u]) > history_cap else None)
-            history = user_history(split, u, cap=history_cap, gen=gen)
+        history = ranking_history(split, u, kind, history_cap)
         exclusions = exclusions_for(u)
         item_hists = None
         if item_hist_table is not None:

@@ -543,13 +543,16 @@ def _check_finite_distances(distances: np.ndarray, contexts: Sequence[RelationCo
         raise NonFiniteScoreError(idx, ctx.user, ctx.item)
 
 
+# ``backward`` runs the batch in chunks of this many triplets, which bounds
+# the size of the stacked forward temporaries of one pass.
+_BACKWARD_CHUNK = 256
+
+
 def backward(
     batch: TripletBatch,
     kind: ModelKind,
     store: ParameterStore,
     margin: float,
-    *,
-    chunk_size: int = 256,
 ) -> tuple[SparseGradients, float]:
     """Exact subgradients of the summed triplet hinge loss over a batch.
 
@@ -562,9 +565,9 @@ def backward(
         raise ValueError("batch must be non-empty")
     grads = SparseGradients(store)
     total = 0.0
-    for start in range(0, len(batch), chunk_size):
-        pos = batch.pos[start : start + chunk_size]
-        neg = batch.neg[start : start + chunk_size]
+    for start in range(0, len(batch), _BACKWARD_CHUNK):
+        pos = batch.pos[start : start + _BACKWARD_CHUNK]
+        neg = batch.neg[start : start + _BACKWARD_CHUNK]
         cache_pos = _forward_stacked(_stack(pos, kind), kind, store)
         cache_neg = _forward_stacked(_stack(neg, kind), kind, store)
         _check_finite_distances(cache_pos.distances, pos)
@@ -632,6 +635,16 @@ def _item_side_relations(
 # of streaming through the shared last-level cache.
 _RANK_BLOCK_ELEMENTS = 1 << 17
 
+# ``adacml`` ranking gathers a (block, H, d) array of history vectors, held
+# to this many float64s (3.5 MiB). That is below the 4 MiB from which numpy
+# asks the kernel for transparent huge pages, whose backing, at fault time
+# or later by khugepaged, would make the resident memory of a run depend on
+# the kernel's timing. Much smaller blocks slow the training that follows
+# ranking in one process: glibc's malloc serves a request from its heap,
+# rather than from fresh zeroed pages, only if a block at least that large
+# was freed before, and ranking frees the largest blocks.
+_HISTORY_BLOCK_ELEMENTS = 7 << 16
+
 
 def candidate_distances(
     user: int,
@@ -646,9 +659,10 @@ def candidate_distances(
     ``history`` is the user's (already capped) train history shared by every
     candidate; ``item_histories`` supplies one user list per candidate for
     the ``hlr++`` head. ``cml``, ``lrml`` and ``adacml`` rank through
-    :func:`batch_distances`. ``hlr`` and ``hlr++`` read their memories in the
-    collapsed array form, one cache-sized block of candidates at a time, so
-    no per-candidate context or (C, H, d) relation tensor is built.
+    :func:`batch_distances`, ``adacml`` in blocks of candidates. ``hlr`` and
+    ``hlr++`` read their memories in the collapsed array form, one
+    cache-sized block of candidates at a time, so no per-candidate context
+    or (C, H, d) relation tensor is built.
     """
     if kind not in (ModelKind.HLR, ModelKind.HLRPP):
         if history is None:
@@ -657,7 +671,14 @@ def candidate_distances(
         for i, v in enumerate(candidates):
             ih = item_histories[i] if item_histories is not None else _EMPTY
             contexts.append(RelationContext(user=user, item=int(v), history=history, item_history=ih))
-        return batch_distances(contexts, kind, store)
+        # Rows do not mix, so a block's distances are those of one batch.
+        step = max(1, len(contexts))
+        if kind.uses_history:
+            step = max(1, _HISTORY_BLOCK_ELEMENTS // (max(len(history), 1) * store.dim))
+        distances = np.empty(len(contexts))
+        for start in range(0, len(contexts), step):
+            distances[start : start + step] = batch_distances(contexts[start : start + step], kind, store)
+        return distances
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
     pu = store.user_vecs[user]

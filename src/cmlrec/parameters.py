@@ -142,7 +142,7 @@ class SparseGradients:
     """Accumulated partial derivatives, touched rows only.
 
     Backed by dense per-tensor buffers plus touched-row masks so that batched
-    scatter-adds stay cheap; the public view (``rows``/``vec``/``items``)
+    scatter-adds stay cheap; the public view (``rows``/``vec``)
     exposes exactly the touched rows. Accumulation order is fixed by call
     order, keeping batch sums deterministic.
     """
@@ -177,11 +177,6 @@ class SparseGradients:
 
     def vec(self, tensor: str, row: int) -> np.ndarray:
         return self._buffers[tensor][row]
-
-    def items(self):
-        for name in self.tensors():
-            for row in self.rows(name):
-                yield (name, int(row)), self._buffers[name][row]
 
     def __len__(self) -> int:
         return int(sum(mask.sum() for mask in self._touched.values()))

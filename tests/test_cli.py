@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import os
 import re
+import shutil
 
 import pytest
 
 from cmlrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cmlrec.datasets import load_split_dir
+from test_datasets import CORRUPTIONS, corrupt_dir
 
 
 def run_cli(*argv: str) -> int:
@@ -265,6 +267,17 @@ class TestRecommendCommand:
         body = out_file.read_text()
         assert "u0\t1\t" in body and "u1\t1\t" in body
         assert "# skipped unknown user keys: missing, ghost" in body
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_data_dir_is_data_error(self, workspace, tmp_path, capsys, case):
+        _, data, run = workspace
+        bad = tmp_path / "bad"
+        shutil.copytree(data, bad)
+        corrupt_dir(bad, case)
+        code = run_cli("recommend", "--checkpoint", str(run / "model.ckpt"),
+                       "--data", str(bad), "--model", "hlr", "--users", "u3")
+        assert code == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
 
     def test_no_users_given(self, workspace, capsys):
         _, data, run = workspace

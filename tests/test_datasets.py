@@ -26,6 +26,16 @@ def _raw(pairs) -> RawInteractions:
     return RawInteractions(pairs=tuple(pairs), threshold=0.0)
 
 
+# Ways to damage a saved dataset directory, each with the files that the
+# load error must name.
+CORRUPTIONS = {
+    "pair_repeated_in_one_view": ["train.tsv"],
+    "pair_in_two_views": ["train.tsv", "test.tsv"],
+    "meta_count_differs": ["valid.tsv", "meta"],
+    "key_index_listed_twice": ["item_keys.tsv"],
+}
+
+
 class TestLoadInteractions:
     def test_threshold_keeps_at_or_above(self):
         rows = ["a,x,5", "a,y,3", "b,x,4"]
@@ -108,12 +118,31 @@ class TestKCoreFilter:
         assert ds.num_interactions == 3
 
     def test_adjacency_transpose_consistency(self):
-        pairs = [(f"u{i}", f"v{j}") for i in range(4) for j in range(4) if (i + j) % 2 == 0]
+        pairs = [(f"u{i}", f"v{j}") for i in range(4) for j in range(5) if (i + j) % 2 == 0]
         ds = k_core_filter(_raw(pairs), k=1)
-        assert sum(len(a) for a in ds.user_items) == sum(len(a) for a in ds.item_users)
-        for u in range(ds.num_users):
-            for v in ds.user_items[u]:
-                assert u in ds.item_users[v]
+        expected = sorted((ds.user_index[u], ds.item_index[v]) for u, v in pairs)
+        shuffled = [expected[i] for i in np.random.default_rng(3).permutation(len(expected))]
+        views = [
+            (ds, expected),
+            (InteractionDataset.from_pairs(ds.num_users, ds.num_items, shuffled, ds.user_keys, ds.item_keys), expected),
+            (InteractionDataset.from_pairs(ds.num_users, ds.num_items, [], ds.user_keys, ds.item_keys), []),
+        ]
+        for view, want in views:
+            assert list(view.iter_pairs()) == want
+            assert view.pair_array().dtype == np.int64
+            assert view.pair_array().tolist() == [list(p) for p in want]
+            assert view.num_interactions == len(want)
+            assert len(view.user_items) == ds.num_users and len(view.item_users) == ds.num_items
+            for u in range(view.num_users):
+                assert view.user_items[u].dtype == np.int64
+                assert view.user_items[u].tolist() == [v for uu, v in want if uu == u]
+            for v in range(view.num_items):
+                assert view.item_users[v].dtype == np.int64
+                assert view.item_users[v].tolist() == [u for u, vv in want if vv == v]
+            assert view.user_items[-1].tolist() == view.user_items[view.num_users - 1].tolist()
+            for row in (-view.num_users - 1, view.num_users):
+                with pytest.raises(IndexError):
+                    view.user_items[row]
 
     def test_key_maps_are_bijections(self):
         pairs = [("anna", "pie"), ("anna", "tea"), ("bob", "pie"), ("bob", "tea")]
@@ -334,6 +363,24 @@ class TestDirectoryRoundTrip:
         assert loaded.train.user_keys == split.train.user_keys
         assert loaded.train.item_keys == split.train.item_keys
 
+    def test_view_files_match_a_loop_over_user_items(self, tmp_path):
+        split = split_dataset(_dense_dataset(np.random.default_rng(15), n_u=9, n_v=12, p=0.5), seed=2)
+        save_split_dir(split, tmp_path, k=1, threshold=0.0)
+        for name, fname in (("train", "train.tsv"), ("validation", "valid.tsv"), ("test", "test.tsv")):
+            view = getattr(split, name)
+            expected = "".join(f"{u}\t{int(v)}\n" for u in range(view.num_users) for v in view.user_items[u])
+            assert (tmp_path / fname).read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corrupt_directory_rejected(self, tmp_path, case):
+        split = split_dataset(_dense_dataset(np.random.default_rng(16), n_u=6, n_v=10, p=0.7), seed=1)
+        save_split_dir(split, tmp_path, k=1, threshold=0.0)
+        corrupt_dir(tmp_path, case)
+        with pytest.raises(DataError) as err:
+            load_split_dir(tmp_path)
+        for fname in CORRUPTIONS[case]:
+            assert str(tmp_path / fname) in str(err.value)
+
     def test_missing_dir_raises(self, tmp_path):
         with pytest.raises(DataError):
             load_split_dir(tmp_path / "nope")
@@ -347,3 +394,27 @@ class TestDirectoryRoundTrip:
         with pytest.raises(ParseError) as err:
             load_split_dir(out)
         assert err.value.line_number == 2
+
+
+def corrupt_dir(path, case: str) -> None:
+    """Damage a saved dataset directory in one of the ways loading rejects;
+    a pair added to a view also raises that view's ``meta`` count."""
+    meta = dict(line.split("=", 1) for line in (path / "meta").read_text().splitlines())
+    first = (path / "train.tsv").read_text().splitlines(keepends=True)[0]
+    if case == "pair_repeated_in_one_view":
+        with open(path / "train.tsv", "a") as fh:
+            fh.write(first)
+        meta["num_train"] = str(int(meta["num_train"]) + 1)
+    elif case == "pair_in_two_views":
+        with open(path / "test.tsv", "a") as fh:
+            fh.write(first)
+        meta["num_test"] = str(int(meta["num_test"]) + 1)
+    elif case == "meta_count_differs":
+        meta["num_validation"] = str(int(meta["num_validation"]) + 1)
+    elif case == "key_index_listed_twice":
+        lines = (path / "item_keys.tsv").read_text().splitlines(keepends=True)
+        lines[1] = "0" + lines[1][lines[1].index("\t") :]
+        (path / "item_keys.tsv").write_text("".join(lines))
+    else:
+        raise ValueError(case)
+    (path / "meta").write_text("".join(f"{key}={value}\n" for key, value in meta.items()))

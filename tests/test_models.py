@@ -364,11 +364,13 @@ class TestCandidateDistances:
         self._assert_matches_score(2, np.array([3], dtype=np.int64), kind, store, hist, [np.array([0, 1])])
         assert candidate_distances(2, EMPTY, kind, store, history=hist, item_histories=[]).shape == (0,)
 
-    @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP])
+    @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP])
     @pytest.mark.parametrize("budget", [1, 40])
     def test_candidate_blocks_match_score(self, kind, budget, monkeypatch):
-        # budget 1 scores one candidate per block; 40 gives blocks of 3-4 with 3 slots.
+        # budget 1 scores one candidate per block; 40 gives blocks of 3-4 with 3 slots
+        # (hlr/hlr++) or of 2 with 3 history items of 5 dims (adacml).
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(models, "_HISTORY_BLOCK_ELEMENTS", budget)
         gen = np.random.default_rng(26)
         store = init_parameters(8, 14, 5, 3, with_item_memory=True, seed=26)
         cands = np.arange(1, 14, dtype=np.int64)
