@@ -158,6 +158,16 @@ def _hyperparams(cfg: dict[str, object], kind: ModelKind) -> Hyperparams:
     return hp
 
 
+def _ranking_options(cfg: dict[str, object]) -> tuple[int, int]:
+    """The ranking cutoff ``k`` (>= 1) and ``history_cap`` (>= 0)."""
+    k, cap = int(cfg["k"]), int(cfg["history_cap"])
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    if cap < 0:
+        raise UsageError(f"history_cap must be >= 0, got {cap}")
+    return k, cap
+
+
 def _float_list(text: str, key: str) -> list[float]:
     try:
         values = [float(tok) for tok in str(text).split(",") if tok.strip()]
@@ -306,6 +316,7 @@ _EVAL_DEFAULTS: dict[str, object] = {
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _EVAL_DEFAULTS)
+    k, cap = _ranking_options(cfg)
     phase = str(cfg["phase"])
     if phase not in ("validation", "test"):
         raise UsageError(f"phase must be validation or test, got {phase!r}")
@@ -314,8 +325,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     split, _meta = _load_data(str(_require(cfg, "data")))
     kind, store = _load_model(cfg, split)
     report = evaluate(
-        store, kind, split, phase=phase, k=int(cfg["k"]),
-        history_cap=int(cfg["history_cap"]), workers=int(cfg["workers"]),
+        store, kind, split, phase=phase, k=k, history_cap=cap, workers=int(cfg["workers"]),
     )
     table = report_table(report)
     print(table, end="")
@@ -347,6 +357,7 @@ _GRID_DEFAULTS: dict[str, object] = {
 
 def cmd_grid(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _GRID_DEFAULTS)
+    k, _cap = _ranking_options(cfg)
     data_dir = str(_require(cfg, "data"))
     out_dir = str(_require(cfg, "out"))
     kind = _model_kind(cfg)
@@ -362,7 +373,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         print(f"cell {i + 1}/{total}  lr={cell.params.lr} n={cell.params.n_relations} "
               f"m={cell.params.margin}  {tag}")
 
-    result = grid_search(split, base, lr_grid, n_grid, margin_grid, eval_k=int(cfg["k"]), log_fn=log_fn)
+    result = grid_search(split, base, lr_grid, n_grid, margin_grid, eval_k=k, log_fn=log_fn)
     with open(os.path.join(out_dir, "leaderboard.csv"), "w", encoding="utf-8") as fh:
         fh.write("rank,lr,n_relations,margin,ndcg,valid_loss,best_epoch\n")
         for rank, cell in enumerate(result.leaderboard, start=1):
@@ -407,6 +418,7 @@ _REC_DEFAULTS: dict[str, object] = {
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _REC_DEFAULTS)
+    k, cap = _ranking_options(cfg)
     _echo_config(cfg)
     split, _meta = _load_data(str(_require(cfg, "data")))
     kind, store = _load_model(cfg, split)
@@ -419,8 +431,6 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             keys.extend(line.strip() for line in fh if line.strip())
     if not keys:
         raise UsageError("no user keys given; use users=... or users_file=...")
-    k = int(cfg["k"])
-    cap = int(cfg["history_cap"])
     item_hist_table = None
     if kind.uses_item_memory:
         # As in evaluate: a list that fits the cap is not subsampled, so its stream is never derived.

@@ -70,11 +70,14 @@ def rank_items(
 ) -> np.ndarray:
     """Top-k non-excluded items by ascending distance, ties by item index.
 
-    ``exclusions`` is a sorted array of item indices removed from the
-    candidate set. ``history``/``item_histories`` carry the attention
-    support sets for history-based kinds; ``item_histories`` must align
-    with the candidate order (ascending item index minus exclusions).
+    ``exclusions`` holds the item indices removed from the candidate set, in
+    any order. ``history``/``item_histories`` carry the attention support
+    sets for history-based kinds; ``item_histories`` must align with the
+    candidate order (ascending item index minus exclusions). Raises
+    ``ValueError`` for ``k < 1``.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     candidates = np.setdiff1d(np.arange(store.num_items, dtype=np.int64), exclusions, assume_unique=False)
     if len(candidates) == 0:
         return _EMPTY
@@ -184,8 +187,10 @@ def evaluate(
     validation items (test phase). History subsampling is seeded from the
     split seed, so repeated evaluation of a frozen store is deterministic;
     with ``workers`` > 1 users are ranked in parallel and aggregated in a
-    fixed order.
+    fixed order. Raises ``ValueError`` for ``k < 1``.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     if (store.num_users, store.num_items) != (split.num_users, split.num_items):

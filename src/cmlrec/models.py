@@ -15,9 +15,10 @@ a (possibly translated) user point and the item point:
                  candidate item's user history, backed by a second memory.
 
 Single-pair scoring (:func:`score`) is written with the small composable
-operations below and is the readable reference. Training uses the stacked
-batch code (:func:`backward`, :func:`batch_distances`), and so does ranking
-for ``cml``, ``lrml`` and ``adacml``. ``hlr``/``hlr++`` ranking
+operations below and is the readable reference. Training and ``cml``,
+``lrml`` and ``adacml`` ranking share the stacked batch code: ranking passes
+:func:`_forward_stacked` one padded batch per block of candidates, whose rows
+share the user and views of one padded history. ``hlr``/``hlr++`` ranking
 (:func:`candidate_distances`) scores one user against the candidate matrix
 Q in the collapsed array form of the memory read: a key logit
 ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n), an attention logit over a
@@ -318,13 +319,12 @@ class _Stacked:
 
 
 def _pad(index_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    width = max((len(a) for a in index_lists), default=0)
-    width = max(width, 1)
-    padded = np.zeros((len(index_lists), width), dtype=np.int64)
-    mask = np.zeros((len(index_lists), width), dtype=bool)
-    for i, arr in enumerate(index_lists):
-        padded[i, : len(arr)] = arr
-        mask[i, : len(arr)] = True
+    """Zero-padded (B, W >= 1) index array and mask; the masked slots take
+    the concatenated lists in row-major order, with no loop over rows."""
+    lengths = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
+    mask = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
+    padded = np.zeros(mask.shape, dtype=np.int64)
+    padded[mask] = np.concatenate([_EMPTY, *index_lists])
     return padded, mask
 
 
@@ -658,26 +658,26 @@ def candidate_distances(
 
     ``history`` is the user's (already capped) train history shared by every
     candidate; ``item_histories`` supplies one user list per candidate for
-    the ``hlr++`` head. ``cml``, ``lrml`` and ``adacml`` rank through
-    :func:`batch_distances`, ``adacml`` in blocks of candidates. ``hlr`` and
-    ``hlr++`` read their memories in the collapsed array form, one
-    cache-sized block of candidates at a time, so no per-candidate context
-    or (C, H, d) relation tensor is built.
+    the ``hlr++`` head. No per-candidate context is built: ``cml``, ``lrml``
+    and ``adacml`` score padded batches whose rows share the user and the
+    history, ``adacml`` in blocks of candidates; ``hlr`` and ``hlr++`` read
+    their memories in the collapsed array form, one cache-sized block of
+    candidates at a time, with no (C, H, d) relation tensor.
     """
     if kind not in (ModelKind.HLR, ModelKind.HLRPP):
-        if history is None:
-            history = _EMPTY
-        contexts = []
-        for i, v in enumerate(candidates):
-            ih = item_histories[i] if item_histories is not None else _EMPTY
-            contexts.append(RelationContext(user=user, item=int(v), history=history, item_history=ih))
-        # Rows do not mix, so a block's distances are those of one batch.
-        step = max(1, len(contexts))
+        # Rows share the user and views of one padded history; rows do not
+        # mix, so a block's distances are those of one batch.
+        hist, hist_mask = _pad([_EMPTY if history is None else history])
+        step = max(1, len(candidates))
         if kind.uses_history:
-            step = max(1, _HISTORY_BLOCK_ELEMENTS // (max(len(history), 1) * store.dim))
-        distances = np.empty(len(contexts))
-        for start in range(0, len(contexts), step):
-            distances[start : start + step] = batch_distances(contexts[start : start + step], kind, store)
+            step = max(1, _HISTORY_BLOCK_ELEMENTS // (hist.shape[1] * store.dim))
+        distances = np.empty(len(candidates))
+        for start in range(0, len(candidates), step):
+            items = candidates[start : start + step]
+            shape = (len(items), hist.shape[1])
+            stacked = _Stacked(np.full(len(items), user), items, np.broadcast_to(hist, shape),
+                               np.broadcast_to(hist_mask, shape), None, None)
+            distances[start : start + step] = _forward_stacked(stacked, kind, store).distances
         return distances
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")

@@ -301,19 +301,6 @@ def save_checkpoint(store: ParameterStore, path: str | os.PathLike) -> None:
         fh.write(checkpoint_bytes(store))
 
 
-def peek_checkpoint_shape(path: str | os.PathLike) -> tuple[int, int, int, int, bool]:
-    """Read only the header: (num_users, num_items, dim, n_relations, has_item_memory)."""
-    with open(path, "rb") as fh:
-        head = fh.read(4 + 4 + 20)
-    if len(head) < 28 or head[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", head[4:8])
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    num_users, num_items, dim, n_rel, flag = struct.unpack("<5I", head[8:28])
-    return num_users, num_items, dim, n_rel, bool(flag)
-
-
 def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
     """Load and verify a checkpoint written by :func:`save_checkpoint`."""
     with open(path, "rb") as fh:

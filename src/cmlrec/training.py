@@ -70,8 +70,8 @@ class Hyperparams:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.history_cap < 0:
             raise ValueError(f"history_cap must be >= 0, got {self.history_cap}")
-        if self.kind.uses_memory and self.n_relations < 1:
-            raise ValueError(f"{self.kind.value} requires n_relations >= 1, got {self.n_relations}")
+        if self.n_relations < 1:
+            raise ValueError(f"n_relations must be >= 1, got {self.n_relations}")
 
 
 class Triplet(NamedTuple):
@@ -240,7 +240,6 @@ def train(
         try:
             for batch in _epoch_batches(split, hp, sample_gen, hist_gen):
                 grads, loss = backward(batch, hp.kind, store, hp.margin)
-                grads.check_finite()
                 adam_step(store, grads, adam, hp.lr)
                 project_unit_ball(store, user_rows=grads.rows(USER_VECS), item_rows=grads.rows(ITEM_VECS))
                 total += loss

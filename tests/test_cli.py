@@ -287,6 +287,41 @@ class TestRecommendCommand:
         assert "no user keys" in capsys.readouterr().err
 
 
+class TestRankingOptions:
+    """Out-of-range ranking options are usage errors, found before any data is loaded."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--k", "0"),
+        ("evaluate", "--k", "-1"),
+        ("evaluate", "--history-cap", "-1"),
+        ("recommend", "--k", "0"),
+        ("recommend", "--k", "-2"),
+        ("recommend", "--history-cap", "-1"),
+        ("grid-search", "--k", "0"),
+    ])
+    def test_out_of_range_is_usage_error(self, workspace, tmp_path, capsys, command, flag, value):
+        _, data, run = workspace
+        if command == "grid-search":
+            args = ["--out", str(tmp_path / "grid"), "--model", "cml", "--dim", "4", "--batch-size", "64",
+                    "--max-epochs", "1", "--lr-grid", "0.01", "--n-grid", "2", "--margin-grid", "0.5"]
+        else:
+            args = ["--checkpoint", str(run / "model.ckpt"), "--model", "hlr", "--history-cap", "6"]
+            if command == "recommend":
+                args += ["--users", "u3"]
+        code = run_cli(command, "--data", str(data), *args, flag, value)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert f"{flag[2:].replace('-', '_')} must be" in captured.err
+        assert "\t" not in captured.out
+
+    def test_train_rejects_zero_relations_for_every_head(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        code = run_cli("train", "--data", str(data), "--out", str(tmp_path / "m"),
+                       "--model", "cml", "--n-relations", "0")
+        assert code == EXIT_USAGE
+        assert "n_relations must be >= 1" in capsys.readouterr().err
+
+
 class TestGridSearchCommand:
     def test_leaderboard_sorted_and_best_saved(self, workspace, tmp_path, capsys):
         _, data, _ = workspace

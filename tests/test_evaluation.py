@@ -19,7 +19,7 @@ from cmlrec.evaluation import (
     report_table,
 )
 from cmlrec.models import ModelKind, RelationContext, score
-from cmlrec.parameters import init_parameters
+from cmlrec.parameters import init_parameters, load_checkpoint, save_checkpoint
 from cmlrec.synthetic import planted_split
 from cmlrec.training import Hyperparams, train
 from oracles import brute_ap, brute_mrr, brute_ndcg, brute_precision, brute_recall
@@ -184,6 +184,12 @@ class TestRankItems:
         ranked = rank_items(0, store, ModelKind.CML, np.array([1], dtype=np.int64), 10)
         assert ranked.tolist() == [0, 2]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        store = self._store_1d([0.0], [0.1, 0.2, 0.3])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            rank_items(0, store, ModelKind.CML, np.empty(0, dtype=np.int64), k)
+
     def test_exclusions_never_ranked(self):
         store = self._store_1d([0.0], [0.0, 0.1, 0.2, 0.3])
         ranked = rank_items(0, store, ModelKind.CML, np.array([0, 2], dtype=np.int64), 10)
@@ -308,6 +314,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(store, ModelKind.HLRPP, split, phase="test")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        split, store = _oracle_split()
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(store, ModelKind.CML, split, phase="test", k=k)
+
     def test_invalid_phase(self):
         split, store = _oracle_split()
         with pytest.raises(ValueError):
@@ -323,6 +335,22 @@ class TestEvaluate:
             for name in ("precision", "recall", "ndcg", "map", "mrr"):
                 value = getattr(report, name)
                 assert 0.0 <= value <= 1.0, name
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_trained_store_ranks_like_its_checkpoint(kind, seed, tmp_path):
+    """The float64 store that ``train`` returns and its float32 checkpoint
+    round trip give equal reports, top-K lists included, in both phases."""
+    split = planted_split(num_users=120, num_items=60, n_clusters=6, interactions_per_user=20, seed=seed)
+    hp = Hyperparams(kind=kind, dim=8, n_relations=3, margin=0.5, lr=0.01, batch_size=64,
+                     max_epochs=3, history_cap=6, seed=seed)
+    store, _ = train(split, hp)
+    save_checkpoint(store, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    for phase in ("validation", "test"):
+        expected = evaluate(store, kind, split, phase=phase, k=10, history_cap=6, verbose=True)
+        assert evaluate(loaded, kind, split, phase=phase, k=10, history_cap=6, verbose=True) == expected
 
 
 class TestReportRendering:

@@ -315,6 +315,23 @@ class TestBatchedConsistency:
         store = init_parameters(2, 2, 2, 2, seed=0)
         assert len(batch_distances([], ModelKind.CML, store)) == 0
 
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_mixed_length_and_all_empty_histories(self, kind):
+        store = init_parameters(6, 9, 5, 3, with_item_memory=True, seed=27)
+        lists = [[], [2], [0, 3, 6, 8], [], [1, 4]]
+        padded, mask = models._pad([np.array(h, dtype=np.int64) for h in lists])
+        assert padded.tolist() == [[0, 0, 0, 0], [2, 0, 0, 0], [0, 3, 6, 8], [0, 0, 0, 0], [1, 4, 0, 0]]
+        assert mask.sum(axis=1).tolist() == [0, 1, 4, 0, 2]
+        mixed = [RelationContext(u, 7 - u, np.array(h, dtype=np.int64), np.array(h[:2], dtype=np.int64))
+                 for u, h in enumerate(lists)]
+        singles = [score(c, kind, store).distance for c in mixed]
+        np.testing.assert_allclose(batch_distances(mixed, kind, store), singles, rtol=1e-12, atol=1e-14)
+        empty = [RelationContext(c.user, c.item) for c in mixed]
+        d = batch_distances(empty, kind, store)
+        np.testing.assert_allclose(d, [score(c, kind, store).distance for c in empty], rtol=1e-12, atol=1e-14)
+        if kind is not ModelKind.LRML:
+            assert d.tolist() == batch_distances(empty, ModelKind.CML, store).tolist()
+
 
 class TestCandidateDistances:
     """The ranking path (array form for hlr/hlr++) against the single-pair reference."""
@@ -378,6 +395,20 @@ class TestCandidateDistances:
                   for _ in cands]
         for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
             self._assert_matches_score(3, cands, kind, store, hist, ihists)
+
+    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML, ModelKind.ADACML])
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    def test_baselines_equal_batch_distances_bitwise(self, kind, budget, monkeypatch):
+        # None keeps one batch; 1 scores one candidate per block, and 40 gives
+        # adacml blocks of 2 (3 history items of 5 dims) with a last block of 1.
+        if budget is not None:
+            monkeypatch.setattr(models, "_HISTORY_BLOCK_ELEMENTS", budget)
+        store = init_parameters(8, 14, 5, 3, seed=28)
+        cands = np.arange(1, 14, dtype=np.int64)
+        for hist in (None, EMPTY, np.array([0, 4, 9], dtype=np.int64)):
+            d = candidate_distances(3, cands, kind, store, history=hist)
+            contexts = [RelationContext(3, int(v), EMPTY if hist is None else hist) for v in cands]
+            assert d.tolist() == batch_distances(contexts, kind, store).tolist()
 
     def test_item_histories_must_align_with_candidates(self):
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)

@@ -18,7 +18,6 @@ from cmlrec.parameters import (
     checkpoint_bytes,
     init_parameters,
     load_checkpoint,
-    peek_checkpoint_shape,
     project_unit_ball,
     save_checkpoint,
 )
@@ -242,12 +241,6 @@ class TestCheckpoint:
             # payload is float32; one quantization, then stable
             np.testing.assert_array_equal(loaded.tensors()[name], arr.astype(np.float32).astype(np.float64))
         assert checkpoint_bytes(loaded) == checkpoint_bytes(store)
-
-    def test_peek_shape(self, tmp_path):
-        store = init_parameters(5, 7, 6, 3, seed=9)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(store, path)
-        assert peek_checkpoint_shape(path) == (5, 7, 6, 3, False)
 
     def test_corrupted_payload_rejected(self, tmp_path):
         store = init_parameters(4, 4, 3, 2, seed=0)

@@ -165,6 +165,9 @@ class TestTrain:
             train(split, _tiny_hp(lr=-1.0))
         with pytest.raises(ValueError):
             train(split, _tiny_hp(kind=ModelKind.LRML, n_relations=0))
+        for kind in ModelKind:  # init_parameters needs a memory slot for every head
+            with pytest.raises(ValueError, match="n_relations must be >= 1"):
+                _tiny_hp(kind=kind, n_relations=0).validate()
 
     def test_log_fn_called_per_epoch(self):
         split = _block_split()
