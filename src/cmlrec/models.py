@@ -18,15 +18,21 @@ Single-pair scoring (:func:`score`) is written with the small composable
 operations below and is the readable reference. Training and ``cml``,
 ``lrml`` and ``adacml`` ranking share the stacked batch code: ranking passes
 :func:`_forward_stacked` one padded batch per block of candidates, whose rows
-share the user and views of one padded history. ``hlr``/``hlr++`` ranking
-(:func:`candidate_distances`) scores one user against the candidate matrix
-Q in the collapsed array form of the memory read: a key logit
-⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n), an attention logit over a
-relation w M is w · (M p), and an attention-weighted sum of relations is
-(Σ_h α_h w_h) M. So it builds no per-candidate context and no (C, H, d)
-relation tensor; the key logits of every (history item, candidate) pair of
-a block of candidates come from one GEMM. Tests hold all three paths
-together.
+share the user and views of one padded history, and training runs the
+positives and negatives of a chunk of triplets as one stacked forward and
+backward pass.
+
+Both training and ranking read the memories of ``hlr``/``hlr++`` in the
+collapsed array form: a key logit ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n),
+an attention logit over a relation w M is w · (M p), and an
+attention-weighted sum of relations is (Σ_h α_h w_h) M. So no (B, H, d) or
+(C, H, d) relation tensor is built anywhere. Training gets the key logits of
+a batch from one batched product per side (:func:`_attention_forward`), and
+its backward pass gives the memory gradient as two (N, B) @ (B, d) products
+(:func:`_attention_backward`). Ranking (:func:`candidate_distances`) scores
+one user against the candidate matrix Q with no per-candidate context; the
+key logits of every (history item, candidate) pair of a block of candidates
+come from one GEMM. Tests hold all three paths together.
 """
 from __future__ import annotations
 
@@ -350,11 +356,13 @@ class _AttentionCache:
     mask: np.ndarray  # (B, H)
     emb: np.ndarray  # (B, H, d) gathered support embeddings
     anchor: np.ndarray  # (B, d) the vector forming joint embeddings
+    anchored_keys: np.ndarray  # (B, N, d) anchor ⊙ keys
     query: np.ndarray  # (B, d) the attention query vector
-    s: np.ndarray  # (B, H, d) joint embeddings
-    key_w: np.ndarray  # (B, H, N)
-    rels: np.ndarray  # (B, H, d)
+    read: np.ndarray  # (B, N) M q, the memory rows read by the query
+    key_w: np.ndarray  # (B, N, H)
+    att_logits: np.ndarray  # (B, H)
     alpha: np.ndarray  # (B, H)
+    mixed_w: np.ndarray  # (B, N) Σ_h α_h w_h
     relation: np.ndarray  # (B, d)
 
 
@@ -369,19 +377,27 @@ def _attention_forward(
 ) -> _AttentionCache:
     """Hierarchical relation block: memory relations between ``anchor`` and
     each support row, then attention with ``query``. Shapes: support (B, H),
-    anchor/query (B, d)."""
-    batch, width = support.shape
-    dim = table.shape[1]
-    emb = table[support]  # (B,H,d)
-    s = anchor[:, None, :] * emb
-    logits = s.reshape(batch * width, dim) @ keys.T
-    key_w = stable_softmax(logits, axis=-1)
-    rels = (key_w @ memories).reshape(batch, width, dim)
-    key_w = key_w.reshape(batch, width, -1)
-    att_logits = np.einsum("bhd,bd->bh", rels, query, optimize=True)
+    anchor/query (B, d).
+
+    The memory read is collapsed: the key logit of support row e_h and slot n
+    is e_h · (anchor ⊙ k_n), one batched product; the attention logit of the
+    relation w_h M is w_h · (M q); and the relation is (Σ_h α_h w_h) M. So no
+    (B, H, d) joint-embedding or relation tensor is formed.
+    """
+    emb = table[support]  # (B, H, d)
+    anchored_keys = anchor[:, None, :] * keys  # (B, N, d)
+    # Slots on the middle axis, so the in-place softmax over them reduces
+    # whole rows of H entries rather than many short rows of N.
+    key_w = anchored_keys @ emb.transpose(0, 2, 1)  # (B, N, H)
+    _softmax_leading(key_w.transpose(1, 0, 2))
+    read = query @ memories.T  # (B, N)
+    att_logits = (read[:, None, :] @ key_w)[:, 0, :]  # (B, H)
     alpha = _masked_softmax(att_logits, mask)
-    relation = np.einsum("bh,bhd->bd", alpha, rels, optimize=True)
-    return _AttentionCache(support, mask, emb, anchor, query, s, key_w, rels, alpha, relation)
+    mixed_w = (key_w @ alpha[:, :, None])[:, :, 0]  # (B, N)
+    relation = mixed_w @ memories
+    return _AttentionCache(
+        support, mask, emb, anchor, anchored_keys, query, read, key_w, att_logits, alpha, mixed_w, relation
+    )
 
 
 def _attention_backward(
@@ -390,28 +406,34 @@ def _attention_backward(
     keys: np.ndarray,
     memories: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop one attention block.
+    """Backprop one attention block in the collapsed form of the forward.
 
     Given dL/d(relation) returns (g_query, g_anchor, g_emb (B, H, d),
-    g_keys, g_memories); g_emb is zero at masked slots.
+    g_keys, g_memories); g_emb is zero at masked slots. The memories get
+    w̄ᵀ g_relation + ḡwᵀ q, two (N, B) @ (B, d) products, and the key-logit
+    gradient is built from (B, H) and (B, N) factors; one (B, N, d) product
+    of it with the support embeddings gives both g_keys and g_anchor.
     """
-    batch, width, dim = cache.rels.shape
-    g_alpha = np.einsum("bd,bhd->bh", g_relation, cache.rels, optimize=True)
+    g_mixed = g_relation @ memories.T  # (B, N)
+    g_alpha = (g_mixed[:, None, :] @ cache.key_w)[:, 0, :]  # (B, H)
     inner = (g_alpha * cache.alpha).sum(axis=1, keepdims=True)
-    g_logits = cache.alpha * (g_alpha - inner)
-    g_query = np.einsum("bh,bhd->bd", g_logits, cache.rels, optimize=True)
-    g_rels = cache.alpha[:, :, None] * g_relation[:, None, :] + g_logits[:, :, None] * cache.query[:, None, :]
-    g_rels_flat = g_rels.reshape(batch * width, dim)
-    key_w_flat = cache.key_w.reshape(batch * width, -1)
-    g_memories = key_w_flat.T @ g_rels_flat
-    g_key_w = g_rels_flat @ memories.T
-    inner_k = (g_key_w * key_w_flat).sum(axis=1, keepdims=True)
-    g_key_logits = key_w_flat * (g_key_w - inner_k)
-    s_flat = cache.s.reshape(batch * width, dim)
-    g_keys = g_key_logits.T @ s_flat
-    g_s = (g_key_logits @ keys).reshape(batch, width, dim)
-    g_anchor = (g_s * cache.emb).sum(axis=1)
-    g_emb = g_s * cache.anchor[:, None, :]
+    g_att = cache.alpha * (g_alpha - inner)  # attention-logit gradient (B, H)
+    g_read = (cache.key_w @ g_att[:, :, None])[:, :, 0]  # (B, N)
+    g_query = g_read @ memories
+    g_memories = cache.mixed_w.T @ g_relation + g_read.T @ cache.query
+    # dL/dw_h = α_h ḡ + g_att_h (M q), whose product with w_h is
+    # α_h g_alpha_h + g_att_h att_logit_h, so the softmax backward needs no
+    # (B, N, H) reduction.
+    g_key_logits = g_mixed[:, :, None] - g_alpha[:, None, :]  # (B, N, H)
+    g_key_logits *= cache.alpha[:, None, :]
+    g_read_logits = cache.read[:, :, None] - cache.att_logits[:, None, :]
+    g_read_logits *= g_att[:, None, :]
+    g_key_logits += g_read_logits
+    g_key_logits *= cache.key_w
+    g_emb = g_key_logits.transpose(0, 2, 1) @ cache.anchored_keys  # (B, H, d)
+    g_anchored = g_key_logits @ cache.emb  # (B, N, d)
+    g_anchor = (g_anchored * keys).sum(axis=1)
+    g_keys = (g_anchored * cache.anchor[:, None, :]).sum(axis=0)
     return g_query, g_anchor, g_emb, g_keys, g_memories
 
 
@@ -535,10 +557,11 @@ def batch_distances(contexts: Sequence[RelationContext], kind: ModelKind, store:
     return cache.distances
 
 
-def _check_finite_distances(distances: np.ndarray, contexts: Sequence[RelationContext]) -> None:
+def _check_finite_distances(distances: np.ndarray, contexts: Sequence[RelationContext], start: int = 0) -> None:
+    """Raise for the first non-finite distance; ``distances[i]`` belongs to ``contexts[start + i]``."""
     finite = np.isfinite(distances)
     if not finite.all():
-        idx = int(np.argmin(finite))
+        idx = start + int(np.argmin(finite))
         ctx = contexts[idx]
         raise NonFiniteScoreError(idx, ctx.user, ctx.item)
 
@@ -556,10 +579,14 @@ def backward(
 ) -> tuple[SparseGradients, float]:
     """Exact subgradients of the summed triplet hinge loss over a batch.
 
+    Each chunk of triplets is one stacked forward and backward pass over its
+    positives followed by its negatives, with coefficients +1 and -1 on the
+    active triplets; the two halves share the user and the history draw.
     Satisfied triplets (hinge exactly 0 included) contribute zero gradient.
-    Returns the accumulated sparse gradients and the summed batch loss.
-    Raises :class:`NonFiniteScoreError` naming the offending triplet if a
-    forward pass degenerates.
+    Returns the sparse gradients, whose embedding rows are reduced once when
+    first read, and the summed batch loss. Raises
+    :class:`NonFiniteScoreError` naming the offending triplet if a forward
+    pass degenerates.
     """
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
@@ -568,17 +595,16 @@ def backward(
     for start in range(0, len(batch), _BACKWARD_CHUNK):
         pos = batch.pos[start : start + _BACKWARD_CHUNK]
         neg = batch.neg[start : start + _BACKWARD_CHUNK]
-        cache_pos = _forward_stacked(_stack(pos, kind), kind, store)
-        cache_neg = _forward_stacked(_stack(neg, kind), kind, store)
-        _check_finite_distances(cache_pos.distances, pos)
-        _check_finite_distances(cache_neg.distances, neg)
-        slack = cache_pos.distances - cache_neg.distances + margin
+        cache = _forward_stacked(_stack([*pos, *neg], kind), kind, store)
+        d_pos, d_neg = np.split(cache.distances, 2)
+        _check_finite_distances(d_pos, batch.pos, start)
+        _check_finite_distances(d_neg, batch.neg, start)
+        slack = d_pos - d_neg + margin
         active = slack > 0.0
         total += float(slack[active].sum())
         if active.any():
             coeff = active.astype(np.float64)
-            _backward_stacked(cache_pos, kind, store, coeff, grads)
-            _backward_stacked(cache_neg, kind, store, -coeff, grads)
+            _backward_stacked(cache, kind, store, np.concatenate([coeff, -coeff]), grads)
     return grads, total
 
 

@@ -141,52 +141,78 @@ def init_parameters(
 class SparseGradients:
     """Accumulated partial derivatives, touched rows only.
 
-    Backed by dense per-tensor buffers plus touched-row masks so that batched
-    scatter-adds stay cheap; the public view (``rows``/``vec``)
-    exposes exactly the touched rows. Accumulation order is fixed by call
-    order, keeping batch sums deterministic.
+    Each tensor keeps the (rows, values) pieces that a batch adds, so no
+    buffer is sized to an embedding table. The first read of a tensor
+    reduces its pieces once to sorted unique rows and their sums
+    (``rows_values``, the public view): a stable sort and one
+    ``add.reduceat``, whose cost scales with the rows touched. ``add_dense``
+    adds a piece covering every row, which suits the N x d keys and
+    memories. Each row's values are summed in the order they were added,
+    keeping batch sums deterministic. The added arrays are kept, not copied,
+    so callers must not change them afterwards.
     """
 
     def __init__(self, store: ParameterStore):
-        self._buffers: dict[str, np.ndarray] = {}
-        self._touched: dict[str, np.ndarray] = {}
-        for name, arr in store.tensors().items():
-            self._buffers[name] = np.zeros_like(arr)
-            self._touched[name] = np.zeros(arr.shape[0], dtype=bool)
+        self._shapes = {name: arr.shape for name, arr in store.tensors().items()}
+        self._pieces: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {name: [] for name in self._shapes}
+        self._sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, tensor: str, row: int, vec: np.ndarray) -> None:
-        self._buffers[tensor][row] += vec
-        self._touched[tensor][row] = True
+        self.add_rows(tensor, np.array([row]), np.reshape(vec, (1, -1)))
 
     def add_rows(self, tensor: str, rows: np.ndarray, vecs: np.ndarray) -> None:
         """Scatter-add ``vecs[i]`` into ``rows[i]``; repeated rows accumulate."""
         if len(rows) == 0:
             return
-        np.add.at(self._buffers[tensor], rows, vecs)
-        self._touched[tensor][rows] = True
+        self._pieces[tensor].append((np.asarray(rows, dtype=np.int64), np.asarray(vecs, dtype=np.float64)))
+        self._sums.pop(tensor, None)
 
     def add_dense(self, tensor: str, mat: np.ndarray) -> None:
-        self._buffers[tensor] += mat
-        self._touched[tensor][:] = True
+        self.add_rows(tensor, np.arange(self._shapes[tensor][0]), mat)
+
+    def rows_values(self, tensor: str) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique touched rows of ``tensor`` and their summed gradients."""
+        if tensor not in self._sums:
+            self._sums[tensor] = _sum_rows(self._pieces[tensor], self._shapes[tensor][1])
+        return self._sums[tensor]
 
     def tensors(self) -> list[str]:
-        return [name for name, mask in self._touched.items() if mask.any()]
+        return [name for name, pieces in self._pieces.items() if pieces]
 
     def rows(self, tensor: str) -> np.ndarray:
-        return np.nonzero(self._touched[tensor])[0]
+        return self.rows_values(tensor)[0]
 
     def vec(self, tensor: str, row: int) -> np.ndarray:
-        return self._buffers[tensor][row]
+        rows, values = self.rows_values(tensor)
+        i = int(np.searchsorted(rows, row))
+        if i < len(rows) and rows[i] == row:
+            return values[i]
+        return np.zeros(self._shapes[tensor][1])
 
     def __len__(self) -> int:
-        return int(sum(mask.sum() for mask in self._touched.values()))
+        return sum(len(self.rows(name)) for name in self.tensors())
 
     def check_finite(self) -> None:
         for name in self.tensors():
-            rows = self.rows(name)
-            bad = ~np.isfinite(self._buffers[name][rows]).all(axis=1)
+            rows, values = self.rows_values(name)
+            bad = ~np.isfinite(values).all(axis=1)
             if bad.any():
                 raise NonFiniteGradientError(name, int(rows[np.argmax(bad)]))
+
+
+def _sum_rows(pieces: list[tuple[np.ndarray, np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique rows of the pieces and the sum of each row's values.
+
+    A stable sort keeps each row's values in piece order, so the sums are
+    deterministic."""
+    if not pieces:
+        return np.empty(0, dtype=np.int64), np.empty((0, dim))
+    rows = np.concatenate([r for r, _ in pieces])
+    values = np.concatenate([v for _, v in pieces])
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    return rows[starts], np.add.reduceat(values[order], starts, axis=0)
 
 
 @dataclass
@@ -230,15 +256,12 @@ def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, l
     bias2 = 1.0 - state.beta2**state.step
     tensors = store.tensors()
     for name in grads.tensors():
-        rows = grads.rows(name)
-        g = grads._buffers[name][rows]
-        m = state.moment1[name]
-        v = state.moment2[name]
-        m[rows] = state.beta1 * m[rows] + (1.0 - state.beta1) * g
-        v[rows] = state.beta2 * v[rows] + (1.0 - state.beta2) * g * g
-        m_hat = m[rows] / bias1
-        v_hat = v[rows] / bias2
-        tensors[name][rows] -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        rows, g = grads.rows_values(name)
+        m = state.beta1 * state.moment1[name][rows] + (1.0 - state.beta1) * g
+        v = state.beta2 * state.moment2[name][rows] + (1.0 - state.beta2) * g * g
+        state.moment1[name][rows] = m
+        state.moment2[name][rows] = v
+        tensors[name][rows] -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
 
 
 def project_unit_ball(

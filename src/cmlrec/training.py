@@ -19,10 +19,12 @@ import numpy as np
 from . import rng
 from .datasets import SplitDataset, item_history, user_history
 from .models import (
+    _BACKWARD_CHUNK,
     ModelKind,
     NonFiniteScoreError,
     RelationContext,
     TripletBatch,
+    _check_finite_distances,
     backward,
     batch_distances,
 )
@@ -190,9 +192,20 @@ def _validation_batch(split: SplitDataset, hp: Hyperparams) -> TripletBatch | No
 
 
 def _hinge_mean(batch: TripletBatch, kind: ModelKind, store: ParameterStore, margin: float) -> float:
-    d_pos = batch_distances(batch.pos, kind, store)
-    d_neg = batch_distances(batch.neg, kind, store)
-    return float(np.maximum(0.0, d_pos - d_neg + margin).mean())
+    """Mean triplet hinge over ``batch``, scored in chunks of ``_BACKWARD_CHUNK``
+    triplets so that the forward temporaries stay small. Raises
+    :class:`NonFiniteScoreError` naming the first triplet with a non-finite
+    distance."""
+    hinges = []
+    for start in range(0, len(batch), _BACKWARD_CHUNK):
+        pos = batch.pos[start : start + _BACKWARD_CHUNK]
+        neg = batch.neg[start : start + _BACKWARD_CHUNK]
+        d_pos = batch_distances(pos, kind, store)
+        d_neg = batch_distances(neg, kind, store)
+        _check_finite_distances(d_pos, batch.pos, start)
+        _check_finite_distances(d_neg, batch.neg, start)
+        hinges.append(np.maximum(0.0, d_pos - d_neg + margin))
+    return float(np.concatenate(hinges).mean())
 
 
 LogFn = Callable[[int, float, float, float], None]

@@ -77,6 +77,36 @@ class TestSparseGradients:
         np.testing.assert_allclose(grads.vec(USER_VECS, 1), [2.0, 0.0])
         np.testing.assert_allclose(grads.vec(USER_VECS, 3), [0.0, 5.0])
 
+    def test_repeated_rows_match_dense_scatter_reference(self):
+        store = init_parameters(6, 5, 3, 2, seed=0)
+        gen = np.random.default_rng(12)
+        grads = SparseGradients(store)
+        reference = np.zeros_like(store.user_vecs)
+        for n in (7, 1, 12):
+            rows = gen.integers(6, size=n)
+            rows[0] = 4  # row 4 repeats in every piece
+            vecs = gen.normal(size=(n, 3))
+            grads.add_rows(USER_VECS, rows, vecs)
+            np.add.at(reference, rows, vecs)
+        dense = gen.normal(size=(6, 3))
+        grads.add_dense(USER_VECS, dense)
+        reference += dense
+        rows, values = grads.rows_values(USER_VECS)
+        assert rows.tolist() == list(range(6))
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=1e-15)
+        grads.add_rows(USER_VECS, np.array([5, 5]), np.ones((2, 3)))
+        np.testing.assert_allclose(grads.vec(USER_VECS, 5), reference[5] + 2.0, rtol=1e-13, atol=1e-15)
+        assert grads.tensors() == [USER_VECS]
+        assert len(grads) == 6
+
+    def test_untouched_row_reads_zero(self):
+        store = init_parameters(4, 4, 2, 2, seed=0)
+        grads = SparseGradients(store)
+        grads.add(ITEM_VECS, 3, np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(grads.vec(ITEM_VECS, 1), [0.0, 0.0])
+        np.testing.assert_array_equal(grads.vec(USER_VECS, 0), [0.0, 0.0])
+        assert grads.rows(USER_VECS).tolist() == []
+
     def test_check_finite_names_offender(self):
         store = init_parameters(4, 4, 2, 2, seed=0)
         grads = SparseGradients(store)

@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cmlrec import rng
+from cmlrec import rng, training
 from cmlrec.datasets import InteractionDataset, SplitDataset, split_dataset
-from cmlrec.models import ModelKind
-from cmlrec.parameters import checkpoint_bytes
+from cmlrec.models import ModelKind, NonFiniteScoreError, RelationContext, TripletBatch
+from cmlrec.parameters import checkpoint_bytes, init_parameters
 from cmlrec.synthetic import planted_clusters
 from cmlrec.training import (
     Hyperparams,
@@ -19,6 +19,8 @@ from cmlrec.training import (
     sample_triplets,
     train,
 )
+
+MEMORY_KINDS = [ModelKind.LRML, ModelKind.HLR, ModelKind.HLRPP]
 
 
 def _block_split(seed=0) -> SplitDataset:
@@ -80,8 +82,6 @@ class TestTrain:
         split = _block_split()
         hp = _tiny_hp(lr=0.0, max_epochs=4)
         store, report = train(split, hp)
-        from cmlrec.parameters import init_parameters
-
         fresh = init_parameters(20, 20, hp.dim, hp.n_relations, seed=hp.seed)
         for name, arr in store.tensors().items():
             np.testing.assert_array_equal(arr, fresh.tensors()[name])
@@ -140,22 +140,40 @@ class TestTrain:
         assert report_a.valid_losses == report_b.valid_losses
         assert report_a.best_epoch == report_b.best_epoch
 
-    def test_divergence_aborts_with_finite_checkpoint(self):
+    # The heads whose keys and memories are unbounded.
+    @pytest.mark.parametrize("kind", MEMORY_KINDS, ids=[k.value for k in MEMORY_KINDS])
+    def test_divergence_aborts_with_finite_checkpoint(self, kind):
         split = _block_split()
-        hp = _tiny_hp(kind=ModelKind.LRML, lr=1e200, max_epochs=6, batch_size=32)
+        hp = _tiny_hp(kind=kind, lr=1e200, max_epochs=6, batch_size=32)
         store, report = train(split, hp)
         assert report.diverged
         assert report.diagnostics is not None
         store.check_finite()
 
-    def test_divergence_raises_no_runtime_warning(self):
+    @pytest.mark.parametrize("kind", MEMORY_KINDS, ids=[k.value for k in MEMORY_KINDS])
+    def test_divergence_raises_no_runtime_warning(self, kind):
         split = _block_split()
-        hp = _tiny_hp(kind=ModelKind.LRML, lr=1e200, max_epochs=6, batch_size=32)
+        hp = _tiny_hp(kind=kind, lr=1e200, max_epochs=6, batch_size=32)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             _, report = train(split, hp)
         assert report.diverged
         assert "non-finite" in report.diagnostics
+
+    def test_validation_loss_names_non_finite_triplet(self, monkeypatch):
+        store = init_parameters(6, 8, 4, 3, seed=0)
+        store.rel_memories[1] = 1e200  # every relation read from it overflows
+        # Only triplet 3 has a history, so only its distances read the memory;
+        # chunks of 2 put it in the second chunk.
+        pos = [RelationContext(u, u + 1) for u in range(5)]
+        neg = [RelationContext(u, 7) for u in range(5)]
+        pos[3] = RelationContext(3, 4, history=np.array([0, 2]))
+        neg[3] = RelationContext(3, 7, history=np.array([0, 2]))
+        monkeypatch.setattr(training, "_BACKWARD_CHUNK", 2)
+        with pytest.raises(NonFiniteScoreError) as err:
+            training._hinge_mean(TripletBatch(pos, neg), ModelKind.HLR, store, margin=0.5)
+        assert (err.value.index, err.value.user, err.value.item) == (3, 3, 4)
+        assert "instance 3 (user 3, item 4)" in str(err.value)
 
     def test_invalid_hyperparams_rejected(self):
         split = _block_split()
