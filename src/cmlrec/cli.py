@@ -493,7 +493,7 @@ def _add_common(sub: argparse.ArgumentParser, keys: Iterable[str]) -> None:
         "batch_size": (int, "triplets per optimizer step"),
         "max_epochs": (int, "training epoch budget"),
         "history_cap": (int, "attention history subsample size"),
-        "workers": (int, "parallel workers; 1 means deterministic"),
+        "workers": (int, "evaluation threads; any count gives the same results (train ignores it)"),
         "k": (int, "ranking cutoff"),
         "phase": (str, "evaluation phase: validation or test"),
         "lr_grid": (str, "comma-separated learning rates"),

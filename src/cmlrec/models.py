@@ -15,12 +15,11 @@ a (possibly translated) user point and the item point:
                  candidate item's user history, backed by a second memory.
 
 Single-pair scoring (:func:`score`) is written with the small composable
-operations below and is the readable reference. Training and ``cml``,
-``lrml`` and ``adacml`` ranking share the stacked batch code: ranking passes
-:func:`_forward_stacked` one padded batch per block of candidates, whose rows
-share the user and views of one padded history, and training runs the
-positives and negatives of a chunk of triplets as one stacked forward and
-backward pass.
+operations below and is the readable reference. Training runs the positives
+and negatives of a chunk of triplets as one stacked forward and backward
+pass. Ranking (:func:`candidate_distances`) is one block loop for all five
+heads: it scores one user against a block of the candidate matrix Q in
+closed form, with no per-candidate context.
 
 Both training and ranking read the memories of ``hlr``/``hlr++`` in the
 collapsed array form: a key logit ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n),
@@ -29,10 +28,9 @@ attention-weighted sum of relations is (Σ_h α_h w_h) M. So no (B, H, d) or
 (C, H, d) relation tensor is built anywhere. Training gets the key logits of
 a batch from one batched product per side (:func:`_attention_forward`), and
 its backward pass gives the memory gradient as two (N, B) @ (B, d) products
-(:func:`_attention_backward`). Ranking (:func:`candidate_distances`) scores
-one user against the candidate matrix Q with no per-candidate context; the
-key logits of every (history item, candidate) pair of a block of candidates
-come from one GEMM. Tests hold all three paths together.
+(:func:`_attention_backward`). In ranking, the key logits of every (history
+item, candidate) pair of a block come from one GEMM. Tests hold the
+single-pair, training and ranking paths together.
 """
 from __future__ import annotations
 
@@ -655,21 +653,11 @@ def _item_side_relations(
     return key_w.sum(axis=1).T @ memories
 
 
-# ``hlr``/``hlr++`` ranking scores the candidates in blocks whose largest
-# temporary, the (N, H, block) key weights, holds about this many float64s
-# (1 MiB): a block's passes over it then stay in a core's L2 cache instead
-# of streaming through the shared last-level cache.
+# Ranking scores the candidates in blocks whose largest temporary, the
+# (N, H, block) key weights of ``hlr``/``hlr++``, holds about this many
+# float64s (1 MiB): a block's passes over it then stay in a core's L2 cache
+# instead of streaming through the shared last-level cache.
 _RANK_BLOCK_ELEMENTS = 1 << 17
-
-# ``adacml`` ranking gathers a (block, H, d) array of history vectors, held
-# to this many float64s (3.5 MiB). That is below the 4 MiB from which numpy
-# asks the kernel for transparent huge pages, whose backing, at fault time
-# or later by khugepaged, would make the resident memory of a run depend on
-# the kernel's timing. Much smaller blocks slow the training that follows
-# ranking in one process: glibc's malloc serves a request from its heap,
-# rather than from fresh zeroed pages, only if a block at least that large
-# was freed before, and ranking frees the largest blocks.
-_HISTORY_BLOCK_ELEMENTS = 7 << 16
 
 
 def candidate_distances(
@@ -684,31 +672,20 @@ def candidate_distances(
 
     ``history`` is the user's (already capped) train history shared by every
     candidate; ``item_histories`` supplies one user list per candidate for
-    the ``hlr++`` head. No per-candidate context is built: ``cml``, ``lrml``
-    and ``adacml`` score padded batches whose rows share the user and the
-    history, ``adacml`` in blocks of candidates; ``hlr`` and ``hlr++`` read
-    their memories in the collapsed array form, one cache-sized block of
-    candidates at a time, with no (C, H, d) relation tensor.
+    the ``hlr++`` head. Every head scores ‖p + r − q‖² in closed form, one
+    cache-sized block Q of candidates at a time, with no per-candidate
+    context and no (C, H, d) tensor. Only the translation r differs: none
+    for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``; softmax(Hist Qᵀ)ᵀ Hist
+    over the history vectors for ``adacml``; the collapsed memory reads for
+    ``hlr`` and ``hlr++``. An empty history gives no translation, so those
+    heads then rank exactly like ``cml``.
     """
-    if kind not in (ModelKind.HLR, ModelKind.HLRPP):
-        # Rows share the user and views of one padded history; rows do not
-        # mix, so a block's distances are those of one batch.
-        hist, hist_mask = _pad([_EMPTY if history is None else history])
-        step = max(1, len(candidates))
-        if kind.uses_history:
-            step = max(1, _HISTORY_BLOCK_ELEMENTS // (hist.shape[1] * store.dim))
-        distances = np.empty(len(candidates))
-        for start in range(0, len(candidates), step):
-            items = candidates[start : start + step]
-            shape = (len(items), hist.shape[1])
-            stacked = _Stacked(np.full(len(items), user), items, np.broadcast_to(hist, shape),
-                               np.broadcast_to(hist_mask, shape), None, None)
-            distances[start : start + step] = _forward_stacked(stacked, kind, store).distances
-        return distances
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
     pu = store.user_vecs[user]
-    hist = store.item_vecs[history] if history is not None and len(history) > 0 else None
+    hist = None
+    if kind.uses_history and history is not None and len(history) > 0:
+        hist = store.item_vecs[history]
     widest = 1 if hist is None else len(hist)
     user_w = lengths = None
     if kind is ModelKind.HLRPP and item_histories is not None:
@@ -723,7 +700,11 @@ def candidate_distances(
         block = slice(start, start + step)
         cand = store.item_vecs[candidates[block]]
         relation = None
-        if hist is not None:
+        if kind is ModelKind.LRML:
+            relation = _softmax_leading((store.rel_keys * pu) @ cand.T).T @ store.rel_memories
+        elif hist is not None and kind is ModelKind.ADACML:
+            relation = _softmax_leading(hist @ cand.T).T @ hist
+        elif hist is not None:
             relation = _user_side_relations(pu, cand, hist, store.rel_keys, store.rel_memories)
         if user_w is not None:
             item_rel = _item_side_relations(
@@ -736,5 +717,4 @@ def candidate_distances(
         else:
             np.add(pu, relation, out=diff[block])
             diff[block] -= cand
-    # The same contraction as _forward_stacked, so an empty history ranks exactly like cml.
     return np.einsum("cd,cd->c", diff, diff, optimize=True)

@@ -325,7 +325,11 @@ def save_checkpoint(store: ParameterStore, path: str | os.PathLike) -> None:
 
 
 def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
-    """Load and verify a checkpoint written by :func:`save_checkpoint`."""
+    """Load and verify a checkpoint written by :func:`save_checkpoint`.
+
+    Raises :class:`CheckpointError` for a malformed or corrupted file and for
+    a payload holding NaN or infinity, whose CRC alone would pass it.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 32 or data[:4] != CHECKPOINT_MAGIC:
@@ -352,7 +356,7 @@ def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f4").reshape(rows, cols)
         arrays.append(arr.astype(np.float64))
         offset += nbytes
-    return ParameterStore(
+    store = ParameterStore(
         user_vecs=arrays[0],
         item_vecs=arrays[1],
         rel_keys=arrays[2],
@@ -360,3 +364,8 @@ def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
         item_rel_keys=arrays[4] if flag else None,
         item_rel_memories=arrays[5] if flag else None,
     )
+    try:
+        store.check_finite()
+    except FloatingPointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    return store

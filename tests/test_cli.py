@@ -5,10 +5,12 @@ import os
 import re
 import shutil
 
+import numpy as np
 import pytest
 
 from cmlrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from cmlrec.datasets import load_split_dir
+from cmlrec.parameters import load_checkpoint, save_checkpoint
 from test_datasets import CORRUPTIONS, corrupt_dir
 
 
@@ -191,6 +193,19 @@ class TestEvaluateCommand:
                        "--data", str(data), "--model", "hlr++")
         assert code == EXIT_DATA
         assert "item-side memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "recommend"])
+    def test_non_finite_checkpoint_is_data_error(self, workspace, tmp_path, capsys, command):
+        _, data, run = workspace
+        store = load_checkpoint(run / "model.ckpt")
+        store.user_vecs[:, 0] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(store, bad)
+        users = ["--users", "u3"] if command == "recommend" else []
+        code = run_cli(command, "--checkpoint", str(bad), "--data", str(data), "--model", "hlr", *users)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "user_vecs" in err and str(bad) in err
 
 
 class TestConfigResolution:

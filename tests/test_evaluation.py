@@ -196,7 +196,7 @@ class TestRankItems:
         assert set(ranked.tolist()) == {1, 3}
 
 
-    @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP])
+    @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_brute_force_sort_of_scores(self, kind):
         gen = np.random.default_rng(31)
         store = init_parameters(6, 30, 5, 3, with_item_memory=True, seed=31)

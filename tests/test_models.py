@@ -334,7 +334,7 @@ class TestBatchedConsistency:
 
 
 class TestCandidateDistances:
-    """The ranking path (array form for hlr/hlr++) against the single-pair reference."""
+    """The closed-form ranking loop of every head against the single-pair reference."""
 
     @staticmethod
     def _assert_matches_score(user, cands, kind, store, hist, ihists):
@@ -381,13 +381,14 @@ class TestCandidateDistances:
         self._assert_matches_score(2, np.array([3], dtype=np.int64), kind, store, hist, [np.array([0, 1])])
         assert candidate_distances(2, EMPTY, kind, store, history=hist, item_histories=[]).shape == (0,)
 
-    @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP])
+    @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("budget", [1, 40])
     def test_candidate_blocks_match_score(self, kind, budget, monkeypatch):
-        # budget 1 scores one candidate per block; 40 gives blocks of 3-4 with 3 slots
-        # (hlr/hlr++) or of 2 with 3 history items of 5 dims (adacml).
+        # budget 1 scores one candidate per block; 40 with 3 slots gives blocks of
+        # 13 // (widest support set): 4 for the 3 history items, 3 where an hlr++
+        # item history holds 4 users, and all 13 candidates in one block with no
+        # support set (cml, lrml, an empty history).
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
-        monkeypatch.setattr(models, "_HISTORY_BLOCK_ELEMENTS", budget)
         gen = np.random.default_rng(26)
         store = init_parameters(8, 14, 5, 3, with_item_memory=True, seed=26)
         cands = np.arange(1, 14, dtype=np.int64)
@@ -395,20 +396,6 @@ class TestCandidateDistances:
                   for _ in cands]
         for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
             self._assert_matches_score(3, cands, kind, store, hist, ihists)
-
-    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML, ModelKind.ADACML])
-    @pytest.mark.parametrize("budget", [None, 1, 40])
-    def test_baselines_equal_batch_distances_bitwise(self, kind, budget, monkeypatch):
-        # None keeps one batch; 1 scores one candidate per block, and 40 gives
-        # adacml blocks of 2 (3 history items of 5 dims) with a last block of 1.
-        if budget is not None:
-            monkeypatch.setattr(models, "_HISTORY_BLOCK_ELEMENTS", budget)
-        store = init_parameters(8, 14, 5, 3, seed=28)
-        cands = np.arange(1, 14, dtype=np.int64)
-        for hist in (None, EMPTY, np.array([0, 4, 9], dtype=np.int64)):
-            d = candidate_distances(3, cands, kind, store, history=hist)
-            contexts = [RelationContext(3, int(v), EMPTY if hist is None else hist) for v in cands]
-            assert d.tolist() == batch_distances(contexts, kind, store).tolist()
 
     def test_item_histories_must_align_with_candidates(self):
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cmlrec.parameters import (
+    ITEM_REL_MEMORIES,
     ITEM_VECS,
     REL_KEYS,
     REL_MEMORIES,
@@ -296,6 +297,16 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("tensor, bad", [(USER_VECS, np.nan), (ITEM_REL_MEMORIES, np.inf)])
+    def test_non_finite_payload_rejected_naming_tensor(self, tmp_path, tensor, bad):
+        store = init_parameters(4, 5, 3, 2, with_item_memory=True, seed=0)
+        store.tensors()[tensor][1, 2] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(store, path)  # the CRC covers the bad value, so only the finiteness check rejects it
+        with pytest.raises(CheckpointError, match=tensor) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_deterministic_bytes(self):
         a = init_parameters(3, 3, 4, 2, seed=1)
