@@ -160,6 +160,7 @@ class SplitDataset:
     validation: InteractionDataset
     test: InteractionDataset
     seed: int
+    _pair_keys: np.ndarray | None = field(default=None, init=False, repr=False)
     _all_user_items: _Rows | None = field(default=None, init=False, repr=False)
 
     @property
@@ -170,11 +171,19 @@ class SplitDataset:
     def num_items(self) -> int:
         return self.train.num_items
 
+    def pair_keys(self) -> np.ndarray:
+        """Sorted read-only ``u * num_items + v`` keys of the union of the
+        three views, so membership of many pairs is one ``searchsorted``."""
+        if self._pair_keys is None:
+            pairs = np.concatenate([v.pair_array() for v in (self.train, self.validation, self.test)])
+            self._pair_keys = np.unique(pairs @ (self.num_items, 1))
+            self._pair_keys.flags.writeable = False
+        return self._pair_keys
+
     def all_user_items(self, u: int) -> np.ndarray:
         """Union of the user's items over all three views (sorted)."""
         if self._all_user_items is None:
-            pairs = np.concatenate([v.pair_array() for v in (self.train, self.validation, self.test)])
-            users, items = np.divmod(np.unique(pairs @ (self.num_items, 1)), self.num_items)
+            users, items = np.divmod(self.pair_keys(), self.num_items)
             self._all_user_items = _Rows(items, np.bincount(users, minlength=self.num_users))
         return self._all_user_items[u]
 

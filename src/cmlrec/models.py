@@ -130,21 +130,78 @@ class ScoreBreakdown:
 
 @dataclass
 class TripletBatch:
-    """Positive/negative context pairs of one training batch.
+    """One batch of (user, positive, negative) triplets as index arrays.
 
-    ``pos[i]`` and ``neg[i]`` share the user and the history draw; they
-    differ in the scored item (and its item history).
+    Triplet ``i`` scores ``pos[i]`` and ``neg[i]`` for ``users[i]``. Both
+    sides read the one user-history row ``hist[i]``; the ``hlr++`` item
+    histories ``pos_ihist[i]`` and ``neg_ihist[i]`` differ per side. History
+    arrays are zero-padded to the batch's widest row, and only the slots
+    their masks set are read. A history a head does not read is None.
+
+    ``TripletBatch(pos, neg)`` with two equal-length sequences of
+    :class:`RelationContext` builds the arrays as :meth:`from_contexts` does.
     """
 
-    pos: list[RelationContext]
-    neg: list[RelationContext]
+    pos: np.ndarray  # (B,)
+    neg: np.ndarray  # (B,)
+    users: np.ndarray | None = None  # (B,)
+    hist: np.ndarray | None = None  # (B, H)
+    hist_mask: np.ndarray | None = None
+    pos_ihist: np.ndarray | None = None  # (B, J)
+    pos_ihist_mask: np.ndarray | None = None
+    neg_ihist: np.ndarray | None = None  # (B, J)
+    neg_ihist_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.pos) != len(self.neg):
+        if self.users is None:
+            vars(self).update(vars(self.from_contexts(self.pos, self.neg)))
+        if not len(self.users) == len(self.pos) == len(self.neg):
+            raise ValueError("users, positives and negatives must have equal length")
+
+    @classmethod
+    def from_contexts(cls, pos: Sequence[RelationContext], neg: Sequence[RelationContext]) -> "TripletBatch":
+        """Array batch of hand-built context pairs; ``pos[i]`` and ``neg[i]``
+        must share the user and the history."""
+        if len(pos) != len(neg):
             raise ValueError("positive and negative context lists must have equal length")
+        for p, n in zip(pos, neg):
+            if p.user != n.user or not np.array_equal(p.history, n.history):
+                raise ValueError(f"contexts of user {p.user} (items {p.item}, {n.item}) do not share the user and history")
+        hist, hist_mask = _pad([c.history for c in pos])
+        ihist, ihist_mask = _pad([c.item_history for c in (*pos, *neg)])
+        return cls(
+            pos=np.fromiter((c.item for c in pos), dtype=np.int64, count=len(pos)),
+            neg=np.fromiter((c.item for c in neg), dtype=np.int64, count=len(neg)),
+            users=np.fromiter((c.user for c in pos), dtype=np.int64, count=len(pos)),
+            hist=hist,
+            hist_mask=hist_mask,
+            pos_ihist=ihist[: len(pos)],
+            pos_ihist_mask=ihist_mask[: len(pos)],
+            neg_ihist=ihist[len(pos) :],
+            neg_ihist_mask=ihist_mask[len(pos) :],
+        )
 
     def __len__(self) -> int:
         return len(self.pos)
+
+    def stacked(self, start: int, stop: int) -> "_Stacked":
+        """Triplets ``start:stop`` as one stacked pass: positives, then negatives."""
+        part = slice(start, stop)
+
+        def both(side: np.ndarray | None) -> np.ndarray | None:
+            return None if side is None else np.concatenate([side[part], side[part]])
+
+        def sides(pos: np.ndarray | None, neg: np.ndarray | None) -> np.ndarray | None:
+            return None if pos is None or neg is None else np.concatenate([pos[part], neg[part]])
+
+        return _Stacked(
+            users=both(self.users),
+            items=sides(self.pos, self.neg),
+            hist=both(self.hist),
+            hist_mask=both(self.hist_mask),
+            ihist=sides(self.pos_ihist, self.neg_ihist),
+            ihist_mask=sides(self.pos_ihist_mask, self.neg_ihist_mask),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +373,8 @@ class _Stacked:
 
     users: np.ndarray  # (B,)
     items: np.ndarray  # (B,)
-    hist: np.ndarray  # (B, H) padded with 0
-    hist_mask: np.ndarray  # (B, H)
+    hist: np.ndarray | None  # (B, H) padded with 0
+    hist_mask: np.ndarray | None  # (B, H)
     ihist: np.ndarray | None  # (B, J) padded with 0
     ihist_mask: np.ndarray | None
 
@@ -335,12 +392,9 @@ def _pad(index_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _stack(contexts: Sequence[RelationContext], kind: ModelKind) -> _Stacked:
     users = np.fromiter((c.user for c in contexts), dtype=np.int64, count=len(contexts))
     items = np.fromiter((c.item for c in contexts), dtype=np.int64, count=len(contexts))
+    hist = hist_mask = ihist = ihist_mask = None
     if kind.uses_history:
         hist, hist_mask = _pad([c.history for c in contexts])
-    else:
-        hist = np.zeros((len(contexts), 1), dtype=np.int64)
-        hist_mask = np.zeros((len(contexts), 1), dtype=bool)
-    ihist = ihist_mask = None
     if kind.uses_item_memory:
         ihist, ihist_mask = _pad([c.item_history for c in contexts])
     return _Stacked(users, items, hist, hist_mask, ihist, ihist_mask)
@@ -466,11 +520,13 @@ def _forward_stacked(stacked: _Stacked, kind: ModelKind, store: ParameterStore) 
         cache.key_w = stable_softmax(cache.s @ store.rel_keys.T, axis=-1)
         relation = cache.key_w @ store.rel_memories
     elif kind is ModelKind.ADACML:
+        assert stacked.hist is not None and stacked.hist_mask is not None
         cache.hist_emb = store.item_vecs[stacked.hist]
         logits = np.einsum("bhd,bd->bh", cache.hist_emb, qv, optimize=True)
         cache.alpha = _masked_softmax(logits, stacked.hist_mask)
         relation = np.einsum("bh,bhd->bd", cache.alpha, cache.hist_emb, optimize=True)
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):
+        assert stacked.hist is not None and stacked.hist_mask is not None
         cache.user_att = _attention_forward(
             stacked.hist, stacked.hist_mask, store.item_vecs, anchor=qv, query=pu,
             keys=store.rel_keys, memories=store.rel_memories,
@@ -547,21 +603,28 @@ def _backward_stacked(
     grads.add_rows(ITEM_VECS, stacked.items, g_qv)
 
 
-def batch_distances(contexts: Sequence[RelationContext], kind: ModelKind, store: ParameterStore) -> np.ndarray:
-    """Distances of many contexts at once; agrees with :func:`score`."""
-    if len(contexts) == 0:
-        return np.zeros(0)
-    cache = _forward_stacked(_stack(contexts, kind), kind, store)
-    return cache.distances
+def batch_distances(
+    pairs: _Stacked | Sequence[RelationContext], kind: ModelKind, store: ParameterStore
+) -> np.ndarray:
+    """Distances of many pairs at once; agrees with :func:`score`.
+
+    ``pairs`` is a stacked pass (:meth:`TripletBatch.stacked`) or a sequence
+    of contexts, which is stacked first.
+    """
+    if not isinstance(pairs, _Stacked):
+        if len(pairs) == 0:
+            return np.zeros(0)
+        pairs = _stack(pairs, kind)
+    return _forward_stacked(pairs, kind, store).distances
 
 
-def _check_finite_distances(distances: np.ndarray, contexts: Sequence[RelationContext], start: int = 0) -> None:
-    """Raise for the first non-finite distance; ``distances[i]`` belongs to ``contexts[start + i]``."""
+def _check_finite_distances(distances: np.ndarray, users: np.ndarray, items: np.ndarray, start: int = 0) -> None:
+    """Raise for the first non-finite distance; ``distances[i]`` belongs to
+    the pair ``(users[start + i], items[start + i])``."""
     finite = np.isfinite(distances)
     if not finite.all():
         idx = start + int(np.argmin(finite))
-        ctx = contexts[idx]
-        raise NonFiniteScoreError(idx, ctx.user, ctx.item)
+        raise NonFiniteScoreError(idx, int(users[idx]), int(items[idx]))
 
 
 # ``backward`` runs the batch in chunks of this many triplets, which bounds
@@ -591,12 +654,10 @@ def backward(
     grads = SparseGradients(store)
     total = 0.0
     for start in range(0, len(batch), _BACKWARD_CHUNK):
-        pos = batch.pos[start : start + _BACKWARD_CHUNK]
-        neg = batch.neg[start : start + _BACKWARD_CHUNK]
-        cache = _forward_stacked(_stack([*pos, *neg], kind), kind, store)
+        cache = _forward_stacked(batch.stacked(start, start + _BACKWARD_CHUNK), kind, store)
         d_pos, d_neg = np.split(cache.distances, 2)
-        _check_finite_distances(d_pos, batch.pos, start)
-        _check_finite_distances(d_neg, batch.neg, start)
+        _check_finite_distances(d_pos, batch.users, batch.pos, start)
+        _check_finite_distances(d_neg, batch.users, batch.neg, start)
         slack = d_pos - d_neg + margin
         active = slack > 0.0
         total += float(slack[active].sum())

@@ -12,19 +12,19 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import rng
-from .datasets import SplitDataset, item_history, user_history
+from .datasets import SplitDataset
 from .models import (
     _BACKWARD_CHUNK,
     ModelKind,
     NonFiniteScoreError,
-    RelationContext,
     TripletBatch,
     _check_finite_distances,
+    _pad,
     backward,
     batch_distances,
 )
@@ -40,8 +40,6 @@ from .parameters import (
 )
 
 logger = logging.getLogger(__name__)
-
-_EMPTY = np.empty(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,6 @@ class Hyperparams:
             raise ValueError(f"n_relations must be >= 1, got {self.n_relations}")
 
 
-class Triplet(NamedTuple):
-    user: int
-    pos: int
-    neg: int
-
-
 @dataclass
 class TrainReport:
     """Per-epoch history of one training run."""
@@ -99,111 +91,205 @@ class TrainReport:
         return len(self.train_losses)
 
 
-def _draw_negative(gen: np.random.Generator, num_items: int, seen: np.ndarray) -> int:
-    """Uniform item with (u, item) outside ``seen``; caller guarantees one exists."""
-    while True:
-        j = int(gen.integers(num_items))
-        pos = np.searchsorted(seen, j)
-        if pos >= len(seen) or seen[pos] != j:
-            return j
+class NonFiniteLossError(FloatingPointError):
+    """An epoch's mean train or validation loss was NaN or infinite."""
+
+    def __init__(self, which: str, value: float):
+        super().__init__(f"non-finite {which} loss {value!r}")
+        self.which = which
+        self.value = value
 
 
-def sample_triplets(split: SplitDataset, gen: np.random.Generator) -> Iterator[Triplet]:
-    """One epoch of triplets: each train positive once, in shuffled order,
-    paired with a negative drawn uniformly outside the user's full
-    interaction set (train, validation, and test). Users interacting with
-    every item are skipped with a warning."""
-    train = split.train
-    num_items = train.num_items
-    pairs = train.pair_array()
+# ---------------------------------------------------------------------------
+# Triplet sampling
+# ---------------------------------------------------------------------------
+
+
+def _saturated(split: SplitDataset, users: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``users`` that interact with every item, so
+    that no negative exists for them."""
+    counts = np.bincount(split.pair_keys() // split.num_items, minlength=split.num_users)
+    return counts[users] >= split.num_items
+
+
+def _negatives(split: SplitDataset, users: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """One uniform item per entry of ``users`` outside that user's
+    interaction set (train, validation and test): a vector draw, then
+    redraws of the rejected entries only, until none is left. Every user
+    must have such an item."""
+    num_items = split.num_items
+    keys = split.pair_keys()
+    neg = gen.integers(num_items, size=len(users))
+    todo = np.arange(len(users))
+    while len(todo):
+        drawn = users[todo] * num_items + neg[todo]
+        at = np.minimum(np.searchsorted(keys, drawn), len(keys) - 1)
+        todo = todo[keys[at] == drawn]
+        neg[todo] = gen.integers(num_items, size=len(todo))
+    return neg
+
+
+def sample_triplets(
+    split: SplitDataset, gen: np.random.Generator, batch_size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One epoch of triplets as ``(users, positives, negatives)`` arrays of
+    at most ``batch_size`` entries: each train positive once, in the order
+    of one permutation, paired with a negative drawn uniformly outside the
+    user's full interaction set (train, validation and test). The users who
+    interact with every item are skipped, with one warning each, before
+    the negatives of the whole epoch are drawn at once."""
+    pairs = split.train.pair_array()
     if len(pairs) == 0:
         raise ValueError("train view is empty; nothing to sample")
     order = gen.permutation(len(pairs))
-    warned: set[int] = set()
-    for idx in order:
-        u, v = int(pairs[idx, 0]), int(pairs[idx, 1])
-        seen = split.all_user_items(u)
-        if len(seen) >= num_items:
-            if u not in warned:
-                warned.add(u)
-                logger.warning("user %d interacts with every item; no negative exists, skipping", u)
-            continue
-        yield Triplet(u, v, _draw_negative(gen, num_items, seen))
+    users, pos = pairs[order, 0], pairs[order, 1]
+    saturated = _saturated(split, users)
+    if saturated.any():
+        for u in np.unique(users[saturated]).tolist():
+            logger.warning("user %d interacts with every item; no negative exists, skipping", u)
+        users, pos = users[~saturated], pos[~saturated]
+    neg = _negatives(split, users, gen)
+    for start in range(0, len(users), batch_size):
+        part = slice(start, start + batch_size)
+        yield users[part], pos[part], neg[part]
 
 
-def _contexts(
-    split: SplitDataset,
-    user: int,
-    pos: int,
-    neg: int,
-    kind: ModelKind,
+# ---------------------------------------------------------------------------
+# History draws
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Adjacency:
+    """One direction of the train view as a zero-padded table: row ``r``
+    holds the sorted train neighbours of ``r`` in its first ``lengths[r]``
+    slots."""
+
+    rows: np.ndarray  # (R, W)
+    lengths: np.ndarray  # (R,)
+
+    @classmethod
+    def of(cls, neighbours: Sequence[np.ndarray]) -> "_Adjacency":
+        rows, mask = _pad(neighbours)
+        return cls(rows, mask.sum(axis=1))
+
+
+def _draw_rows(
+    table: _Adjacency, rows: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of ``table`` without ``exclude[i]`` in row ``i``, each
+    subsampled uniformly to at most ``cap`` members: zero-padded ids and
+    their mask, trimmed to the widest row (and to ``cap``).
+
+    A row over the cap keeps the members with the ``cap`` smallest random
+    keys; padding and the excluded member get keys above every member's.
+    Random keys are drawn only when some row is wider than ``cap``.
+    """
+    lengths = table.lengths[rows]
+    width = max(int(lengths.max(initial=0)), 1)
+    ids = table.rows[rows, :width]
+    mask = (np.arange(width) < lengths[:, None]) & (ids != exclude[:, None])
+    if width > cap:
+        keys = gen.random(ids.shape)
+        keys[~mask] = 2.0
+        keep = np.sort(np.argpartition(keys, cap, axis=1)[:, : max(cap, 1)], axis=1)
+        ids = np.take_along_axis(ids, keep, axis=1)
+        mask = np.take_along_axis(mask, keep, axis=1) & (cap > 0)  # cap 0 keeps one masked slot
+    return ids, mask
+
+
+def user_history(
+    table: _Adjacency, users: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """User histories of one batch: row ``i`` holds the train items of
+    ``users[i]`` other than ``exclude[i]``, capped (see :func:`_draw_rows`).
+    ``datasets.user_history`` is the one-row reference."""
+    return _draw_rows(table, users, exclude, cap, gen)
+
+
+def item_history(
+    table: _Adjacency, items: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``hlr++`` item histories of one batch: row ``i`` holds the train users
+    of ``items[i]`` other than ``exclude[i]``, capped (see :func:`_draw_rows`).
+    ``datasets.item_history`` is the one-row reference."""
+    return _draw_rows(table, items, exclude, cap, gen)
+
+
+@dataclass(frozen=True)
+class _Histories:
+    """The padded train tables a head draws its histories from, built once
+    per run; a table the head does not read is None."""
+
+    user_items: _Adjacency | None
+    item_users: _Adjacency | None
+
+    @classmethod
+    def of(cls, split: SplitDataset, kind: ModelKind) -> "_Histories":
+        train = split.train
+        return cls(
+            _Adjacency.of(train.user_items) if kind.uses_history else None,
+            _Adjacency.of(train.item_users) if kind.uses_item_memory else None,
+        )
+
+
+def _batch(
+    users: np.ndarray,
+    pos: np.ndarray,
+    neg: np.ndarray,
+    tables: _Histories,
     cap: int,
     gen: np.random.Generator,
-) -> tuple[RelationContext, RelationContext]:
-    """Context pair for one triplet; the history draw is shared across the
-    positive and negative side to reduce gradient variance."""
-    hist = user_history(split, user, exclude=pos, cap=cap, gen=gen) if kind.uses_history else _EMPTY
-    if kind.uses_item_memory:
-        ih_pos = item_history(split, pos, exclude=user, cap=cap, gen=gen)
-        ih_neg = item_history(split, neg, exclude=user, cap=cap, gen=gen)
-    else:
-        ih_pos = ih_neg = _EMPTY
-    return (
-        RelationContext(user=user, item=pos, history=hist, item_history=ih_pos),
-        RelationContext(user=user, item=neg, history=hist, item_history=ih_neg),
-    )
+) -> TripletBatch:
+    """The triplets with their history draws. The positive and the negative
+    share one user-history row, which reduces gradient variance."""
+    batch = TripletBatch(pos=pos, neg=neg, users=users)
+    if tables.user_items is not None:
+        batch.hist, batch.hist_mask = user_history(tables.user_items, users, pos, cap, gen)
+    if tables.item_users is not None:
+        ihist, ihist_mask = item_history(
+            tables.item_users, np.concatenate([pos, neg]), np.concatenate([users, users]), cap, gen
+        )
+        batch.pos_ihist, batch.neg_ihist = np.split(ihist, 2)
+        batch.pos_ihist_mask, batch.neg_ihist_mask = np.split(ihist_mask, 2)
+    return batch
 
 
 def _epoch_batches(
-    split: SplitDataset, hp: Hyperparams, sample_gen: np.random.Generator, hist_gen: np.random.Generator
+    split: SplitDataset,
+    hp: Hyperparams,
+    tables: _Histories,
+    sample_gen: np.random.Generator,
+    hist_gen: np.random.Generator,
 ) -> Iterator[TripletBatch]:
-    pos_ctxs: list[RelationContext] = []
-    neg_ctxs: list[RelationContext] = []
-    for t in sample_triplets(split, sample_gen):
-        p, n = _contexts(split, t.user, t.pos, t.neg, hp.kind, hp.history_cap, hist_gen)
-        pos_ctxs.append(p)
-        neg_ctxs.append(n)
-        if len(pos_ctxs) == hp.batch_size:
-            yield TripletBatch(pos_ctxs, neg_ctxs)
-            pos_ctxs, neg_ctxs = [], []
-    if pos_ctxs:
-        yield TripletBatch(pos_ctxs, neg_ctxs)
+    for users, pos, neg in sample_triplets(split, sample_gen, hp.batch_size):
+        yield _batch(users, pos, neg, tables, hp.history_cap, hist_gen)
 
 
-def _validation_batch(split: SplitDataset, hp: Hyperparams) -> TripletBatch | None:
+def _validation_batch(split: SplitDataset, hp: Hyperparams, tables: _Histories) -> TripletBatch | None:
     """Fixed per-run validation triplets: every validation positive paired
     with a negative (and history draws) from a dedicated seeded stream, so
     epoch-over-epoch loss comparisons use one sample."""
     gen = rng.substream(hp.seed, rng.VALIDATION_NEGATIVES)
-    num_items = split.train.num_items
-    pos_ctxs: list[RelationContext] = []
-    neg_ctxs: list[RelationContext] = []
-    for u, v in split.validation.iter_pairs():
-        seen = split.all_user_items(u)
-        if len(seen) >= num_items:
-            continue
-        neg = _draw_negative(gen, num_items, seen)
-        p, n = _contexts(split, u, v, neg, hp.kind, hp.history_cap, gen)
-        pos_ctxs.append(p)
-        neg_ctxs.append(n)
-    if not pos_ctxs:
+    pairs = split.validation.pair_array()
+    keep = ~_saturated(split, pairs[:, 0])
+    users, pos = pairs[keep, 0], pairs[keep, 1]
+    if len(users) == 0:
         return None
-    return TripletBatch(pos_ctxs, neg_ctxs)
+    return _batch(users, pos, _negatives(split, users, gen), tables, hp.history_cap, gen)
 
 
 def _hinge_mean(batch: TripletBatch, kind: ModelKind, store: ParameterStore, margin: float) -> float:
-    """Mean triplet hinge over ``batch``, scored in chunks of ``_BACKWARD_CHUNK``
-    triplets so that the forward temporaries stay small. Raises
-    :class:`NonFiniteScoreError` naming the first triplet with a non-finite
-    distance."""
+    """Mean triplet hinge over ``batch``, scored in stacked passes of
+    ``_BACKWARD_CHUNK`` rows, both sides of half as many triplets, so that
+    the forward temporaries stay small. Raises :class:`NonFiniteScoreError`
+    naming the first triplet with a non-finite distance."""
     hinges = []
-    for start in range(0, len(batch), _BACKWARD_CHUNK):
-        pos = batch.pos[start : start + _BACKWARD_CHUNK]
-        neg = batch.neg[start : start + _BACKWARD_CHUNK]
-        d_pos = batch_distances(pos, kind, store)
-        d_neg = batch_distances(neg, kind, store)
-        _check_finite_distances(d_pos, batch.pos, start)
-        _check_finite_distances(d_neg, batch.neg, start)
+    step = max(_BACKWARD_CHUNK // 2, 1)
+    for start in range(0, len(batch), step):
+        d_pos, d_neg = np.split(batch_distances(batch.stacked(start, start + step), kind, store), 2)
+        _check_finite_distances(d_pos, batch.users, batch.pos, start)
+        _check_finite_distances(d_neg, batch.users, batch.neg, start)
         hinges.append(np.maximum(0.0, d_pos - d_neg + margin))
     return float(np.concatenate(hinges).mean())
 
@@ -238,7 +324,8 @@ def train(
         seed=hp.seed,
     )
     adam = AdamState.for_store(store)
-    val_batch = _validation_batch(split, hp)
+    tables = _Histories.of(split, hp.kind)
+    val_batch = _validation_batch(split, hp, tables)
     report = TrainReport()
     best_loss = np.inf
     best_store: ParameterStore | None = None
@@ -251,7 +338,7 @@ def train(
         total = 0.0
         count = 0
         try:
-            for batch in _epoch_batches(split, hp, sample_gen, hist_gen):
+            for batch in _epoch_batches(split, hp, tables, sample_gen, hist_gen):
                 grads, loss = backward(batch, hp.kind, store, hp.margin)
                 adam_step(store, grads, adam, hp.lr)
                 project_unit_ball(store, user_rows=grads.rows(USER_VECS), item_rows=grads.rows(ITEM_VECS))
@@ -259,9 +346,10 @@ def train(
                 count += len(batch)
             train_loss = total / max(count, 1)
             valid_loss = _hinge_mean(val_batch, hp.kind, store, hp.margin) if val_batch is not None else 0.0
-            if not (np.isfinite(train_loss) and np.isfinite(valid_loss)):
-                raise NonFiniteScoreError(0, -1, -1)
-        except (NonFiniteScoreError, NonFiniteGradientError) as exc:
+            for which, loss in (("train", train_loss), ("validation", valid_loss)):
+                if not np.isfinite(loss):
+                    raise NonFiniteLossError(which, loss)
+        except (NonFiniteScoreError, NonFiniteLossError, NonFiniteGradientError) as exc:
             report.diverged = True
             report.diagnostics = f"aborted at epoch {epoch}: {exc}"
             logger.warning("training diverged: %s", report.diagnostics)

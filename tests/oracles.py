@@ -20,10 +20,26 @@ from cmlrec.models import (
 from cmlrec.parameters import ParameterStore, SparseGradients, init_parameters
 
 
+def batch_contexts(batch: TripletBatch) -> list[tuple[RelationContext, RelationContext]]:
+    """The (positive, negative) context pair of each triplet of an array batch."""
+
+    def row(ids: np.ndarray | None, mask: np.ndarray | None, i: int) -> np.ndarray:
+        return np.empty(0, dtype=np.int64) if ids is None else ids[i][mask[i]]
+
+    pairs = []
+    for i, (u, v, w) in enumerate(zip(batch.users.tolist(), batch.pos.tolist(), batch.neg.tolist())):
+        hist = row(batch.hist, batch.hist_mask, i)
+        pairs.append((
+            RelationContext(u, v, hist, row(batch.pos_ihist, batch.pos_ihist_mask, i)),
+            RelationContext(u, w, hist, row(batch.neg_ihist, batch.neg_ihist_mask, i)),
+        ))
+    return pairs
+
+
 def batch_loss_slow(batch: TripletBatch, kind: ModelKind, store: ParameterStore, margin: float) -> float:
     """Summed hinge loss via the single-pair scoring path."""
     total = 0.0
-    for pos, neg in zip(batch.pos, batch.neg):
+    for pos, neg in batch_contexts(batch):
         d_pos = score(pos, kind, store).distance
         d_neg = score(neg, kind, store).distance
         total += triplet_margin_loss(d_pos, d_neg, margin)
@@ -107,10 +123,9 @@ def random_instance(
             ih_neg = ih_neg[ih_neg != u]
             pos.append(RelationContext(user=u, item=v, history=hist, item_history=ih_pos))
             neg.append(RelationContext(user=u, item=w, history=hist, item_history=ih_neg))
-        batch = TripletBatch(pos, neg)
-        slack = batch_distances(batch.pos, kind, store) - batch_distances(batch.neg, kind, store) + 1.0
+        slack = batch_distances(pos, kind, store) - batch_distances(neg, kind, store) + 1.0
         if np.all(np.abs(slack) > kink_margin):
-            return store, batch
+            return store, TripletBatch.from_contexts(pos, neg)
     raise RuntimeError("could not draw a kink-free instance in 100 tries")
 
 

@@ -454,6 +454,24 @@ class TestBackwardBasics:
         with pytest.raises(ValueError):
             TripletBatch([RelationContext(0, 0)], [])
 
+    def test_contexts_must_share_user_and_history(self):
+        with pytest.raises(ValueError, match="share"):
+            TripletBatch.from_contexts([RelationContext(0, 1)], [RelationContext(1, 2)])
+        with pytest.raises(ValueError, match="share"):
+            TripletBatch.from_contexts([RelationContext(0, 1, np.array([2]))], [RelationContext(0, 3)])
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_stacked_batch_matches_contexts(self, kind):
+        gen = np.random.default_rng(15)
+        store = init_parameters(7, 9, 6, 3, with_item_memory=True, seed=15)
+        pos = [_rand_ctx(gen, 7, 9, True, True) for _ in range(12)]
+        neg = [RelationContext(c.user, (c.item + 1) % 9, c.history, _rand_ctx(gen, 7, 9, False, True).item_history)
+               for c in pos]
+        batch = TripletBatch.from_contexts(pos, neg)
+        assert batch.users.tolist() == [c.user for c in pos]
+        stacked = batch_distances(batch.stacked(2, 9), kind, store)
+        np.testing.assert_allclose(stacked, batch_distances([*pos[2:9], *neg[2:9]], kind, store), rtol=1e-12, atol=1e-14)
+
 
 class TestModelKind:
     def test_parse_aliases(self):

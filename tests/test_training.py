@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from cmlrec import rng, training
-from cmlrec.datasets import InteractionDataset, SplitDataset, split_dataset
-from cmlrec.models import ModelKind, NonFiniteScoreError, RelationContext, TripletBatch
+from cmlrec.datasets import InteractionDataset, SplitDataset, item_history, split_dataset, user_history
+from cmlrec.models import ModelKind, NonFiniteScoreError, TripletBatch
 from cmlrec.parameters import checkpoint_bytes, init_parameters
 from cmlrec.synthetic import planted_clusters
 from cmlrec.training import (
@@ -39,25 +39,35 @@ def _tiny_hp(**kw) -> Hyperparams:
     return Hyperparams(**base)
 
 
+def _epoch(split: SplitDataset, gen, batch_size: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One epoch of ``sample_triplets`` as three concatenated arrays."""
+    batches = list(sample_triplets(split, gen, batch_size))
+    assert all(len(b[0]) == batch_size for b in batches[:-1]) and 1 <= len(batches[-1][0]) <= batch_size
+    users, pos, neg = (np.concatenate(column) for column in zip(*batches))
+    return users, pos, neg
+
+
+def _outside_views(split: SplitDataset, u: int, v: int) -> bool:
+    return not any(view.has_pair(u, v) for view in (split.train, split.validation, split.test))
+
+
 class TestSampleTriplets:
     def test_contracts_on_random_split(self):
         split = split_dataset(planted_clusters(30, 40, 4, 15, seed=3), seed=3)
-        gen = rng.substream(9, rng.SAMPLING, 0)
-        count = 0
-        for t in sample_triplets(split, gen):
-            count += 1
-            assert split.train.has_pair(t.user, t.pos)
-            seen = split.all_user_items(t.user)
-            pos = np.searchsorted(seen, t.neg)
-            assert pos >= len(seen) or seen[pos] != t.neg, "negative inside the user's interaction set"
-        assert count == split.train.num_interactions
+        users, pos, neg = _epoch(split, rng.substream(9, rng.SAMPLING, 0))
+        # each train positive exactly once
+        np.testing.assert_array_equal(
+            np.sort(users * split.num_items + pos), split.train.pair_array() @ (split.num_items, 1)
+        )
+        for u, v in zip(users.tolist(), neg.tolist()):
+            assert _outside_views(split, u, v), "negative inside the user's interaction set"
 
     def test_order_shuffled_per_epoch(self):
         split = _block_split()
-        a = [t[:2] for t in sample_triplets(split, rng.substream(1, rng.SAMPLING, 0))]
-        b = [t[:2] for t in sample_triplets(split, rng.substream(1, rng.SAMPLING, 1))]
-        assert sorted(a) == sorted(b)  # same positives
-        assert a != b  # different visit order
+        a = np.column_stack(_epoch(split, rng.substream(1, rng.SAMPLING, 0))[:2])
+        b = np.column_stack(_epoch(split, rng.substream(1, rng.SAMPLING, 1))[:2])
+        assert sorted(map(tuple, a.tolist())) == sorted(map(tuple, b.tolist()))  # same positives
+        assert not np.array_equal(a, b)  # different visit order
 
     def test_saturated_user_skipped_with_warning(self, caplog):
         # user 0 interacted with both items; user 1 with one
@@ -65,16 +75,115 @@ class TestSampleTriplets:
         empty = InteractionDataset.from_pairs(2, 2, [], ["a", "b"], ["x", "y"])
         split = SplitDataset(train=train, validation=empty, test=empty, seed=0)
         with caplog.at_level(logging.WARNING, logger="cmlrec.training"):
-            triplets = list(sample_triplets(split, rng.substream(0, rng.SAMPLING, 0)))
-        assert len(triplets) == 1
-        assert triplets[0].user == 1 and triplets[0].neg == 1
-        assert any("no negative exists" in rec.message for rec in caplog.records)
+            users, pos, neg = _epoch(split, rng.substream(0, rng.SAMPLING, 0))
+        assert (users.tolist(), pos.tolist(), neg.tolist()) == ([1], [0], [1])
+        assert [rec.message for rec in caplog.records if "no negative exists" in rec.message] == [
+            "user 0 interacts with every item; no negative exists, skipping"
+        ]
+
+    def test_rejected_negatives_are_redrawn(self):
+        # user 0 holds every item but 11 across the three views, so nearly
+        # every first draw for it is rejected; user 1 holds two items
+        keys = [f"u{i}" for i in range(2)], [f"v{j}" for j in range(12)]
+        train = InteractionDataset.from_pairs(2, 12, [(0, v) for v in range(9)] + [(1, 0), (1, 1)], *keys)
+        valid = InteractionDataset.from_pairs(2, 12, [(0, 9)], *keys)
+        test = InteractionDataset.from_pairs(2, 12, [(0, 10)], *keys)
+        split = SplitDataset(train=train, validation=valid, test=test, seed=0)
+        for epoch in range(5):
+            users, _, neg = _epoch(split, rng.substream(4, rng.SAMPLING, epoch), batch_size=4)
+            assert neg[users == 0].tolist() == [11] * 9
+            assert all(_outside_views(split, 1, v) for v in neg[users == 1].tolist())
 
     def test_empty_train_rejected(self):
         empty = InteractionDataset.from_pairs(1, 1, [], ["a"], ["x"])
         split = SplitDataset(train=empty, validation=empty, test=empty, seed=0)
         with pytest.raises(ValueError):
-            list(sample_triplets(split, rng.substream(0, rng.SAMPLING, 0)))
+            list(sample_triplets(split, rng.substream(0, rng.SAMPLING, 0), 4))
+
+
+class TestHistoryDraws:
+    """The per-batch history draws against the one-row references in ``datasets``."""
+
+    @staticmethod
+    def _rows(ids, mask) -> list[list[int]]:
+        return [row[keep].tolist() for row, keep in zip(ids, mask)]
+
+    @staticmethod
+    def _split():
+        return split_dataset(planted_clusters(30, 40, 4, 15, seed=3), seed=3)
+
+    @pytest.mark.parametrize("side", ["user", "item"])
+    def test_rows_match_reference(self, side):
+        split = self._split()
+        pairs = split.train.pair_array()[::3]
+        if side == "user":
+            neighbours, rows, exclude = split.train.user_items, pairs[:, 0], pairs[:, 1]
+            draw, reference = training.user_history, user_history
+        else:
+            neighbours, rows, exclude = split.train.item_users, pairs[:, 1], pairs[:, 0]
+            draw, reference = training.item_history, item_history
+        table = training._Adjacency.of(neighbours)
+        widest = max(len(neighbours[r]) for r in rows.tolist())
+        ids, mask = draw(table, rows, exclude, widest, rng.substream(0, rng.HISTORY, 0))
+        assert mask.shape == ids.shape == (len(rows), widest)  # trimmed to the widest row
+        for r, x, got in zip(rows.tolist(), exclude.tolist(), self._rows(ids, mask)):
+            assert got == reference(split, r, exclude=x, cap=widest).tolist()  # the excluded member left out
+        cap = 3
+        assert widest > cap + 1
+        ids, mask = draw(table, rows, exclude, cap, rng.substream(0, rng.HISTORY, 1))
+        assert mask.shape == ids.shape == (len(rows), cap)
+        for r, x, got in zip(rows.tolist(), exclude.tolist(), self._rows(ids, mask)):
+            members = reference(split, r, exclude=x, cap=widest)
+            assert len(got) == min(cap, len(members)) and len(set(got)) == len(got)
+            assert set(got) <= set(members.tolist())
+
+    def test_over_cap_subsample_is_uniform(self):
+        table = training._Adjacency.of([np.arange(10, dtype=np.int64)])
+        gen = rng.substream(0, rng.HISTORY, 0)
+        counts = np.zeros(10)
+        draws = 3000
+        for _ in range(draws):
+            ids, mask = training.user_history(table, np.zeros(1, dtype=np.int64), np.array([4]), 3, gen)
+            counts[ids[mask]] += 1
+        assert counts[4] == 0  # excluded
+        np.testing.assert_allclose(np.delete(counts, 4) / draws, 3 / 9, atol=0.05)
+
+    def test_zero_cap_draws_nothing(self):
+        split = self._split()
+        table = training._Adjacency.of(split.train.user_items)
+        pairs = split.train.pair_array()[:5]
+        ids, mask = training.user_history(table, pairs[:, 0], pairs[:, 1], 0, rng.substream(0, rng.HISTORY, 0))
+        assert mask.shape == (5, 1) and not mask.any()
+
+    def test_sides_share_the_user_history(self):
+        split = self._split()
+        hp = _tiny_hp(kind=ModelKind.HLRPP, history_cap=4)
+        tables = training._Histories.of(split, hp.kind)
+        batch = next(training._epoch_batches(
+            split, hp, tables, rng.substream(0, rng.SAMPLING, 0), rng.substream(0, rng.HISTORY, 0)))
+        stacked = batch.stacked(0, len(batch))
+        half = len(batch)
+        np.testing.assert_array_equal(stacked.users[:half], stacked.users[half:])
+        np.testing.assert_array_equal(stacked.hist[:half], stacked.hist[half:])
+        np.testing.assert_array_equal(stacked.hist_mask[:half], stacked.hist_mask[half:])
+        assert batch.hist.shape[1] == 4 and batch.pos_ihist.shape == batch.neg_ihist.shape
+        for i, (u, v, w) in enumerate(zip(batch.users.tolist(), batch.pos.tolist(), batch.neg.tolist())):
+            hist = batch.hist[i][batch.hist_mask[i]].tolist()
+            assert v not in hist and set(hist) <= set(split.train.user_items[u].tolist())
+            for item, ids, mask in ((v, batch.pos_ihist, batch.pos_ihist_mask), (w, batch.neg_ihist, batch.neg_ihist_mask)):
+                users = ids[i][mask[i]].tolist()
+                assert u not in users and set(users) <= set(split.train.item_users[item].tolist())
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
+    def test_batch_reads_only_the_heads_histories(self, kind):
+        split = self._split()
+        hp = _tiny_hp(kind=kind)
+        batch = training._validation_batch(split, hp, training._Histories.of(split, kind))
+        assert (batch.hist is not None) == kind.uses_history
+        assert (batch.pos_ihist is not None) == (batch.neg_ihist is not None) == kind.uses_item_memory
+        assert len(batch) == split.validation.num_interactions
+        for u, v in zip(batch.users.tolist(), batch.neg.tolist()):
+            assert _outside_views(split, u, v)
 
 
 class TestTrain:
@@ -130,9 +239,12 @@ class TestTrain:
             assert np.linalg.norm(store.user_vecs, axis=1).max() <= 1 + 1e-6
             assert np.linalg.norm(store.item_vecs, axis=1).max() <= 1 + 1e-6
 
-    def test_reproducible_bitwise(self):
+    # Train rows hold 8 items per user and about 8 users per item, so a cap
+    # of 5 subsamples both history directions.
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=[k.value for k in ModelKind])
+    def test_reproducible_bitwise(self, kind):
         split = _block_split()
-        hp = _tiny_hp(kind=ModelKind.HLR, max_epochs=3, lr=0.01)
+        hp = _tiny_hp(kind=kind, max_epochs=3, lr=0.01, history_cap=5)
         store_a, report_a = train(split, hp)
         store_b, report_b = train(split, hp)
         assert checkpoint_bytes(store_a) == checkpoint_bytes(store_b)
@@ -164,16 +276,24 @@ class TestTrain:
         store = init_parameters(6, 8, 4, 3, seed=0)
         store.rel_memories[1] = 1e200  # every relation read from it overflows
         # Only triplet 3 has a history, so only its distances read the memory;
-        # chunks of 2 put it in the second chunk.
-        pos = [RelationContext(u, u + 1) for u in range(5)]
-        neg = [RelationContext(u, 7) for u in range(5)]
-        pos[3] = RelationContext(3, 4, history=np.array([0, 2]))
-        neg[3] = RelationContext(3, 7, history=np.array([0, 2]))
+        # passes of 2 rows score one triplet each, so it is not the first pass.
+        hist = np.zeros((5, 2), dtype=np.int64)
+        hist[3] = [0, 2]
+        hist_mask = np.zeros((5, 2), dtype=bool)
+        hist_mask[3] = True
+        users = np.arange(5)
+        batch = TripletBatch(pos=users + 1, neg=np.full(5, 7), users=users, hist=hist, hist_mask=hist_mask)
         monkeypatch.setattr(training, "_BACKWARD_CHUNK", 2)
         with pytest.raises(NonFiniteScoreError) as err:
-            training._hinge_mean(TripletBatch(pos, neg), ModelKind.HLR, store, margin=0.5)
+            training._hinge_mean(batch, ModelKind.HLR, store, margin=0.5)
         assert (err.value.index, err.value.user, err.value.item) == (3, 3, 4)
         assert "instance 3 (user 3, item 4)" in str(err.value)
+
+    def test_non_finite_epoch_loss_is_named(self, monkeypatch):
+        monkeypatch.setattr(training, "_hinge_mean", lambda *args: float("nan"))
+        _, report = train(_block_split(), _tiny_hp(max_epochs=3))
+        assert report.diverged and report.num_epochs == 0
+        assert report.diagnostics == "aborted at epoch 0: non-finite validation loss nan"
 
     def test_invalid_hyperparams_rejected(self):
         split = _block_split()
