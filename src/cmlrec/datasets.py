@@ -6,6 +6,7 @@ test splitting, adjacency queries, and the on-disk dataset directory format.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -94,8 +95,9 @@ class InteractionDataset:
     is a slice of its item column, and ``item_users[v]`` a slice of its user
     column in item-major order, so both directions read as sorted int64
     arrays without a copy per row. The store also keeps the bijections
-    between original opaque keys and dense indices. Immutable after
-    construction; safe for concurrent reads.
+    between original opaque keys and dense indices; the key-to-index dicts
+    are built on first use. Immutable after construction; safe for
+    concurrent reads, since two first uses that race build equal dicts.
     """
 
     def __init__(
@@ -111,20 +113,32 @@ class InteractionDataset:
         if len(item_keys) != num_items:
             raise ValueError("item keys do not match num_items")
         arr = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64).reshape(-1, 2)
-        if len(arr) and ((arr.min(axis=0) < 0).any() or (arr.max(axis=0) >= (num_users, num_items)).any()):
+        users, items = arr[:, 0], arr[:, 1]
+        if len(arr) and (arr.min() < 0 or users.max() >= num_users or items.max() >= num_items):
             raise ValueError("pair index out of range")
-        # Column-major, so that every user's items are one contiguous slice.
-        self._pairs = np.asfortranarray(arr[np.argsort(arr @ (num_items, 1), kind="stable")])
+        # Pairs sorted by their u * num_items + v keys; equal keys are equal
+        # pairs, so the order needs no tie-break. Column-major, so that every
+        # user's items are one contiguous slice.
+        self._pairs = np.empty(arr.shape, dtype=np.int64, order="F")
+        np.divmod(np.sort(users * num_items + items), num_items, out=(self._pairs[:, 0], self._pairs[:, 1]))
         self._pairs.flags.writeable = False
-        by_item = np.argsort(self._pairs[:, 1], kind="stable")
+        users, items = self._pairs[:, 0], self._pairs[:, 1]
         self.num_users = num_users
         self.num_items = num_items
-        self.user_items = _Rows(self._pairs[:, 1], np.bincount(self._pairs[:, 0], minlength=num_users))
-        self.item_users = _Rows(self._pairs[by_item, 0], np.bincount(self._pairs[:, 1], minlength=num_items))
+        self.user_items = _Rows(items, np.bincount(users, minlength=num_users))
+        # Sorted v * num_users + u keys list each item's users in ascending order.
+        by_item = np.sort(items * num_users + users) % num_users
+        self.item_users = _Rows(by_item, np.bincount(items, minlength=num_items))
         self.user_keys = list(user_keys)
         self.item_keys = list(item_keys)
-        self.user_index = {k: i for i, k in enumerate(self.user_keys)}
-        self.item_index = {k: i for i, k in enumerate(self.item_keys)}
+
+    @functools.cached_property
+    def user_index(self) -> dict[str, int]:
+        return {k: i for i, k in enumerate(self.user_keys)}
+
+    @functools.cached_property
+    def item_index(self) -> dict[str, int]:
+        return {k: i for i, k in enumerate(self.item_keys)}
 
     @classmethod
     def from_pairs(cls, *args, **kwargs) -> "InteractionDataset":
@@ -470,30 +484,58 @@ def _read_meta(path: str) -> dict[str, str]:
 
 
 def _read_keys(path: str, expected: int) -> list[str]:
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    rows = [line.partition("\t") for line in lines if line]
+    if [idx for idx, _, _ in rows] == [str(i) for i in range(expected)]:
+        return [key for _, _, key in rows]  # line i holds index i, as save_split_dir writes it
     keys: list[str | None] = [None] * expected
     seen = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            idx_str, _, key = line.partition("\t")
-            try:
-                idx = int(idx_str)
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad index in key map: {idx_str!r}", path) from exc
-            if not 0 <= idx < expected:
-                raise ParseError(lineno, f"key-map index {idx} out of range 0..{expected - 1}", path)
-            if keys[idx] is not None:
-                raise ParseError(lineno, f"key-map index {idx} is listed twice", path)
-            keys[idx] = key
-            seen += 1
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        idx_str, _, key = line.partition("\t")
+        try:
+            idx = int(idx_str)
+        except ValueError as exc:
+            raise ParseError(lineno, f"bad index in key map: {idx_str!r}", path) from exc
+        if not 0 <= idx < expected:
+            raise ParseError(lineno, f"key-map index {idx} out of range 0..{expected - 1}", path)
+        if keys[idx] is not None:
+            raise ParseError(lineno, f"key-map index {idx} is listed twice", path)
+        keys[idx] = key
+        seen += 1
     if seen != expected:
         raise DataError(f"{path}: expected {expected} key rows, found {seen}")
     return keys
 
 
 def _read_pairs(path: str, num_users: int, num_items: int) -> np.ndarray:
+    """A view file's ``user<TAB>item`` rows as an int64 ``(n, 2)`` array.
+
+    A file of ASCII digits, tabs and line breaks only is converted in one
+    ``np.loadtxt`` call, on which the two parsers agree. Any other file, one
+    that call rejects, or a result with the wrong shape or an index out of
+    range goes to the per-line parser, which returns the same array or raises
+    the :class:`ParseError` that names the file and the line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # No digit means no rows, on which loadtxt warns. Other characters are
+    # left to the per-line parser: numpy strips some from a field that int()
+    # rejects, such as "\x1c".
+    if data.strip(b"\t\r\n") and not data.translate(None, b"0123456789\t\r\n"):
+        try:
+            pairs = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None, ndmin=2, encoding="utf-8")
+        except ValueError:
+            pass
+        else:
+            if pairs.shape[1] == 2 and pairs[:, 0].max() < num_users and pairs[:, 1].max() < num_items:
+                return pairs
+    return _read_pairs_by_line(path, num_users, num_items)
+
+
+def _read_pairs_by_line(path: str, num_users: int, num_items: int) -> np.ndarray:
     pairs: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -513,12 +555,13 @@ def _read_pairs(path: str, num_users: int, num_items: int) -> np.ndarray:
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _check_disjoint(path: str, views: dict[str, InteractionDataset], num_items: int) -> None:
-    """Reject a pair listed twice in one view or present in two views."""
+def _check_disjoint(path: str, views: dict[str, InteractionDataset], num_items: int) -> np.ndarray:
+    """Reject a pair listed twice in one view or present in two views, and
+    return the sorted ``u * num_items + v`` keys of the union."""
     pairs = np.concatenate([view.pair_array() for view in views.values()])
     keys, counts = np.unique(pairs @ (num_items, 1), return_counts=True)
     if (counts == 1).all():
-        return
+        return keys
     u, v = divmod(int(keys[np.argmax(counts > 1)]), num_items)
     files = [os.path.join(path, VIEW_FILES[name]) for name, view in views.items() if view.has_pair(u, v)]
     if len(files) == 1:
@@ -554,6 +597,8 @@ def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str
         if len(pairs) != counts[name]:
             raise DataError(f"{view_path}: holds {len(pairs)} pairs, but {meta_path} gives num_{name}={counts[name]}")
         views[name] = InteractionDataset(num_users, num_items, pairs, user_keys, item_keys)
-    _check_disjoint(path, views, num_items)
+    pair_keys = _check_disjoint(path, views, num_items)
     split = SplitDataset(train=views["train"], validation=views["validation"], test=views["test"], seed=seed)
+    pair_keys.flags.writeable = False
+    split._pair_keys = pair_keys
     return split, meta

@@ -55,6 +55,7 @@ class EvalReport:
     mrr: float
     median_popularity: float
     num_evaluated_users: int
+    num_empty_history: int  # users of a history kind ranked with an empty history
     per_user: list[UserEval] | None = None
 
 
@@ -260,6 +261,7 @@ def evaluate(
         mrr=sum(r.rr for r in results) / n,
         median_popularity=median_popularity([r.ranked for r in results], split.train),
         num_evaluated_users=n,
+        num_empty_history=sum(r.empty_history for r in results),
         per_user=results if verbose else None,
     )
 
@@ -278,6 +280,7 @@ def report_csv(report: EvalReport) -> str:
         lines.append(f"{name},{getattr(report, name):.12g}")
     lines.append(f"median_popularity,{report.median_popularity:.12g}")
     lines.append(f"num_evaluated_users,{report.num_evaluated_users}")
+    lines.append(f"num_empty_history,{report.num_empty_history}")
     return "\n".join(lines) + "\n"
 
 

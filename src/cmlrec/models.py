@@ -542,7 +542,7 @@ def _forward_stacked(stacked: _Stacked, kind: ModelKind, store: ParameterStore) 
             )
             relation = relation + cache.item_att.relation
     cache.diff = pu + relation - qv
-    cache.distances = np.einsum("bd,bd->b", cache.diff, cache.diff, optimize=True)
+    cache.distances = np.einsum("bd,bd->b", cache.diff, cache.diff)
     return cache
 
 
@@ -778,4 +778,4 @@ def candidate_distances(
         else:
             np.add(pu, relation, out=diff[block])
             diff[block] -= cand
-    return np.einsum("cd,cd->c", diff, diff, optimize=True)
+    return np.einsum("cd,cd->c", diff, diff)

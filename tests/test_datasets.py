@@ -1,9 +1,18 @@
 """Parsing, k-core filtering, splitting, stats, and directory round-trips."""
 from __future__ import annotations
 
+import os
+import re
+import tempfile
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmlrec import datasets
 from cmlrec.datasets import (
     DataError,
     EmptyDatasetError,
@@ -33,6 +42,38 @@ CORRUPTIONS = {
     "pair_in_two_views": ["train.tsv", "test.tsv"],
     "meta_count_differs": ["valid.tsv", "meta"],
     "key_index_listed_twice": ["item_keys.tsv"],
+}
+
+# View-file texts on which np.loadtxt and the per-line parser part ways, read
+# as a 12 x 12 catalog, each with what loading must give: the pairs, or the
+# 1-based line of the ParseError. np.loadtxt accepts 1- and 3-column rows,
+# negative ids and a field ending in "\x1c", warns on a file without rows, and
+# rejects whitespace-only lines, a trailing tab, underscores and non-ASCII
+# digits.
+VIEW_TEXTS = {
+    "plain": ("0\t1\n2\t3\n", [(0, 1), (2, 3)]),
+    "no_final_newline": ("0\t1\n2\t3", [(0, 1), (2, 3)]),
+    "crlf": ("0\t1\r\n2\t3\r\n", [(0, 1), (2, 3)]),
+    "empty_lines": ("\n0\t1\n\n2\t3\n\n", [(0, 1), (2, 3)]),
+    "spaces_around_ids": (" 0 \t 1 \n", [(0, 1)]),
+    "signs_and_leading_zeros": ("+1\t007\n-0\t0\n", [(1, 7), (0, 0)]),
+    "empty_file": ("", []),
+    "blank_only": ("\n \n\t\n", []),
+    "whitespace_only_line": ("0\t1\n \t \n2\t3\n", [(0, 1), (2, 3)]),
+    "trailing_tab": ("0\t1\t\n2\t3\n", [(0, 1), (2, 3)]),
+    "leading_tab": ("\t0\t1\n", [(0, 1)]),
+    "underscore": ("1_0\t1\n", [(10, 1)]),
+    "non_ascii_digits": ("\u0661\t\uff12\n", [(1, 2)]),
+    "one_column": ("1\n2\n", 1),
+    "three_columns": ("1\t2\t3\n", 1),
+    "column_count_changes": ("0\t1\n2\n", 2),
+    "negative_id": ("0\t1\n-1\t2\n", 2),
+    "user_out_of_range": ("0\t1\n12\t0\n", 2),
+    "item_out_of_range": ("0\t12\n", 1),
+    "overflow": ("0\t1\n99999999999999999999\t0\n", 2),
+    "float_id": ("0\t1\n1.0\t2\n", 2),
+    "comment_line": ("# users\n0\t1\n", 1),
+    "separator_in_field": ("0\t1\n0\x1c\t0\n", 2),
 }
 
 
@@ -362,6 +403,20 @@ class TestDirectoryRoundTrip:
             assert np.array_equal(a.pair_array(), b.pair_array())
         assert loaded.train.user_keys == split.train.user_keys
         assert loaded.train.item_keys == split.train.item_keys
+        assert np.array_equal(loaded.pair_keys(), split.pair_keys())
+        assert not loaded.pair_keys().flags.writeable
+        for u in range(split.num_users):
+            assert np.array_equal(loaded.all_user_items(u), split.all_user_items(u))
+        assert loaded.train.user_index == split.train.user_index
+        assert loaded.train.item_index == split.train.item_index
+
+    def test_saved_views_parse_in_bulk(self, tmp_path):
+        split = split_dataset(_dense_dataset(np.random.default_rng(17), n_u=8, n_v=30, p=0.6), seed=3)
+        assert min(getattr(split, name).num_interactions for name in ("train", "validation", "test")) > 0
+        save_split_dir(split, tmp_path, k=1, threshold=0.0)
+        with mock.patch.object(datasets, "_read_pairs_by_line", side_effect=AssertionError("per-line parse")):
+            loaded, _ = load_split_dir(tmp_path)
+        assert np.array_equal(loaded.train.pair_array(), split.train.pair_array())
 
     def test_view_files_match_a_loop_over_user_items(self, tmp_path):
         split = split_dataset(_dense_dataset(np.random.default_rng(15), n_u=9, n_v=12, p=0.5), seed=2)
@@ -394,6 +449,126 @@ class TestDirectoryRoundTrip:
         with pytest.raises(ParseError) as err:
             load_split_dir(out)
         assert err.value.line_number == 2
+
+
+def _load_view_text(path, text: str, parse) -> np.ndarray | ParseError:
+    """``parse`` of ``text``, or its ParseError; a warning fails the test
+    whatever filter the run sets."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(str(path), 12, 12)
+        except ParseError as exc:
+            result = exc
+    assert [str(w.message) for w in caught] == []
+    return result
+
+
+class TestViewParsing:
+    @pytest.mark.parametrize("case", sorted(VIEW_TEXTS))
+    def test_bulk_parse_matches_the_per_line_parser(self, tmp_path, case):
+        text, expected = VIEW_TEXTS[case]
+        path = tmp_path / "train.tsv"
+        by_line = _load_view_text(path, text, datasets._read_pairs_by_line)
+        got = _load_view_text(path, text, datasets._read_pairs)
+        if isinstance(expected, int):
+            for err in (by_line, got):
+                assert isinstance(err, ParseError)
+                assert err.line_number == expected
+                assert str(path) in str(err)
+            assert str(got) == str(by_line)
+        else:
+            for pairs in (by_line, got):
+                assert isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape == (len(expected), 2)
+                assert pairs.tolist() == [list(p) for p in expected]
+
+    @pytest.mark.parametrize("text,error", [
+        ("0\tu0\n1\tu1\n2\tu2\n", None),
+        ("2\tu2\n0\tu0\n1\tu1", None),
+        ("\n00\tu0\n\n1\tu1\r\n+2\tu2\n\n", None),
+        ("0\tu0\n1\tu1\n2\tu2\n3\tu3\n", "line 4: key-map index 3 out of range"),
+        ("0\tu0\n1\tu1\n1\tu2\n", "line 3: key-map index 1 is listed twice"),
+        ("0\tu0\n\tu1\n2\tu2\n", "line 2: bad index"),
+        ("0\tu0\n1\tu1\n", "expected 3 key rows, found 2"),
+    ])
+    def test_key_map_layouts(self, tmp_path, text, error):
+        path = tmp_path / "user_keys.tsv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        if error is None:
+            assert datasets._read_keys(str(path), 3) == ["u0", "u1", "u2"]
+        else:
+            with pytest.raises(DataError, match="^" + re.escape(f"{path}: {error}")):
+                datasets._read_keys(str(path), 3)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.text(alphabet="0123456789\t\n\r -+_.e#\x0b\x1c\xa0\u0661", max_size=30))
+def test_any_view_text_reads_as_the_per_line_parser_reads_it(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "train.tsv")
+        by_line = _load_view_text(path, text, datasets._read_pairs_by_line)
+        got = _load_view_text(path, text, datasets._read_pairs)
+    if isinstance(by_line, ParseError):
+        assert type(got) is ParseError and str(got) == str(by_line)
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64 and got.tolist() == by_line.tolist()
+
+
+_ID_FORMS = (str, lambda i: f"0{i}", lambda i: f"+{i}", lambda i: f" {i} ", lambda i: chr(0x660 + i) if i < 10 else str(i))
+
+
+@st.composite
+def _view_dirs(draw):
+    """A catalog, three disjoint views of it, and view-file texts that the
+    per-line parser reads as those views: plain, or with leading zeros,
+    signs, spaces, Arabic-Indic digits, trailing tabs, CRLF and blank lines."""
+    num_users, num_items = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1))
+    pairs = draw(st.lists(cells, unique=True, max_size=40))
+    which = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    views, texts = [], []
+    for name in range(3):
+        view = [p for p, w in zip(pairs, which) if w == name]
+        if draw(st.booleans()):
+            lines = [f"{u}\t{v}" for u, v in view]
+            eol = "\n"
+        else:
+            lines = []
+            for u, v in view:
+                lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1))
+                form_u, form_v = draw(st.sampled_from(_ID_FORMS)), draw(st.sampled_from(_ID_FORMS))
+                lines.append(f"{form_u(u)}\t{form_v(v)}" + draw(st.sampled_from(["", "\t", " "])))
+            eol = draw(st.sampled_from(["\n", "\r\n"]))
+        views.append(sorted(view))
+        texts.append(eol.join(lines) + draw(st.sampled_from(["", eol])))
+    return num_users, num_items, views, texts
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_view_dirs())
+def test_random_views_load_as_the_per_line_parser_reads_them(case):
+    num_users, num_items, views, texts = case
+    with tempfile.TemporaryDirectory() as path:
+        with open(os.path.join(path, "meta"), "w", encoding="utf-8") as fh:
+            fh.write(f"num_users={num_users}\nnum_items={num_items}\n")
+            fh.writelines(f"num_{name}={len(view)}\n" for name, view in zip(datasets.VIEW_FILES, views))
+        for fname, text in zip(datasets.VIEW_FILES.values(), texts):
+            with open(os.path.join(path, fname), "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        for fname, n in ((datasets.USER_KEYS_FILE, num_users), (datasets.ITEM_KEYS_FILE, num_items)):
+            with open(os.path.join(path, fname), "w", encoding="utf-8") as fh:
+                fh.writelines(f"{i}\tk{i}\n" for i in range(n))
+        bulk, _ = load_split_dir(path)
+        with mock.patch.object(datasets, "_read_pairs", datasets._read_pairs_by_line):
+            by_line, _ = load_split_dir(path)
+    for name, view in zip(datasets.VIEW_FILES, views):
+        assert getattr(bulk, name).pair_array().tolist() == [list(p) for p in view]
+        assert np.array_equal(getattr(bulk, name).pair_array(), getattr(by_line, name).pair_array())
+    assert np.array_equal(bulk.pair_keys(), by_line.pair_keys())
+    assert bulk.train.user_keys == by_line.train.user_keys == [f"k{i}" for i in range(num_users)]
 
 
 def corrupt_dir(path, case: str) -> None:

@@ -363,6 +363,19 @@ class TestReportRendering:
         assert int(rows["num_evaluated_users"]) == 4
         assert rows["phase"] == "test"
 
+    @pytest.mark.parametrize("kind,expected", [(ModelKind.HLR, 1), (ModelKind.CML, 0)])
+    def test_users_ranked_with_an_empty_history_are_counted(self, kind, expected):
+        # User 1 has a test item but no train items, so hlr ranks it with an
+        # empty history; cml attends over no history at all.
+        ukeys, ikeys = ["a", "b", "c"], [f"v{j}" for j in range(6)]
+        train = InteractionDataset(3, 6, [(0, 0), (0, 1), (2, 4)], ukeys, ikeys)
+        test = InteractionDataset(3, 6, [(0, 2), (1, 3), (2, 5)], ukeys, ikeys)
+        split = SplitDataset(train=train, validation=InteractionDataset(3, 6, [], ukeys, ikeys), test=test, seed=0)
+        report = evaluate(init_parameters(3, 6, 4, 2, seed=5), kind, split, phase="test", k=3)
+        assert report.num_evaluated_users == 3
+        assert report.num_empty_history == expected
+        assert report_csv(report).splitlines()[-1] == f"num_empty_history,{expected}"
+
     def test_table_scales_by_100(self):
         split, store = _oracle_split()
         report = evaluate(store, ModelKind.CML, split, phase="test", k=10)
