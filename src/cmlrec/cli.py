@@ -14,8 +14,6 @@ import os
 import sys
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import rng
 from .datasets import (
     DataError,
@@ -28,7 +26,7 @@ from .datasets import (
     split_dataset,
 )
 from .evaluation import EvaluationError, evaluate, rank_items, ranking_history, report_csv, report_table
-from .models import ModelKind, NonFiniteScoreError
+from .models import ModelKind, NonFiniteScoreError, _Adjacency
 from .parameters import (
     CheckpointError,
     NonFiniteGradientError,
@@ -431,14 +429,14 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             keys.extend(line.strip() for line in fh if line.strip())
     if not keys:
         raise UsageError("no user keys given; use users=... or users_file=...")
-    item_hist_table = None
+    item_table = None
     if kind.uses_item_memory:
         # As in evaluate: a list that fits the cap is not subsampled, so its stream is never derived.
-        item_hist_table = [
+        item_table = _Adjacency.of([
             item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v)
                          if len(split.train.item_users[v]) > cap else None)
             for v in range(split.num_items)
-        ]
+        ])
     lines: list[str] = []
     skipped: list[str] = []
     index = split.train.user_index
@@ -449,11 +447,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         u = index[key]
         exclusions = split.all_user_items(u)
         history = ranking_history(split, u, kind, cap)
-        item_hists = None
-        if item_hist_table is not None:
-            candidates = np.setdiff1d(np.arange(split.num_items, dtype=np.int64), exclusions)
-            item_hists = [item_hist_table[v] for v in candidates]
-        ranked = rank_items(u, store, kind, exclusions, k, history=history, item_histories=item_hists)
+        ranked = rank_items(u, store, kind, exclusions, k, history=history, item_histories=item_table)
         for rank, v in enumerate(ranked, start=1):
             lines.append(f"{key}\t{rank}\t{split.train.item_keys[int(v)]}")
     body = "\n".join(lines) + ("\n" if lines else "")
@@ -507,34 +501,34 @@ def _add_common(sub: argparse.ArgumentParser, keys: Iterable[str]) -> None:
         sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None, help=help_text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = (
+    ("preprocess", "binarize, k-core filter, split, and write a dataset directory", _PRE_DEFAULTS, cmd_preprocess),
+    ("train", "train one model and write its best-epoch checkpoint", _TRAIN_DEFAULTS, cmd_train),
+    ("evaluate", "rank the full catalog and report the metrics", _EVAL_DEFAULTS, cmd_evaluate),
+    ("grid-search", "train a grid of configs and rank them by validation NDCG", _GRID_DEFAULTS, cmd_grid),
+    ("recommend", "top-K unseen item keys for the given user keys", _REC_DEFAULTS, cmd_recommend),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``cmlrec`` parser. With ``command``, only that subcommand gets
+    its options; the others keep their names and help lines, which is all
+    that parsing a ``command`` line or printing the top-level help reads."""
     parser = _Parser(prog="cmlrec", description="Metric-learning recommenders: preprocess, train, evaluate, recommend.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = subs.add_parser("preprocess", help="binarize, k-core filter, split, and write a dataset directory")
-    _add_common(p, _PRE_DEFAULTS)
-    p.set_defaults(func=cmd_preprocess)
-
-    p = subs.add_parser("train", help="train one model and write its best-epoch checkpoint")
-    _add_common(p, _TRAIN_DEFAULTS)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("evaluate", help="rank the full catalog and report the metrics")
-    _add_common(p, _EVAL_DEFAULTS)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = subs.add_parser("grid-search", help="train a grid of configs and rank them by validation NDCG")
-    _add_common(p, _GRID_DEFAULTS)
-    p.set_defaults(func=cmd_grid)
-
-    p = subs.add_parser("recommend", help="top-K unseen item keys for the given user keys")
-    _add_common(p, _REC_DEFAULTS)
-    p.set_defaults(func=cmd_recommend)
+    for name, help_text, defaults, func in _COMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        if command in (None, name):
+            _add_common(p, defaults)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level parser has no option that takes a value, so its first
+    # non-option argument names the subcommand.
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -69,14 +69,18 @@ class Stats:
 class _Rows(Sequence[np.ndarray]):
     """Rows cut from one array at running-sum offsets of the row lengths:
     row ``i`` is the read-only slice ``values[starts[i]:ends[i]]``, and
-    indexing follows list rules (negative rows count from the end)."""
+    indexing follows list rules (negative rows count from the end).
+    ``values`` and ``lengths`` are the read-only arrays the rows are cut
+    from, for code that handles all rows at once."""
 
-    __slots__ = ("_values", "_starts", "_ends")
+    __slots__ = ("values", "lengths", "_starts", "_ends")
 
     def __init__(self, values: np.ndarray, counts: np.ndarray):
         values.flags.writeable = False
+        counts.flags.writeable = False
         ends = np.cumsum(counts)
-        self._values = values
+        self.values = values
+        self.lengths = counts
         self._starts = (ends - counts).tolist()
         self._ends = ends.tolist()
 
@@ -84,7 +88,7 @@ class _Rows(Sequence[np.ndarray]):
         return len(self._ends)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self._values[self._starts[i] : self._ends[i]]
+        return self.values[self._starts[i] : self._ends[i]]
 
 
 class InteractionDataset:

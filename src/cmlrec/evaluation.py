@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng
 from .datasets import InteractionDataset, SplitDataset, item_history, user_history
-from .models import ModelKind, candidate_distances
+from .models import ModelKind, _Adjacency, _padded, candidate_distances
 from .parameters import ParameterStore
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -67,24 +67,42 @@ def rank_items(
     k: int,
     *,
     history: np.ndarray | None = None,
-    item_histories: Sequence[np.ndarray] | None = None,
+    item_histories: _Adjacency | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Top-k non-excluded items by ascending distance, ties by item index.
 
     ``exclusions`` holds the item indices removed from the candidate set, in
-    any order. ``history``/``item_histories`` carry the attention support
-    sets for history-based kinds; ``item_histories`` must align with the
-    candidate order (ascending item index minus exclusions). Raises
+    any order and with repeats; indices outside ``[0, num_items)`` are
+    ignored. ``history``/``item_histories`` carry the attention support sets
+    for history-based kinds. ``item_histories`` is either the table over the
+    catalog that :func:`item_history_table` builds, or a list aligned with
+    the candidate order (ascending item index minus exclusions), which
+    :func:`candidate_distances` pads into a table on entry. Raises
     ``ValueError`` for ``k < 1``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    candidates = np.setdiff1d(np.arange(store.num_items, dtype=np.int64), exclusions, assume_unique=False)
+    exclusions = np.asarray(exclusions, dtype=np.int64)
+    keep = np.ones(store.num_items, dtype=bool)
+    keep[exclusions[(exclusions >= 0) & (exclusions < store.num_items)]] = False
+    candidates = np.flatnonzero(keep)
     if len(candidates) == 0:
         return _EMPTY
     distances = candidate_distances(user, candidates, kind, store, history, item_histories)
-    order = np.lexsort((candidates, distances))
-    return candidates[order[: min(k, len(candidates))]]
+    return candidates[_top_k(candidates, distances, k)]
+
+
+def _top_k(candidates: np.ndarray, distances: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest distances, ties by candidate, as a
+    full ``lexsort`` would give them: only the candidates at or below the
+    k-th smallest distance are sorted. NaN distances sort last, so a NaN
+    k-th distance sorts them all."""
+    if k < len(distances):
+        kth = np.partition(distances, k - 1)[k - 1]
+        if not np.isnan(kth):
+            head = np.flatnonzero(distances <= kth)
+            return head[np.lexsort((candidates[head], distances[head]))[:k]]
+    return np.lexsort((candidates, distances))[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +185,24 @@ def ranking_history(split: SplitDataset, u: int, kind: ModelKind, cap: int) -> n
 def _exclusion_sets(split: SplitDataset, phase: str) -> Callable[[int], np.ndarray]:
     if phase == "validation":
         return lambda u: split.train.user_items[u]
-    return lambda u: np.union1d(split.train.user_items[u], split.validation.user_items[u])
+    return lambda u: np.concatenate([split.train.user_items[u], split.validation.user_items[u]])
+
+
+def item_history_table(split: SplitDataset, cap: int) -> _Adjacency:
+    """The ``hlr++`` item histories that ranking attends over, as one table
+    over the catalog: row ``v`` holds the train users of ``v``, and an item
+    with more than ``cap`` of them holds ``item_history``'s subsample drawn
+    from the item's ``EVALUATION`` substream. The rows that fit the cap are
+    laid out in one pass over the item-major train pairs, and only the
+    items over the cap derive a stream."""
+    users = split.train.item_users
+    fits = users.lengths <= cap
+    lengths = np.minimum(users.lengths, cap)
+    rows, _ = _padded(users.values[np.repeat(fits, users.lengths)], np.where(fits, users.lengths, 0),
+                      int(lengths.max(initial=0)))
+    for v in np.flatnonzero(~fits).tolist():
+        rows[v, :cap] = item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v))
+    return _Adjacency(rows, lengths)
 
 
 def evaluate(
@@ -207,29 +242,15 @@ def evaluate(
     if not users:
         raise EvaluationError(f"no users with relevant items in the {phase} view")
 
-    item_hist_table: list[np.ndarray] | None = None
-    if kind.uses_item_memory:
-        # A list that fits the cap is not subsampled, so its stream is never derived.
-        item_hist_table = [
-            item_history(split, v, cap=history_cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v)
-                         if len(split.train.item_users[v]) > history_cap else None)
-            for v in range(split.num_items)
-        ]
+    item_table = item_history_table(split, history_cap) if kind.uses_item_memory else None
 
     def eval_user(u: int) -> UserEval:
         history = ranking_history(split, u, kind, history_cap)
         exclusions = exclusions_for(u)
-        item_hists = None
-        if item_hist_table is not None:
-            candidates = np.setdiff1d(np.arange(split.num_items, dtype=np.int64), exclusions)
-            item_hists = [item_hist_table[v] for v in candidates]
-        ranked = rank_items(
-            u, store, kind, exclusions, k, history=history, item_histories=item_hists
-        )
-        excl_set = set(int(x) for x in exclusions)
-        leaked = [int(v) for v in ranked if int(v) in excl_set]
-        if leaked:
-            raise EvaluationError(f"excluded items {leaked} recommended to user {u}")
+        ranked = rank_items(u, store, kind, exclusions, k, history=history, item_histories=item_table)
+        leaked = (ranked[:, None] == exclusions).any(axis=1)  # a k x |exclusions| test, cheaper than np.isin
+        if leaked.any():
+            raise EvaluationError(f"excluded items {ranked[leaked].tolist()} recommended to user {u}")
         ranked_list = [int(v) for v in ranked]
         relevant = set(int(v) for v in view.user_items[u])
         p, r = precision_recall_at_k(ranked_list, relevant, k)

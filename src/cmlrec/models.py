@@ -379,14 +379,45 @@ class _Stacked:
     ihist_mask: np.ndarray | None
 
 
-def _pad(index_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded (B, W >= 1) index array and mask; the masked slots take
-    the concatenated lists in row-major order, with no loop over rows."""
-    lengths = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
-    mask = np.arange(max(int(lengths.max(initial=0)), 1)) < lengths[:, None]
+def _padded(values: np.ndarray, lengths: np.ndarray, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded (R, W) index array and mask whose row ``r`` holds the next
+    ``lengths[r]`` entries of ``values`` in its first slots: one masked
+    assignment, with no loop over rows. ``width`` defaults to the longest
+    row, and is at least 1."""
+    if width is None:
+        width = int(lengths.max(initial=0))
+    mask = np.arange(max(width, 1)) < lengths[:, None]
     padded = np.zeros(mask.shape, dtype=np.int64)
-    padded[mask] = np.concatenate([_EMPTY, *index_lists])
+    padded[mask] = values
     return padded, mask
+
+
+def _pad(index_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-padded (B, W >= 1) index array and mask of a list of index arrays."""
+    lengths = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
+    return _padded(np.concatenate([_EMPTY, *index_lists]), lengths)
+
+
+@dataclass(frozen=True)
+class _Adjacency:
+    """Index lists as one zero-padded table: row ``r`` holds its list in its
+    first ``lengths[r]`` slots. Training draws its histories from the train
+    view's tables, and ``hlr++`` ranking gathers item histories from one."""
+
+    rows: np.ndarray  # (R, W)
+    lengths: np.ndarray  # (R,)
+
+    @classmethod
+    def of(cls, neighbours: Sequence[np.ndarray]) -> "_Adjacency":
+        """The table of a list of index arrays."""
+        rows, mask = _pad(neighbours)
+        return cls(rows, mask.sum(axis=1))
+
+    @classmethod
+    def flat(cls, values: np.ndarray, lengths: np.ndarray) -> "_Adjacency":
+        """The table of the lists cut from ``values`` at running sums of
+        ``lengths``, in one pass with no per-row Python."""
+        return cls(_padded(values, lengths)[0], lengths)
 
 
 def _stack(contexts: Sequence[RelationContext], kind: ModelKind) -> _Stacked:
@@ -689,26 +720,26 @@ def _user_side_relations(
 
 def _item_side_relations(
     cand: np.ndarray,
-    item_histories: Sequence[np.ndarray],
+    item_histories: np.ndarray,
     lengths: np.ndarray,
     user_w: np.ndarray,
     memories: np.ndarray,
 ) -> np.ndarray | None:
     """Item-side relations (C, d) for ``hlr++``, or None if every item history is empty.
 
-    The anchor (the ranked user's vector) is shared by every candidate, so
-    the key weights ``user_w`` (N, num_users) of a support user depend on
-    that user alone: they are computed once per ranked user and gathered
-    through the padded (J, C) item histories. The attention logit of
-    support user j for candidate c is w_j · (M q_c).
+    ``item_histories`` (C, W) holds each candidate's support users
+    zero-padded after its first ``lengths[c]`` slots; it is trimmed to the
+    widest row. The anchor (the ranked user's vector) is shared by every
+    candidate, so the key weights ``user_w`` (N, num_users) of a support
+    user depend on that user alone: they are computed once per ranked user
+    and gathered through the padded (J, C) item histories. The attention
+    logit of support user j for candidate c is w_j · (M q_c).
     """
     width = int(lengths.max(initial=0))
     if width == 0:
         return None
     mask = np.arange(width)[:, None] < lengths  # (J, C)
-    support = np.zeros((width, len(cand)), dtype=np.int64)
-    support.T[mask.T] = np.concatenate(item_histories)
-    key_w = user_w[:, support]  # (N, J, C)
+    key_w = user_w[:, np.ascontiguousarray(item_histories[:, :width].T)]  # (N, J, C)
     logits = np.einsum("njc,nc->jc", key_w, memories @ cand.T)
     key_w *= _masked_softmax(logits, mask, axis=0)
     return key_w.sum(axis=1).T @ memories
@@ -727,19 +758,22 @@ def candidate_distances(
     kind: ModelKind,
     store: ParameterStore,
     history: np.ndarray | None = None,
-    item_histories: Sequence[np.ndarray] | None = None,
+    item_histories: _Adjacency | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Distances from one user to many candidate items; agrees with :func:`score`.
 
     ``history`` is the user's (already capped) train history shared by every
-    candidate; ``item_histories`` supplies one user list per candidate for
-    the ``hlr++`` head. Every head scores ‖p + r − q‖² in closed form, one
-    cache-sized block Q of candidates at a time, with no per-candidate
-    context and no (C, H, d) tensor. Only the translation r differs: none
-    for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``; softmax(Hist Qᵀ)ᵀ Hist
-    over the history vectors for ``adacml``; the collapsed memory reads for
-    ``hlr`` and ``hlr++``. An empty history gives no translation, so those
-    heads then rank exactly like ``cml``.
+    candidate. ``item_histories`` supplies the item histories of the
+    ``hlr++`` head, either as a table over the catalog (row ``v`` holds the
+    history of item ``v``; see :func:`evaluation.item_history_table`) or as a
+    list with one user array per candidate, which is padded into a table
+    over the candidates on entry. Every head scores ‖p + r − q‖² in closed
+    form, one cache-sized block Q of candidates at a time, with no
+    per-candidate context and no (C, H, d) tensor. Only the translation r
+    differs: none for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``;
+    softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``; the
+    collapsed memory reads for ``hlr`` and ``hlr++``. An empty history gives
+    no translation, so those heads then rank exactly like ``cml``.
     """
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
@@ -748,11 +782,15 @@ def candidate_distances(
     if kind.uses_history and history is not None and len(history) > 0:
         hist = store.item_vecs[history]
     widest = 1 if hist is None else len(hist)
-    user_w = lengths = None
+    user_w = table = rows = lengths = None
     if kind is ModelKind.HLRPP and item_histories is not None:
-        lengths = np.fromiter(map(len, item_histories), dtype=np.int64, count=len(item_histories))
-        if len(lengths) != len(candidates):
-            raise ValueError(f"item_histories has {len(lengths)} entries for {len(candidates)} candidates")
+        if isinstance(item_histories, _Adjacency):
+            table, rows = item_histories, candidates
+        elif len(item_histories) == len(candidates):
+            table, rows = _Adjacency.of(item_histories), np.arange(len(candidates))
+        else:
+            raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
+        lengths = table.lengths[rows]
         user_w = _softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T)  # (N, num_users)
         widest = max(widest, int(lengths.max(initial=0)))
     step = max(1, _RANK_BLOCK_ELEMENTS // (len(store.rel_keys) * widest))
@@ -769,7 +807,7 @@ def candidate_distances(
             relation = _user_side_relations(pu, cand, hist, store.rel_keys, store.rel_memories)
         if user_w is not None:
             item_rel = _item_side_relations(
-                cand, item_histories[block], lengths[block], user_w, store.item_rel_memories
+                cand, table.rows[rows[block]], lengths[block], user_w, store.item_rel_memories
             )
             if item_rel is not None:
                 relation = item_rel if relation is None else relation + item_rel

@@ -23,8 +23,8 @@ from .models import (
     ModelKind,
     NonFiniteScoreError,
     TripletBatch,
+    _Adjacency,
     _check_finite_distances,
-    _pad,
     backward,
     batch_distances,
 )
@@ -159,21 +159,6 @@ def sample_triplets(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Adjacency:
-    """One direction of the train view as a zero-padded table: row ``r``
-    holds the sorted train neighbours of ``r`` in its first ``lengths[r]``
-    slots."""
-
-    rows: np.ndarray  # (R, W)
-    lengths: np.ndarray  # (R,)
-
-    @classmethod
-    def of(cls, neighbours: Sequence[np.ndarray]) -> "_Adjacency":
-        rows, mask = _pad(neighbours)
-        return cls(rows, mask.sum(axis=1))
-
-
 def _draw_rows(
     table: _Adjacency, rows: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +211,10 @@ class _Histories:
 
     @classmethod
     def of(cls, split: SplitDataset, kind: ModelKind) -> "_Histories":
-        train = split.train
+        user_items, item_users = split.train.user_items, split.train.item_users
         return cls(
-            _Adjacency.of(train.user_items) if kind.uses_history else None,
-            _Adjacency.of(train.item_users) if kind.uses_item_memory else None,
+            _Adjacency.flat(user_items.values, user_items.lengths) if kind.uses_history else None,
+            _Adjacency.flat(item_users.values, item_users.lengths) if kind.uses_item_memory else None,
         )
 
 

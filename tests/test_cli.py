@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from cmlrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from cmlrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from cmlrec.datasets import load_split_dir
 from cmlrec.parameters import load_checkpoint, save_checkpoint
 from test_datasets import CORRUPTIONS, corrupt_dir
@@ -253,6 +253,26 @@ class TestConfigResolution:
 
     def test_no_subcommand(self, capsys):
         assert run_cli() == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["recommend", "--help"], ["train", "-h"], ["grid-search", "--help"],
+        ["transmogrify"], ["recommend", "--bogus"], ["train", "--dim", "abc"], ["evaluate", "--k"],
+        ["--bogus", "recommend", "--k", "3"], ["-h", "preprocess"],
+    ], ids=lambda argv: " ".join(argv) or "none")
+    def test_main_prints_what_the_full_parser_prints(self, argv, capsys):
+        # main adds only the named subcommand's options; help, usage errors
+        # and exit codes stay those of the parser with every option.
+        code = run_cli(*argv)
+        seen = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert (code, seen.out, seen.err) == (int(exc.value.code or 0), full.out, full.err)
+        assert code == (EXIT_OK if "-h" in argv or "--help" in argv else EXIT_USAGE)
+
+    def test_one_subcommand_parses_like_the_full_parser(self):
+        argv = ["recommend", "--checkpoint", "m.ckpt", "--data", "d", "--model", "hlr++", "--users", "a,b", "--k", "5"]
+        assert vars(build_parser("recommend").parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 class TestRecommendCommand:

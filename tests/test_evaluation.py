@@ -4,11 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cmlrec import rng
-from cmlrec.datasets import InteractionDataset, SplitDataset, split_dataset
+from cmlrec import evaluation, rng
+from cmlrec.datasets import InteractionDataset, SplitDataset, item_history, split_dataset
 from cmlrec.evaluation import (
     EvaluationError,
+    _top_k,
     evaluate,
+    item_history_table,
     map_at_k,
     median_popularity,
     mrr_at_k,
@@ -18,7 +20,7 @@ from cmlrec.evaluation import (
     report_csv,
     report_table,
 )
-from cmlrec.models import ModelKind, RelationContext, score
+from cmlrec.models import ModelKind, RelationContext, _Adjacency, score
 from cmlrec.parameters import init_parameters, load_checkpoint, save_checkpoint
 from cmlrec.synthetic import planted_split
 from cmlrec.training import Hyperparams, train
@@ -195,6 +197,33 @@ class TestRankItems:
         ranked = rank_items(0, store, ModelKind.CML, np.array([0, 2], dtype=np.int64), 10)
         assert set(ranked.tolist()) == {1, 3}
 
+    @pytest.mark.parametrize("exclusions", [
+        [-1, 3],  # a negative index must not wrap round to the last item
+        [-12, -13, 0, 12, 99],  # out of range on both sides
+        [7, 2, 7, 2, 5],  # duplicated
+        [11, 0, 6, 3],  # unsorted
+        [],
+    ])
+    def test_exclusions_match_set_difference(self, exclusions):
+        store = self._store_1d([0.0], np.linspace(-0.9, 0.8, 12))
+        excluded = np.array(exclusions, dtype=np.int64)
+        ranked = rank_items(0, store, ModelKind.CML, excluded, 12)
+        assert sorted(ranked.tolist()) == np.setdiff1d(np.arange(12), excluded).tolist()
+
+    @pytest.mark.parametrize("distances", [
+        [0.3, 0.1, 0.3, 0.3, 0.2, 0.3, 0.5, 0.3],  # ties straddle every k from 3 to 6
+        [np.inf, 0.2, np.inf, 0.1, np.inf, 0.4],
+        [np.nan, 0.2, np.nan, 0.1, 0.3, np.inf],
+        [np.nan, 0.2, np.nan, np.nan, np.nan],  # the k-th value is NaN for k >= 2
+        [0.4] * 6,
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8, 20])
+    def test_bounded_top_k_matches_full_sort(self, distances, k):
+        d = np.array(distances)
+        cands = np.random.default_rng(len(d)).permutation(np.arange(0, 3 * len(d), 3))
+        full = np.lexsort((cands, d))[:k]
+        assert cands[_top_k(cands, d, k)].tolist() == cands[full].tolist()
+
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_brute_force_sort_of_scores(self, kind):
@@ -206,6 +235,12 @@ class TestRankItems:
         ihists = [np.sort(gen.choice(6, size=int(gen.integers(0, 4)), replace=False)).astype(np.int64)
                   for _ in candidates]
         ranked = rank_items(1, store, kind, exclusions, 10, history=hist, item_histories=ihists)
+        # The same histories as a table over the catalog, whose rows of excluded items are never read.
+        rows = [np.array([0, 1, 4, 5], dtype=np.int64)] * 30
+        for v, h in zip(candidates.tolist(), ihists):
+            rows[v] = h
+        table = _Adjacency.of(rows)
+        assert rank_items(1, store, kind, exclusions, 10, history=hist, item_histories=table).tolist() == ranked.tolist()
         dist = {
             int(v): score(RelationContext(1, int(v), hist, ihists[i]), kind, store).distance
             for i, v in enumerate(candidates)
@@ -232,6 +267,40 @@ def _oracle_split():
         store.item_vecs[3 * u + 1] = point
         store.item_vecs[3 * u + 2] = -point
     return split, store
+
+
+class TestItemHistoryTable:
+    @staticmethod
+    def _split():
+        """20 users x 15 items: items 0 and 14 have no train users, items 1-3
+        have many and the rest a few."""
+        gen = np.random.default_rng(8)
+        pairs = [(u, v) for u in range(20) for v in range(1, 14) if gen.random() < (0.9 if v < 4 else 0.25)]
+        ukeys, ikeys = [f"u{i}" for i in range(20)], [f"v{j}" for j in range(15)]
+        empty = InteractionDataset(20, 15, [], ukeys, ikeys)
+        return SplitDataset(InteractionDataset(20, 15, pairs, ukeys, ikeys), empty, empty, seed=8)
+
+    @pytest.mark.parametrize("cap", [0, 1, 4, 50])
+    def test_matches_per_item_histories(self, cap, monkeypatch):
+        split = self._split()
+        counts = split.train.item_users.lengths
+        assert counts[0] == counts[14] == 0 and counts.max() > 4 and (counts == 4).any()
+        derived = []
+        real = rng.substream
+        monkeypatch.setattr(rng, "substream", lambda seed, *path: derived.append(path[-1]) or real(seed, *path))
+        table = item_history_table(split, cap)
+        assert derived == [v for v in range(15) if counts[v] > cap]  # none for a row that fits the cap
+        # The reference draws every row on its own, from the same substreams.
+        reference = [
+            item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v)
+                         if counts[v] > cap else None)
+            for v in range(15)
+        ]
+        assert table.lengths.tolist() == [len(h) for h in reference]
+        assert table.rows.shape == (15, max(1, min(cap, int(counts.max()))))
+        for v, h in enumerate(reference):
+            assert table.rows[v, : len(h)].tolist() == h.tolist()
+            assert not table.rows[v, len(h):].any()
 
 
 class TestEvaluate:
@@ -290,6 +359,16 @@ class TestEvaluate:
                 if phase == "test":
                     banned |= set(int(v) for v in split.validation.user_items[rec.user])
                 assert not (set(rec.ranked) & banned)
+
+    @pytest.mark.parametrize("phase", ["validation", "test"])
+    def test_a_leaked_exclusion_is_an_error(self, phase, monkeypatch):
+        split, store = _oracle_split()
+        split = SplitDataset(split.train, split.test, split.test, seed=0)
+        # Item 3u + 1 is a validation item of user u, and 3u + 2 a train item.
+        monkeypatch.setattr(evaluation, "rank_items", lambda u, *args, **kwargs: np.array([3 * u + 1, 3 * u + 2]))
+        with pytest.raises(EvaluationError, match=r"excluded items \[2\] recommended to user 0"
+                           if phase == "validation" else r"excluded items \[1, 2\] recommended to user 0"):
+            evaluate(store, ModelKind.CML, split, phase=phase, k=2)
 
     def test_users_without_relevants_skipped(self):
         split, store = _oracle_split()

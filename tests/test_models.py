@@ -322,6 +322,9 @@ class TestBatchedConsistency:
         padded, mask = models._pad([np.array(h, dtype=np.int64) for h in lists])
         assert padded.tolist() == [[0, 0, 0, 0], [2, 0, 0, 0], [0, 3, 6, 8], [0, 0, 0, 0], [1, 4, 0, 0]]
         assert mask.sum(axis=1).tolist() == [0, 1, 4, 0, 2]
+        flat = models._Adjacency.flat(np.array([2, 0, 3, 6, 8, 1, 4]), np.array([0, 1, 4, 0, 2]))
+        assert flat.rows.tolist() == padded.tolist() and flat.lengths.tolist() == [0, 1, 4, 0, 2]
+        assert models._Adjacency.flat(EMPTY, np.zeros(3, dtype=np.int64)).rows.shape == (3, 1)
         mixed = [RelationContext(u, 7 - u, np.array(h, dtype=np.int64), np.array(h[:2], dtype=np.int64))
                  for u, h in enumerate(lists)]
         singles = [score(c, kind, store).distance for c in mixed]
@@ -344,6 +347,14 @@ class TestCandidateDistances:
             for i, v in enumerate(cands)
         ]
         np.testing.assert_allclose(d, ref, rtol=1e-12, atol=1e-14)
+        if ihists is not None:
+            # The same histories as a table over the catalog, whose rows of
+            # non-candidates are never read, score bit for bit alike.
+            rows = [np.array([0, user], dtype=np.int64)] * store.num_items
+            for v, h in zip(cands.tolist(), ihists):
+                rows[v] = h
+            table = models._Adjacency.of(rows)
+            assert candidate_distances(user, cands, kind, store, history=hist, item_histories=table).tobytes() == d.tobytes()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("n_relations", [1, 4])

@@ -155,6 +155,16 @@ class TestHistoryDraws:
         ids, mask = training.user_history(table, pairs[:, 0], pairs[:, 1], 0, rng.substream(0, rng.HISTORY, 0))
         assert mask.shape == (5, 1) and not mask.any()
 
+    def test_tables_are_the_padded_train_rows(self):
+        split = self._split()
+        tables = training._Histories.of(split, ModelKind.HLRPP)
+        for table, rows in ((tables.user_items, split.train.user_items), (tables.item_users, split.train.item_users)):
+            padded = training._Adjacency.of(list(rows))
+            np.testing.assert_array_equal(table.rows, padded.rows)
+            np.testing.assert_array_equal(table.lengths, padded.lengths)
+        tables = training._Histories.of(split, ModelKind.CML)
+        assert tables.user_items is None and tables.item_users is None
+
     def test_sides_share_the_user_history(self):
         split = self._split()
         hp = _tiny_hp(kind=ModelKind.HLRPP, history_cap=4)
