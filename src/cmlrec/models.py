@@ -493,9 +493,10 @@ def _attention_backward(
 
     Given dL/d(relation) returns (g_query, g_anchor, g_emb (B, H, d),
     g_keys, g_memories); g_emb is zero at masked slots. The memories get
-    w̄ᵀ g_relation + ḡwᵀ q, two (N, B) @ (B, d) products, and the key-logit
-    gradient is built from (B, H) and (B, N) factors; one (B, N, d) product
-    of it with the support embeddings gives both g_keys and g_anchor.
+    w̄ᵀ g_relation + ḡwᵀ q, two (N, B) @ (B, d) products. The key-logit
+    gradient is key_w ⊙ (ḡ αᵀ + (M q) g_attᵀ − c), a rank-2 batched product
+    less a (B, H) term c; one (B, N, d) product of it with the support
+    embeddings gives both g_keys and g_anchor.
     """
     g_mixed = g_relation @ memories.T  # (B, N)
     g_alpha = (g_mixed[:, None, :] @ cache.key_w)[:, 0, :]  # (B, H)
@@ -507,16 +508,13 @@ def _attention_backward(
     # dL/dw_h = α_h ḡ + g_att_h (M q), whose product with w_h is
     # α_h g_alpha_h + g_att_h att_logit_h, so the softmax backward needs no
     # (B, N, H) reduction.
-    g_key_logits = g_mixed[:, :, None] - g_alpha[:, None, :]  # (B, N, H)
-    g_key_logits *= cache.alpha[:, None, :]
-    g_read_logits = cache.read[:, :, None] - cache.att_logits[:, None, :]
-    g_read_logits *= g_att[:, None, :]
-    g_key_logits += g_read_logits
+    g_key_logits = np.stack([g_mixed, cache.read], axis=2) @ np.stack([cache.alpha, g_att], axis=1)  # (B, N, H)
+    g_key_logits -= (cache.alpha * g_alpha + g_att * cache.att_logits)[:, None, :]
     g_key_logits *= cache.key_w
     g_emb = g_key_logits.transpose(0, 2, 1) @ cache.anchored_keys  # (B, H, d)
     g_anchored = g_key_logits @ cache.emb  # (B, N, d)
-    g_anchor = (g_anchored * keys).sum(axis=1)
-    g_keys = (g_anchored * cache.anchor[:, None, :]).sum(axis=0)
+    g_anchor = np.einsum("bnd,nd->bd", g_anchored, keys)
+    g_keys = np.einsum("bnd,bd->nd", g_anchored, cache.anchor)
     return g_query, g_anchor, g_emb, g_keys, g_memories
 
 
@@ -553,9 +551,9 @@ def _forward_stacked(stacked: _Stacked, kind: ModelKind, store: ParameterStore) 
     elif kind is ModelKind.ADACML:
         assert stacked.hist is not None and stacked.hist_mask is not None
         cache.hist_emb = store.item_vecs[stacked.hist]
-        logits = np.einsum("bhd,bd->bh", cache.hist_emb, qv, optimize=True)
+        logits = (cache.hist_emb @ qv[:, :, None])[:, :, 0]
         cache.alpha = _masked_softmax(logits, stacked.hist_mask)
-        relation = np.einsum("bh,bhd->bd", cache.alpha, cache.hist_emb, optimize=True)
+        relation = (cache.alpha[:, None, :] @ cache.hist_emb)[:, 0, :]
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):
         assert stacked.hist is not None and stacked.hist_mask is not None
         cache.user_att = _attention_forward(
@@ -580,10 +578,21 @@ def _forward_stacked(stacked: _Stacked, kind: ModelKind, store: ParameterStore) 
 def _backward_stacked(
     cache: _ForwardCache, kind: ModelKind, store: ParameterStore, coeff: np.ndarray, grads: SparseGradients
 ) -> None:
-    """Accumulate coeff[b] * d(distance_b)/d(params) into ``grads``."""
+    """Accumulate coeff[b] * d(distance_b)/d(params) into ``grads``.
+
+    ``cache`` is a pass of :meth:`TripletBatch.stacked`, whose two halves
+    read the same users and user-history rows. So the gradients of those
+    rows are summed over the halves first and scattered once; the items and
+    the ``hlr++`` item histories differ per half and are scattered whole.
+    """
     stacked = cache.stacked
+    half = len(coeff) // 2
+
+    def shared(per_row: np.ndarray) -> np.ndarray:
+        return per_row[:half] + per_row[half:]
+
     g_diff = (2.0 * coeff)[:, None] * cache.diff
-    g_pu = g_diff.copy()
+    g_pu = g_diff
     g_qv = -g_diff
     if kind is ModelKind.LRML:
         assert cache.s is not None and cache.key_w is not None
@@ -599,13 +608,13 @@ def _backward_stacked(
     elif kind is ModelKind.ADACML:
         assert cache.hist_emb is not None and cache.alpha is not None
         g_rel = g_diff
-        g_alpha = np.einsum("bd,bhd->bh", g_rel, cache.hist_emb, optimize=True)
+        g_alpha = (cache.hist_emb @ g_rel[:, :, None])[:, :, 0]
         inner = (g_alpha * cache.alpha).sum(axis=1, keepdims=True)
         g_logits = cache.alpha * (g_alpha - inner)
-        g_qv = g_qv + np.einsum("bh,bhd->bd", g_logits, cache.hist_emb, optimize=True)
-        g_hist = cache.alpha[:, :, None] * g_rel[:, None, :] + g_logits[:, :, None] * cache.qv[:, None, :]
-        mask = stacked.hist_mask
-        grads.add_rows(ITEM_VECS, stacked.hist[mask], g_hist[mask])
+        g_qv = g_qv + (g_logits[:, None, :] @ cache.hist_emb)[:, 0, :]
+        g_hist = shared(cache.alpha[:, :, None] * g_rel[:, None, :] + g_logits[:, :, None] * cache.qv[:, None, :])
+        mask = stacked.hist_mask[:half]
+        grads.add_rows(ITEM_VECS, stacked.hist[:half][mask], g_hist[mask])
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):
         att = cache.user_att
         assert att is not None
@@ -616,8 +625,9 @@ def _backward_stacked(
         g_qv = g_qv + g_anchor
         grads.add_dense(REL_KEYS, g_keys)
         grads.add_dense(REL_MEMORIES, g_memories)
-        mask = att.mask
-        grads.add_rows(ITEM_VECS, att.support[mask], g_emb[mask])
+        g_emb = shared(g_emb)
+        mask = att.mask[:half]
+        grads.add_rows(ITEM_VECS, att.support[:half][mask], g_emb[mask])
         if kind is ModelKind.HLRPP:
             iatt = cache.item_att
             assert iatt is not None and store.item_rel_keys is not None and store.item_rel_memories is not None
@@ -630,7 +640,7 @@ def _backward_stacked(
             grads.add_dense(ITEM_REL_MEMORIES, g_memories_i)
             imask = iatt.mask
             grads.add_rows(USER_VECS, iatt.support[imask], g_emb_i[imask])
-    grads.add_rows(USER_VECS, stacked.users, g_pu)
+    grads.add_rows(USER_VECS, stacked.users[:half], shared(g_pu))
     grads.add_rows(ITEM_VECS, stacked.items, g_qv)
 
 

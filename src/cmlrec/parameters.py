@@ -141,20 +141,21 @@ def init_parameters(
 class SparseGradients:
     """Accumulated partial derivatives, touched rows only.
 
-    Each tensor keeps the (rows, values) pieces that a batch adds, so no
-    buffer is sized to an embedding table. The first read of a tensor
-    reduces its pieces once to sorted unique rows and their sums
-    (``rows_values``, the public view): a stable sort and one
-    ``add.reduceat``, whose cost scales with the rows touched. ``add_dense``
-    adds a piece covering every row, which suits the N x d keys and
-    memories. Each row's values are summed in the order they were added,
-    keeping batch sums deterministic. The added arrays are kept, not copied,
-    so callers must not change them afterwards.
+    Each tensor keeps the pieces that a batch adds, so no buffer is sized
+    to an embedding table. The first read of a tensor reduces its pieces
+    once to sorted unique rows and their sums (``rows_values``, the public
+    view), at a cost that scales with the rows touched. ``add_dense`` adds a
+    piece covering every row, which suits the N x d keys and memories; a
+    tensor fed only such pieces is summed densely, with no sort. The sums
+    are deterministic: the same pieces added in the same order give
+    bit-identical sums (see :func:`_sum_rows`). The added arrays are kept,
+    not copied, so callers must not change them afterwards.
     """
 
     def __init__(self, store: ParameterStore):
         self._shapes = {name: arr.shape for name, arr in store.tensors().items()}
-        self._pieces: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {name: [] for name in self._shapes}
+        # (rows, values) pieces; rows None marks a dense piece
+        self._pieces: dict[str, list[tuple[np.ndarray | None, np.ndarray]]] = {name: [] for name in self._shapes}
         self._sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, tensor: str, row: int, vec: np.ndarray) -> None:
@@ -168,12 +169,14 @@ class SparseGradients:
         self._sums.pop(tensor, None)
 
     def add_dense(self, tensor: str, mat: np.ndarray) -> None:
-        self.add_rows(tensor, np.arange(self._shapes[tensor][0]), mat)
+        """Add ``mat[r]`` into every row ``r`` of ``tensor``."""
+        self._pieces[tensor].append((None, np.asarray(mat, dtype=np.float64)))
+        self._sums.pop(tensor, None)
 
     def rows_values(self, tensor: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique touched rows of ``tensor`` and their summed gradients."""
         if tensor not in self._sums:
-            self._sums[tensor] = _sum_rows(self._pieces[tensor], self._shapes[tensor][1])
+            self._sums[tensor] = _sum_rows(self._pieces[tensor], self._shapes[tensor])
         return self._sums[tensor]
 
     def tensors(self) -> list[str]:
@@ -195,24 +198,39 @@ class SparseGradients:
     def check_finite(self) -> None:
         for name in self.tensors():
             rows, values = self.rows_values(name)
-            bad = ~np.isfinite(values).all(axis=1)
-            if bad.any():
+            if not np.isfinite(values).all():
+                bad = ~np.isfinite(values).all(axis=1)
                 raise NonFiniteGradientError(name, int(rows[np.argmax(bad)]))
 
 
-def _sum_rows(pieces: list[tuple[np.ndarray, np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+# A non-finite sum is reported, with its row, by SparseGradients.check_finite.
+@np.errstate(over="ignore", invalid="ignore")
+def _sum_rows(
+    pieces: list[tuple[np.ndarray | None, np.ndarray]], shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique rows of the pieces and the sum of each row's values.
 
-    A stable sort keeps each row's values in piece order, so the sums are
-    deterministic."""
+    Dense pieces (rows None) alone are added in order into one array over
+    every row. Otherwise the n entries of all pieces are sorted by the
+    unique key row · n + position, which needs rows · n < 2⁶³; that puts
+    each row's values in the order they were added, as a stable sort of the
+    rows would, and ``np.add.reduceat`` sums each row's run. reduceat does
+    not add a run strictly left to right, but it is deterministic: the same
+    pieces added in the same order give bit-identical sums.
+    """
     if not pieces:
-        return np.empty(0, dtype=np.int64), np.empty((0, dim))
-    rows = np.concatenate([r for r, _ in pieces])
+        return np.empty(0, dtype=np.int64), np.empty((0, shape[1]))
+    if all(rows is None for rows, _ in pieces):
+        total = pieces[0][1].copy()
+        for _, values in pieces[1:]:
+            total += values
+        return np.arange(shape[0]), total
+    rows = np.concatenate([np.arange(shape[0]) if r is None else r for r, _ in pieces])
     values = np.concatenate([v for _, v in pieces])
-    order = np.argsort(rows, kind="stable")
-    rows = rows[order]
+    n = len(rows)
+    rows, order = np.divmod(np.sort(rows * n + np.arange(n)), n)
     starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    return rows[starts], np.add.reduceat(values[order], starts, axis=0)
+    return rows[starts], np.add.reduceat(np.take(values, order, axis=0), starts, axis=0)
 
 
 @dataclass
@@ -257,11 +275,24 @@ def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, l
     tensors = store.tensors()
     for name in grads.tensors():
         rows, g = grads.rows_values(name)
-        m = state.beta1 * state.moment1[name][rows] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.moment2[name][rows] + (1.0 - state.beta2) * g * g
+        # the gathered moment rows are updated in place and scattered once
+        m = state.moment1[name][rows]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
         state.moment1[name][rows] = m
+        v = state.moment2[name][rows]
+        v *= state.beta2
+        g2 = (1.0 - state.beta2) * g
+        g2 *= g
+        v += g2
         state.moment2[name][rows] = v
-        tensors[name][rows] -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        v /= bias2
+        np.sqrt(v, out=v)
+        v += state.eps
+        m /= bias1
+        m *= lr
+        m /= v
+        tensors[name][rows] -= m
 
 
 def project_unit_ball(
@@ -272,19 +303,25 @@ def project_unit_ball(
     """Rescale user/item rows to L2 norm <= 1 (keys and memories untouched).
 
     With explicit row arguments only those rows are projected; passing None
-    projects every row. Idempotent, and the origin is a fixed point.
+    projects every row. Only rows whose squared norm exceeds 1 are rescaled
+    and written back, so rows inside the ball stay bit-identical. Idempotent,
+    and the origin is a fixed point.
     """
 
     def project(mat: np.ndarray, rows: np.ndarray | None) -> None:
         block = mat if rows is None else mat[rows]
-        # scale before squaring so huge-but-finite rows do not overflow
-        amax = np.maximum(np.abs(block).max(axis=1, keepdims=True), 1.0)
-        norms = amax * np.linalg.norm(block / amax, axis=1, keepdims=True)
-        scaled = block / np.maximum(norms, 1.0)
-        if rows is None:
-            mat[:] = scaled
-        else:
-            mat[rows] = scaled
+        squares = np.einsum("ij,ij->i", block, block)  # inf, with no warning, where it overflows
+        outside = np.flatnonzero(squares > 1.0)
+        if len(outside) == 0:
+            return
+        far = block[outside]
+        norms = np.sqrt(squares[outside])
+        huge = np.isinf(norms)
+        if huge.any():  # norm² overflowed: scale before squaring
+            amax = np.abs(far[huge]).max(axis=1, keepdims=True)
+            norms[huge] = amax[:, 0] * np.linalg.norm(far[huge] / amax, axis=1)
+        far /= norms[:, None]
+        mat[outside if rows is None else rows[outside]] = far
 
     project(store.user_vecs, user_rows)
     project(store.item_vecs, item_rows)

@@ -1,6 +1,8 @@
 """Initialization, sparse Adam, unit-ball projection, and checkpoint IO."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,79 @@ class TestSparseGradients:
             grads.check_finite()
         assert err.value.tensor == REL_KEYS
         assert err.value.row == 1
+
+    def test_check_finite_names_row_of_dense_piece(self):
+        store = init_parameters(4, 4, 2, 3, seed=0)
+        grads = SparseGradients(store)
+        grads.add_rows(USER_VECS, np.array([0, 3]), np.ones((2, 2)))
+        grads.add_dense(REL_MEMORIES, np.zeros((3, 2)))
+        bad = np.zeros((3, 2))
+        bad[2, 1] = np.nan
+        grads.add_dense(REL_MEMORIES, bad)
+        with pytest.raises(NonFiniteGradientError) as err:
+            grads.check_finite()
+        assert (err.value.tensor, err.value.row) == (REL_MEMORIES, 2)
+
+    def test_check_finite_names_row_whose_infinities_cancel(self):
+        store = init_parameters(6, 4, 2, 2, seed=0)
+        grads = SparseGradients(store)
+        grads.add_rows(USER_VECS, np.array([1, 4]), np.array([[np.inf, 0.0], [1.0, 1.0]]))
+        grads.add_rows(USER_VECS, np.array([4, 2]), np.array([[-np.inf, 0.0], [2.0, 2.0]]))
+        grads.add_rows(USER_VECS, np.array([1]), np.array([[-np.inf, 0.0]]))
+        with pytest.raises(NonFiniteGradientError) as err:
+            grads.check_finite()
+        assert (err.value.tensor, err.value.row) == (USER_VECS, 1)
+
+    def test_dense_pieces_sum_over_every_row(self):
+        store = init_parameters(4, 4, 3, 5, seed=0)
+        gen = np.random.default_rng(3)
+        pieces = [gen.normal(size=(5, 3)) for _ in range(3)]
+        grads = SparseGradients(store)
+        for piece in pieces:
+            grads.add_dense(REL_KEYS, piece)
+        rows, values = grads.rows_values(REL_KEYS)
+        assert rows.tolist() == [0, 1, 2, 3, 4]
+        np.testing.assert_array_equal(values, (pieces[0] + pieces[1]) + pieces[2])
+        assert len(grads) == 5
+
+    def test_dense_pieces_mixed_with_rows_match_add_at_reference(self):
+        store = init_parameters(4, 7, 3, 2, seed=0)
+        gen = np.random.default_rng(4)
+        grads = SparseGradients(store)
+        reference = np.zeros_like(store.item_vecs)
+        for step in range(6):
+            if step % 2 == 0:
+                dense = gen.normal(size=(7, 3))
+                grads.add_dense(ITEM_VECS, dense)
+                reference += dense
+            else:
+                rows = gen.integers(7, size=9)
+                vecs = gen.normal(size=(9, 3))
+                grads.add_rows(ITEM_VECS, rows, vecs)
+                np.add.at(reference, rows, vecs)
+        rows, values = grads.rows_values(ITEM_VECS)
+        assert rows.tolist() == list(range(7))
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=1e-13)
+
+    def test_same_pieces_give_identical_bytes(self):
+        store = init_parameters(30, 40, 4, 3, seed=0)
+        gen = np.random.default_rng(5)
+        pieces = []
+        for n in (40, 1, 25, 60):
+            pieces.append((USER_VECS, gen.integers(30, size=n), gen.normal(size=(n, 4))))
+            pieces.append((ITEM_VECS, gen.integers(5, size=n), gen.normal(size=(n, 4)) * 10.0 ** gen.integers(-8, 8, size=(n, 1))))
+            pieces.append((REL_KEYS, None, gen.normal(size=(3, 4))))
+        pieces.append((ITEM_VECS, None, gen.normal(size=(40, 4))))
+        sums = []
+        for _ in range(2):
+            grads = SparseGradients(store)
+            for tensor, rows, vecs in pieces:
+                if rows is None:
+                    grads.add_dense(tensor, vecs.copy())
+                else:
+                    grads.add_rows(tensor, rows.copy(), vecs.copy())
+            sums.append({name: [a.tobytes() for a in grads.rows_values(name)] for name in grads.tensors()})
+        assert sums[0] == sums[1]
 
 
 def _dense_adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -250,6 +325,41 @@ class TestProjection:
         project_unit_ball(store)
         assert np.all(store.rel_keys == 100.0)
         assert np.all(store.rel_memories == -50.0)
+
+    @pytest.mark.parametrize("row", [[1e200, 1e200], [1e308, -1e308], [-1e300, 0.0], [1e154, 1e154]])
+    def test_huge_rows_land_on_sphere_without_warnings(self, row):
+        store = self._store()
+        store.user_vecs[1] = row
+        store.item_vecs[2] = row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            project_unit_ball(store)
+            project_unit_ball(store, user_rows=np.array([1]), item_rows=np.array([0, 2]))
+        for vec in (store.user_vecs[1], store.item_vecs[2]):
+            assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
+            np.testing.assert_array_equal(np.sign(vec), np.sign(row))
+        np.testing.assert_array_equal(store.user_vecs[0], [0.3, 0.4])
+
+    def test_rows_inside_ball_keep_their_bytes(self):
+        store = init_parameters(40, 30, 8, 2, seed=6)
+        gen = np.random.default_rng(6)
+        store.user_vecs *= gen.uniform(0.5, 2.0, size=(40, 1))
+        store.item_vecs *= gen.uniform(0.5, 2.0, size=(30, 1))
+        store.user_vecs[3] = 0.0
+        inside_users = np.einsum("ij,ij->i", store.user_vecs, store.user_vecs) <= 1.0
+        inside_items = np.einsum("ij,ij->i", store.item_vecs, store.item_vecs) <= 1.0
+        assert inside_users.any() and (~inside_users).any() and inside_items.any() and (~inside_items).any()
+        partial, full = store.copy(), store.copy()
+        user_rows, item_rows = np.arange(0, 40, 3), np.arange(1, 30, 2)
+        project_unit_ball(partial, user_rows=user_rows, item_rows=item_rows)
+        project_unit_ball(full)
+        for projected in (partial, full):
+            assert projected.user_vecs[inside_users].tobytes() == store.user_vecs[inside_users].tobytes()
+            assert projected.item_vecs[inside_items].tobytes() == store.item_vecs[inside_items].tobytes()
+        untouched = np.setdiff1d(np.arange(40), user_rows)
+        assert partial.user_vecs[untouched].tobytes() == store.user_vecs[untouched].tobytes()
+        np.testing.assert_allclose(np.linalg.norm(full.user_vecs[~inside_users], axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(full.item_vecs[~inside_items], axis=1), 1.0, rtol=1e-12)
 
     def test_partial_projection_touches_named_rows_only(self):
         store = self._store()
