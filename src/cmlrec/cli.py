@@ -25,7 +25,7 @@ from .datasets import (
     save_split_dir,
     split_dataset,
 )
-from .evaluation import EvaluationError, evaluate, rank_items, ranking_history, report_csv, report_table
+from .evaluation import EvaluationError, check_compatible, evaluate, rank_items, ranking_history, report_csv, report_table
 from .models import ModelKind, NonFiniteScoreError, _Adjacency
 from .parameters import (
     CheckpointError,
@@ -192,13 +192,7 @@ def _load_model(cfg: dict[str, object], split) -> tuple[ModelKind, "object"]:
     if not os.path.isfile(ckpt_path):
         raise DataError(f"checkpoint not found: {ckpt_path}")
     store = load_checkpoint(ckpt_path)
-    if (store.num_users, store.num_items) != (split.num_users, split.num_items):
-        raise DataError(
-            f"checkpoint shape ({store.num_users} users, {store.num_items} items) does not match "
-            f"dataset shape ({split.num_users} users, {split.num_items} items)"
-        )
-    if kind.uses_item_memory and not store.has_item_memory:
-        raise DataError(f"model {kind.value} needs item-side memory tensors absent from the checkpoint")
+    check_compatible(store, kind, split)
     return kind, store
 
 

@@ -205,6 +205,18 @@ def item_history_table(split: SplitDataset, cap: int) -> _Adjacency:
     return _Adjacency(rows, lengths)
 
 
+def check_compatible(store: ParameterStore, kind: ModelKind, split: SplitDataset) -> None:
+    """Raise ``ValueError`` unless ``store`` has ``split``'s users and items
+    and holds every tensor ``kind`` reads."""
+    if (store.num_users, store.num_items) != (split.num_users, split.num_items):
+        raise ValueError(
+            f"checkpoint shape ({store.num_users} users, {store.num_items} items) does not match "
+            f"dataset shape ({split.num_users} users, {split.num_items} items)"
+        )
+    if kind.uses_item_memory and not store.has_item_memory:
+        raise ValueError(f"model {kind.value} needs item-side memory tensors absent from the checkpoint")
+
+
 def evaluate(
     store: ParameterStore,
     kind: ModelKind,
@@ -229,13 +241,7 @@ def evaluate(
         raise ValueError(f"k must be >= 1, got {k}")
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    if (store.num_users, store.num_items) != (split.num_users, split.num_items):
-        raise ValueError(
-            f"checkpoint shape ({store.num_users} users, {store.num_items} items) does not match "
-            f"dataset shape ({split.num_users} users, {split.num_items} items)"
-        )
-    if kind.uses_item_memory and not store.has_item_memory:
-        raise ValueError(f"{kind.value} requires a checkpoint with item-side memory tensors")
+    check_compatible(store, kind, split)
     view = split.validation if phase == "validation" else split.test
     exclusions_for = _exclusion_sets(split, phase)
     users = [u for u in range(split.num_users) if len(view.user_items[u]) > 0]

@@ -137,14 +137,11 @@ class TripletBatch:
     histories ``pos_ihist[i]`` and ``neg_ihist[i]`` differ per side. History
     arrays are zero-padded to the batch's widest row, and only the slots
     their masks set are read. A history a head does not read is None.
-
-    ``TripletBatch(pos, neg)`` with two equal-length sequences of
-    :class:`RelationContext` builds the arrays as :meth:`from_contexts` does.
     """
 
     pos: np.ndarray  # (B,)
     neg: np.ndarray  # (B,)
-    users: np.ndarray | None = None  # (B,)
+    users: np.ndarray  # (B,)
     hist: np.ndarray | None = None  # (B, H)
     hist_mask: np.ndarray | None = None
     pos_ihist: np.ndarray | None = None  # (B, J)
@@ -153,8 +150,6 @@ class TripletBatch:
     neg_ihist_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.users is None:
-            vars(self).update(vars(self.from_contexts(self.pos, self.neg)))
         if not len(self.users) == len(self.pos) == len(self.neg):
             raise ValueError("users, positives and negatives must have equal length")
 

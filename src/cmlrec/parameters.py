@@ -2,16 +2,20 @@
 
 The store owns user/item embeddings plus the relation key and memory
 matrices (and a second key/memory pair when the item-side attention module
-is enabled). User and item rows live inside the L2 unit ball; keys and
-memories are unconstrained.
+is enabled). All of them are row blocks of one (rows, dim) float64 arena,
+laid out in ``TENSOR_ORDER``, and gradients, Adam moments and the unit-ball
+projection address the same arena rows. So a training step reduces, checks,
+updates and projects once, whatever the number of tensors, and a checkpoint
+payload is the arena itself in float32. User and item rows live inside the
+L2 unit ball; keys and memories are unconstrained.
 """
 from __future__ import annotations
 
-import io
+import functools
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +33,10 @@ ITEM_REL_KEYS = "item_rel_keys"
 ITEM_REL_MEMORIES = "item_rel_memories"
 TENSOR_ORDER = (USER_VECS, ITEM_VECS, REL_KEYS, REL_MEMORIES, ITEM_REL_KEYS, ITEM_REL_MEMORIES)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class NonFiniteGradientError(ValueError):
     """A gradient entry was NaN or infinite."""
@@ -43,67 +51,59 @@ class CheckpointError(Exception):
     """The checkpoint file is malformed, truncated, or corrupted."""
 
 
-@dataclass
-class ParameterStore:
-    """All learnable tensors of one model.
+def _block_sizes(num_users: int, num_items: int, n_relations: int, with_item_memory: bool) -> tuple[int, ...]:
+    """Rows of each tensor present, in ``TENSOR_ORDER``."""
+    return (num_users, num_items) + (n_relations,) * (4 if with_item_memory else 2)
 
-    ``item_rel_keys``/``item_rel_memories`` are present only when the model
-    uses the item-side attention module; they are None otherwise.
+
+def _locate(blocks: dict[str, slice], row: int) -> tuple[str, int]:
+    """The tensor holding arena row ``row`` and the row's index in it."""
+    name = next(name for name, block in blocks.items() if row < block.stop)
+    return name, row - blocks[name].start
+
+
+class ParameterStore:
+    """All learnable tensors of one model, as row blocks of one arena.
+
+    ``arena`` is a C-contiguous (rows, dim) float64 array holding the tensors
+    one after another in ``TENSOR_ORDER``; ``blocks`` maps each tensor's name
+    to its row slice. The tensor attributes are views of their blocks, so a
+    write to either is seen by both. ``item_rel_keys``/``item_rel_memories``
+    are present only when the model uses the item-side attention module;
+    they are None otherwise.
     """
 
     user_vecs: np.ndarray
     item_vecs: np.ndarray
     rel_keys: np.ndarray
     rel_memories: np.ndarray
-    item_rel_keys: np.ndarray | None = None
-    item_rel_memories: np.ndarray | None = None
+    item_rel_keys: np.ndarray | None
+    item_rel_memories: np.ndarray | None
 
-    @property
-    def num_users(self) -> int:
-        return self.user_vecs.shape[0]
-
-    @property
-    def num_items(self) -> int:
-        return self.item_vecs.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.user_vecs.shape[1]
-
-    @property
-    def n_relations(self) -> int:
-        return self.rel_keys.shape[0]
-
-    @property
-    def has_item_memory(self) -> bool:
-        return self.item_rel_keys is not None
+    def __init__(self, arena: np.ndarray, num_users: int, num_items: int, n_relations: int, with_item_memory: bool = False):
+        self.arena = arena
+        self.num_users = num_users
+        self.num_items = num_items
+        self.n_relations = n_relations
+        self.dim = arena.shape[1]
+        self.has_item_memory = with_item_memory
+        sizes = _block_sizes(num_users, num_items, n_relations, with_item_memory)
+        stops = np.cumsum(sizes).tolist()
+        self.blocks = {name: slice(stop - size, stop) for name, size, stop in zip(TENSOR_ORDER, sizes, stops)}
+        for name in TENSOR_ORDER:
+            setattr(self, name, arena[self.blocks[name]] if name in self.blocks else None)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {
-            USER_VECS: self.user_vecs,
-            ITEM_VECS: self.item_vecs,
-            REL_KEYS: self.rel_keys,
-            REL_MEMORIES: self.rel_memories,
-        }
-        if self.item_rel_keys is not None:
-            out[ITEM_REL_KEYS] = self.item_rel_keys
-            out[ITEM_REL_MEMORIES] = self.item_rel_memories
-        return out
+        return {name: getattr(self, name) for name in self.blocks}
 
     def copy(self) -> "ParameterStore":
-        return ParameterStore(
-            user_vecs=self.user_vecs.copy(),
-            item_vecs=self.item_vecs.copy(),
-            rel_keys=self.rel_keys.copy(),
-            rel_memories=self.rel_memories.copy(),
-            item_rel_keys=None if self.item_rel_keys is None else self.item_rel_keys.copy(),
-            item_rel_memories=None if self.item_rel_memories is None else self.item_rel_memories.copy(),
-        )
+        return ParameterStore(self.arena.copy(), self.num_users, self.num_items, self.n_relations, self.has_item_memory)
 
     def check_finite(self) -> None:
-        for name, arr in self.tensors().items():
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"tensor {name!r} contains non-finite entries")
+        finite = np.isfinite(self.arena)
+        if not finite.all():
+            name, _ = _locate(self.blocks, int(np.argmax(~finite.all(axis=1))))
+            raise FloatingPointError(f"tensor {name!r} contains non-finite entries")
 
 
 def init_parameters(
@@ -121,19 +121,9 @@ def init_parameters(
     if n_relations < 1:
         raise ValueError("n_relations must be >= 1")
     gen = rngmod.substream(seed, rngmod.INIT)
-    scale = 1.0 / np.sqrt(dim)
-
-    def draw(rows: int) -> np.ndarray:
-        return gen.normal(0.0, scale, size=(rows, dim))
-
-    store = ParameterStore(
-        user_vecs=draw(num_users),
-        item_vecs=draw(num_items),
-        rel_keys=draw(n_relations),
-        rel_memories=draw(n_relations),
-        item_rel_keys=draw(n_relations) if with_item_memory else None,
-        item_rel_memories=draw(n_relations) if with_item_memory else None,
-    )
+    rows = sum(_block_sizes(num_users, num_items, n_relations, with_item_memory))
+    arena = gen.normal(0.0, 1.0 / np.sqrt(dim), size=(rows, dim))
+    store = ParameterStore(arena, num_users, num_items, n_relations, with_item_memory)
     project_unit_ball(store)
     return store
 
@@ -141,22 +131,24 @@ def init_parameters(
 class SparseGradients:
     """Accumulated partial derivatives, touched rows only.
 
-    Each tensor keeps the pieces that a batch adds, so no buffer is sized
-    to an embedding table. The first read of a tensor reduces its pieces
-    once to sorted unique rows and their sums (``rows_values``, the public
-    view), at a cost that scales with the rows touched. ``add_dense`` adds a
-    piece covering every row, which suits the N x d keys and memories; a
-    tensor fed only such pieces is summed densely, with no sort. The sums
-    are deterministic: the same pieces added in the same order give
-    bit-identical sums (see :func:`_sum_rows`). The added arrays are kept,
+    The pieces that a batch adds are kept with their rows in the store's
+    arena, so no buffer is sized to an embedding table. The first read
+    reduces all pieces once to sorted unique arena rows and their sums, at a
+    cost that scales with the rows touched; ``rows_values`` is the per-tensor
+    public view. ``add_dense`` adds a piece covering every row of a tensor,
+    which suits the N x d keys and memories: a tensor's dense pieces are
+    added in order into one array, which joins the reduction as one piece.
+    The sums are deterministic: the same pieces added in the same order give
+    bit-identical sums (see :func:`_sum_rows`). The added values are kept,
     not copied, so callers must not change them afterwards.
     """
 
     def __init__(self, store: ParameterStore):
-        self._shapes = {name: arr.shape for name, arr in store.tensors().items()}
-        # (rows, values) pieces; rows None marks a dense piece
-        self._pieces: dict[str, list[tuple[np.ndarray | None, np.ndarray]]] = {name: [] for name in self._shapes}
-        self._sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks = store.blocks
+        self._dim = store.dim
+        self._pieces: list[tuple[np.ndarray, np.ndarray]] = []  # (arena rows, values)
+        self._dense: dict[str, list[np.ndarray]] = {}
+        self._sums: tuple[np.ndarray, np.ndarray] | None = None
 
     def add(self, tensor: str, row: int, vec: np.ndarray) -> None:
         self.add_rows(tensor, np.array([row]), np.reshape(vec, (1, -1)))
@@ -165,22 +157,36 @@ class SparseGradients:
         """Scatter-add ``vecs[i]`` into ``rows[i]``; repeated rows accumulate."""
         if len(rows) == 0:
             return
-        self._pieces[tensor].append((np.asarray(rows, dtype=np.int64), np.asarray(vecs, dtype=np.float64)))
-        self._sums.pop(tensor, None)
+        rows = np.asarray(rows, dtype=np.int64) + self._blocks[tensor].start
+        self._pieces.append((rows, np.asarray(vecs, dtype=np.float64)))
+        self._sums = None
 
     def add_dense(self, tensor: str, mat: np.ndarray) -> None:
         """Add ``mat[r]`` into every row ``r`` of ``tensor``."""
-        self._pieces[tensor].append((None, np.asarray(mat, dtype=np.float64)))
-        self._sums.pop(tensor, None)
+        self._dense.setdefault(tensor, []).append(np.asarray(mat, dtype=np.float64))
+        self._sums = None
+
+    # A non-finite sum is reported, with its row, by check_finite.
+    @np.errstate(over="ignore", invalid="ignore")
+    def _arena_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted unique touched arena rows and their summed gradients."""
+        if self._sums is None:
+            dense = [
+                (np.arange(self._blocks[name].start, self._blocks[name].stop), functools.reduce(np.add, mats))
+                for name, mats in self._dense.items()
+            ]
+            self._sums = _sum_rows(self._pieces + dense, self._dim)
+        return self._sums
 
     def rows_values(self, tensor: str) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique touched rows of ``tensor`` and their summed gradients."""
-        if tensor not in self._sums:
-            self._sums[tensor] = _sum_rows(self._pieces[tensor], self._shapes[tensor])
-        return self._sums[tensor]
+        rows, values = self._arena_sums()
+        block = self._blocks[tensor]
+        lo, hi = np.searchsorted(rows, (block.start, block.stop))
+        return rows[lo:hi] - block.start, values[lo:hi]
 
     def tensors(self) -> list[str]:
-        return [name for name, pieces in self._pieces.items() if pieces]
+        return [name for name in self._blocks if len(self.rows(name))]
 
     def rows(self, tensor: str) -> np.ndarray:
         return self.rows_values(tensor)[0]
@@ -190,42 +196,35 @@ class SparseGradients:
         i = int(np.searchsorted(rows, row))
         if i < len(rows) and rows[i] == row:
             return values[i]
-        return np.zeros(self._shapes[tensor][1])
+        return np.zeros(self._dim)
 
     def __len__(self) -> int:
-        return sum(len(self.rows(name)) for name in self.tensors())
+        return len(self._arena_sums()[0])
 
     def check_finite(self) -> None:
-        for name in self.tensors():
-            rows, values = self.rows_values(name)
-            if not np.isfinite(values).all():
-                bad = ~np.isfinite(values).all(axis=1)
-                raise NonFiniteGradientError(name, int(rows[np.argmax(bad)]))
+        """Raise for the first non-finite row in arena order, which is
+        ``TENSOR_ORDER``, naming its tensor and its row in that tensor."""
+        rows, values = self._arena_sums()
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonFiniteGradientError(*_locate(self._blocks, int(rows[np.argmax(~finite.all(axis=1))])))
 
 
-# A non-finite sum is reported, with its row, by SparseGradients.check_finite.
-@np.errstate(over="ignore", invalid="ignore")
-def _sum_rows(
-    pieces: list[tuple[np.ndarray | None, np.ndarray]], shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted unique rows of the pieces and the sum of each row's values.
+def _sum_rows(pieces: list[tuple[np.ndarray, np.ndarray]], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique rows of the (rows, values) pieces and the sum of each
+    row's values.
 
-    Dense pieces (rows None) alone are added in order into one array over
-    every row. Otherwise the n entries of all pieces are sorted by the
-    unique key row · n + position, which needs rows · n < 2⁶³; that puts
-    each row's values in the order they were added, as a stable sort of the
-    rows would, and ``np.add.reduceat`` sums each row's run. reduceat does
-    not add a run strictly left to right, but it is deterministic: the same
-    pieces added in the same order give bit-identical sums.
+    The n entries of all pieces are sorted by the unique key
+    row · n + position, which needs rows · n < 2⁶³; that puts each row's
+    values in the order they were added, as a stable sort of the rows would,
+    and ``np.add.reduceat`` sums each row's run. reduceat does not add a run
+    strictly left to right, but it is deterministic: the same pieces added
+    in the same order give bit-identical sums, and a run of one entry keeps
+    its bytes.
     """
     if not pieces:
-        return np.empty(0, dtype=np.int64), np.empty((0, shape[1]))
-    if all(rows is None for rows, _ in pieces):
-        total = pieces[0][1].copy()
-        for _, values in pieces[1:]:
-            total += values
-        return np.arange(shape[0]), total
-    rows = np.concatenate([np.arange(shape[0]) if r is None else r for r, _ in pieces])
+        return np.empty(0, dtype=np.int64), np.empty((0, dim))
+    rows = np.concatenate([r for r, _ in pieces])
     values = np.concatenate([v for _, v in pieces])
     n = len(rows)
     rows, order = np.divmod(np.sort(rows * n + np.arange(n)), n)
@@ -235,28 +234,20 @@ def _sum_rows(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared step counter.
+    """First/second moment accumulators over the store's arena rows, plus
+    the shared step counter.
 
     Rows are updated lazily: moments of rows absent from a batch keep their
     values, matching sparse-embedding practice.
     """
 
-    moment1: dict[str, np.ndarray]
-    moment2: dict[str, np.ndarray]
+    moment1: np.ndarray
+    moment2: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_store(cls, store: ParameterStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            moment1={name: np.zeros_like(arr) for name, arr in store.tensors().items()},
-            moment2={name: np.zeros_like(arr) for name, arr in store.tensors().items()},
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_store(cls, store: ParameterStore) -> "AdamState":
+        return cls(moment1=np.zeros_like(store.arena), moment2=np.zeros_like(store.arena))
 
 
 def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, lr: float) -> None:
@@ -270,29 +261,27 @@ def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, l
         raise ValueError("lr must be >= 0")
     grads.check_finite()
     state.step += 1
-    bias1 = 1.0 - state.beta1**state.step
-    bias2 = 1.0 - state.beta2**state.step
-    tensors = store.tensors()
-    for name in grads.tensors():
-        rows, g = grads.rows_values(name)
-        # the gathered moment rows are updated in place and scattered once
-        m = state.moment1[name][rows]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        state.moment1[name][rows] = m
-        v = state.moment2[name][rows]
-        v *= state.beta2
-        g2 = (1.0 - state.beta2) * g
-        g2 *= g
-        v += g2
-        state.moment2[name][rows] = v
-        v /= bias2
-        np.sqrt(v, out=v)
-        v += state.eps
-        m /= bias1
-        m *= lr
-        m /= v
-        tensors[name][rows] -= m
+    bias1 = 1.0 - ADAM_BETA1**state.step
+    bias2 = 1.0 - ADAM_BETA2**state.step
+    rows, g = grads._arena_sums()
+    # the gathered moment rows are updated in place and scattered once
+    m = state.moment1[rows]
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    state.moment1[rows] = m
+    v = state.moment2[rows]
+    v *= ADAM_BETA2
+    g2 = (1.0 - ADAM_BETA2) * g
+    g2 *= g
+    v += g2
+    state.moment2[rows] = v
+    v /= bias2
+    np.sqrt(v, out=v)
+    v += ADAM_EPS
+    m /= bias1
+    m *= lr
+    m /= v
+    store.arena[rows] -= m
 
 
 def project_unit_ball(
@@ -303,28 +292,26 @@ def project_unit_ball(
     """Rescale user/item rows to L2 norm <= 1 (keys and memories untouched).
 
     With explicit row arguments only those rows are projected; passing None
-    projects every row. Only rows whose squared norm exceeds 1 are rescaled
-    and written back, so rows inside the ball stay bit-identical. Idempotent,
-    and the origin is a fixed point.
+    projects every row of that table. Only rows whose squared norm exceeds 1
+    are rescaled and written back, so rows inside the ball stay
+    bit-identical. Idempotent, and the origin is a fixed point.
     """
-
-    def project(mat: np.ndarray, rows: np.ndarray | None) -> None:
-        block = mat if rows is None else mat[rows]
-        squares = np.einsum("ij,ij->i", block, block)  # inf, with no warning, where it overflows
-        outside = np.flatnonzero(squares > 1.0)
-        if len(outside) == 0:
-            return
-        far = block[outside]
-        norms = np.sqrt(squares[outside])
-        huge = np.isinf(norms)
-        if huge.any():  # norm² overflowed: scale before squaring
-            amax = np.abs(far[huge]).max(axis=1, keepdims=True)
-            norms[huge] = amax[:, 0] * np.linalg.norm(far[huge] / amax, axis=1)
-        far /= norms[:, None]
-        mat[outside if rows is None else rows[outside]] = far
-
-    project(store.user_vecs, user_rows)
-    project(store.item_vecs, item_rows)
+    users = np.arange(store.num_users) if user_rows is None else np.asarray(user_rows)
+    items = np.arange(store.num_items) if item_rows is None else np.asarray(item_rows)
+    rows = np.concatenate((users + store.blocks[USER_VECS].start, items + store.blocks[ITEM_VECS].start))
+    block = store.arena[rows]
+    squares = np.einsum("ij,ij->i", block, block)  # inf, with no warning, where it overflows
+    outside = np.flatnonzero(squares > 1.0)
+    if len(outside) == 0:
+        return
+    far = block[outside]
+    norms = np.sqrt(squares[outside])
+    huge = np.isinf(norms)
+    if huge.any():  # norm² overflowed: scale before squaring
+        amax = np.abs(far[huge]).max(axis=1, keepdims=True)
+        norms[huge] = amax[:, 0] * np.linalg.norm(far[huge] / amax, axis=1)
+    far /= norms[:, None]
+    store.arena[rows[outside]] = far
 
 
 def _pack_header(store: ParameterStore) -> bytes:
@@ -339,21 +326,16 @@ def _pack_header(store: ParameterStore) -> bytes:
 
 
 def checkpoint_bytes(store: ParameterStore) -> bytes:
-    """Serialize: magic, version, shape header, float32 LE payloads in fixed
-    tensor order, then a CRC32 of the payload."""
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(_pack_header(store))
-    payload = io.BytesIO()
-    tensors = store.tensors()
-    for name in TENSOR_ORDER:
-        if name in tensors:
-            payload.write(np.ascontiguousarray(tensors[name], dtype="<f4").tobytes())
-    payload_bytes = payload.getvalue()
-    buf.write(payload_bytes)
-    buf.write(struct.pack("<I", zlib.crc32(payload_bytes) & 0xFFFFFFFF))
-    return buf.getvalue()
+    """Serialize: magic, version, shape header, the arena as float32 LE (the
+    tensors in ``TENSOR_ORDER``), then a CRC32 of that payload."""
+    payload = store.arena.astype("<f4").tobytes()
+    return b"".join((
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", CHECKPOINT_VERSION),
+        _pack_header(store),
+        payload,
+        struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF),
+    ))
 
 
 def save_checkpoint(store: ParameterStore, path: str | os.PathLike) -> None:
@@ -375,10 +357,8 @@ def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     num_users, num_items, dim, n_rel, flag = struct.unpack("<5I", data[8:28])
-    shapes = [(num_users, dim), (num_items, dim), (n_rel, dim), (n_rel, dim)]
-    if flag:
-        shapes += [(n_rel, dim), (n_rel, dim)]
-    payload_len = sum(r * c for r, c in shapes) * 4
+    rows = sum(_block_sizes(num_users, num_items, n_rel, bool(flag)))
+    payload_len = rows * dim * 4
     expected_len = 28 + payload_len + 4
     if len(data) != expected_len:
         raise CheckpointError(f"{path}: expected {expected_len} bytes, found {len(data)}")
@@ -386,21 +366,8 @@ def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
     (crc_stored,) = struct.unpack("<I", data[28 + payload_len :])
     if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_stored:
         raise CheckpointError(f"{path}: payload checksum mismatch")
-    arrays = []
-    offset = 0
-    for rows, cols in shapes:
-        nbytes = rows * cols * 4
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f4").reshape(rows, cols)
-        arrays.append(arr.astype(np.float64))
-        offset += nbytes
-    store = ParameterStore(
-        user_vecs=arrays[0],
-        item_vecs=arrays[1],
-        rel_keys=arrays[2],
-        rel_memories=arrays[3],
-        item_rel_keys=arrays[4] if flag else None,
-        item_rel_memories=arrays[5] if flag else None,
-    )
+    arena = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).astype(np.float64)
+    store = ParameterStore(arena, num_users, num_items, n_rel, bool(flag))
     try:
         store.check_finite()
     except FloatingPointError as exc:

@@ -319,7 +319,7 @@ def test_criterion_7_loss_sanity():
             store.item_vecs[u + 2] = -axis  # negative item far away
         pos = [RelationContext(u, u) for u in range(4)]
         neg = [RelationContext(u, u + 2) for u in range(4)]
-        grads, loss = backward(TripletBatch(pos, neg), kind, store, margin=0.5)
+        grads, loss = backward(TripletBatch.from_contexts(pos, neg), kind, store, margin=0.5)
         assert loss == 0.0
         for name, dense in dense_gradients(grads, store).items():
             assert np.all(dense == 0.0), f"{kind.value}: nonzero gradient in {name}"

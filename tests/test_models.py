@@ -426,14 +426,14 @@ class TestBackwardBasics:
             neg.append(ctx_n)
         # margin so small every triplet is satisfied by construction:
         # distances are bounded by (1+1)^2 = 4, so d_pos - d_neg >= -4
-        grads, loss = backward(TripletBatch(pos, neg), ModelKind.CML, store, margin=1e-300)
+        grads, loss = backward(TripletBatch.from_contexts(pos, neg), ModelKind.CML, store, margin=1e-300)
         if loss == 0.0:
             assert len(grads) == 0
 
     def test_exactly_satisfied_pairs_have_zero_loss_and_grad(self):
         store = init_parameters(2, 2, 3, 2, seed=1)
         ctx = RelationContext(user=0, item=0)
-        batch = TripletBatch([ctx], [RelationContext(user=0, item=0)])
+        batch = TripletBatch.from_contexts([ctx], [RelationContext(user=0, item=0)])
         # identical pos/neg items: slack == margin > 0, so active; sanity only
         grads, loss = backward(batch, ModelKind.CML, store, margin=0.5)
         assert loss == pytest.approx(0.5)
@@ -445,7 +445,7 @@ class TestBackwardBasics:
     def test_cml_single_triplet_closed_form(self):
         store = init_parameters(3, 4, 5, 2, seed=14)
         u, v, w = 1, 2, 3
-        batch = TripletBatch([RelationContext(u, v)], [RelationContext(u, w)])
+        batch = TripletBatch.from_contexts([RelationContext(u, v)], [RelationContext(u, w)])
         d_pos = score(RelationContext(u, v), ModelKind.CML, store).distance
         d_neg = score(RelationContext(u, w), ModelKind.CML, store).distance
         margin = d_neg - d_pos + 1.0  # force the hinge active with slack 1
@@ -459,11 +459,11 @@ class TestBackwardBasics:
     def test_empty_batch_rejected(self):
         store = init_parameters(2, 2, 2, 2, seed=0)
         with pytest.raises(ValueError):
-            backward(TripletBatch([], []), ModelKind.CML, store, margin=0.5)
+            backward(TripletBatch.from_contexts([], []), ModelKind.CML, store, margin=0.5)
 
     def test_mismatched_batch_rejected(self):
         with pytest.raises(ValueError):
-            TripletBatch([RelationContext(0, 0)], [])
+            TripletBatch.from_contexts([RelationContext(0, 0)], [])
 
     def test_contexts_must_share_user_and_history(self):
         with pytest.raises(ValueError, match="share"):

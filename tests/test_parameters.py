@@ -1,12 +1,14 @@
 """Initialization, sparse Adam, unit-ball projection, and checkpoint IO."""
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
 from cmlrec.parameters import (
+    ITEM_REL_KEYS,
     ITEM_REL_MEMORIES,
     ITEM_VECS,
     REL_KEYS,
@@ -118,6 +120,21 @@ class TestSparseGradients:
             grads.check_finite()
         assert err.value.tensor == REL_KEYS
         assert err.value.row == 1
+        full = init_parameters(4, 5, 2, 3, with_item_memory=True, seed=0)
+        for bad_rows, offender in (
+            ([(ITEM_VECS, 0)], (ITEM_VECS, 0)),
+            ([(ITEM_REL_MEMORIES, 0)], (ITEM_REL_MEMORIES, 0)),
+            # two bad tensors: the first in TENSOR_ORDER is named, whatever the order of adding
+            ([(REL_MEMORIES, 0), (ITEM_VECS, 4)], (ITEM_VECS, 4)),
+        ):
+            grads = SparseGradients(full)
+            grads.add_rows(USER_VECS, np.array([0, 3]), np.ones((2, 2)))
+            grads.add_dense(ITEM_REL_KEYS, np.zeros((3, 2)))
+            for tensor, row in bad_rows:
+                grads.add(tensor, row, np.array([np.nan, 0.0]))
+            with pytest.raises(NonFiniteGradientError) as err:
+                grads.check_finite()
+            assert (err.value.tensor, err.value.row) == offender
 
     def test_check_finite_names_row_of_dense_piece(self):
         store = init_parameters(4, 4, 2, 3, seed=0)
@@ -234,7 +251,7 @@ class TestAdam:
         touched = np.zeros(6, dtype=bool)
         touched[2] = True
         np.testing.assert_array_equal(store.user_vecs[~touched], before[~touched])
-        assert np.all(state.moment1[USER_VECS][~touched] == 0)
+        assert np.all(state.moment1[store.blocks[USER_VECS]][~touched] == 0)
         assert not np.array_equal(store.user_vecs[2], before[2])
 
     def test_matches_dense_reference_when_all_rows_touched(self):
@@ -417,6 +434,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=tensor) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("with_item_memory, size, digest", [
+        (False, 252, "b1e48527835462ce81da227dd500002bb7416693194e05b8e902fe9518e2cd8e"),
+        (True, 332, "b98e25352b4580bdbccca0048abe412821021c60aaac514eebc95e98cfe0d8f0"),
+    ])
+    def test_version_1_bytes_are_pinned(self, with_item_memory, size, digest):
+        store = init_parameters(3, 4, 5, 2, with_item_memory=with_item_memory, seed=0)
+        for i, arr in enumerate(store.tensors().values()):
+            arr[...] = np.arange(arr.size).reshape(arr.shape) / 16.0 - i
+        blob = checkpoint_bytes(store)
+        assert len(blob) == size
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_deterministic_bytes(self):
         a = init_parameters(3, 3, 4, 2, seed=1)
