@@ -76,13 +76,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def _coerce(key: str, text: str, template) -> object:
     try:
-        if isinstance(template, bool):
-            low = text.lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
         if isinstance(template, int):
             return int(text)
         if isinstance(template, float):
@@ -277,7 +270,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         store, report = train(split, hp, log_fn=log_fn)
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(store, ckpt_path)
-    report.checkpoint_path = ckpt_path
     summary = [
         f"epochs_run={report.num_epochs}",
         f"best_epoch={report.best_epoch}",

@@ -70,18 +70,19 @@ class _Rows(Sequence[np.ndarray]):
     """Rows cut from one array at running-sum offsets of the row lengths:
     row ``i`` is the read-only slice ``values[starts[i]:ends[i]]``, and
     indexing follows list rules (negative rows count from the end).
-    ``values`` and ``lengths`` are the read-only arrays the rows are cut
-    from, for code that handles all rows at once."""
+    ``values``, ``lengths`` and ``starts`` are the read-only arrays the rows
+    are cut from and at, for code that handles many rows at once."""
 
-    __slots__ = ("values", "lengths", "_starts", "_ends")
+    __slots__ = ("values", "lengths", "starts", "_starts", "_ends")
 
     def __init__(self, values: np.ndarray, counts: np.ndarray):
-        values.flags.writeable = False
-        counts.flags.writeable = False
         ends = np.cumsum(counts)
         self.values = values
         self.lengths = counts
-        self._starts = (ends - counts).tolist()
+        self.starts = ends - counts
+        for array in (values, counts, self.starts):
+            array.flags.writeable = False
+        self._starts = self.starts.tolist()
         self._ends = ends.tolist()
 
     def __len__(self) -> int:
@@ -286,53 +287,41 @@ def load_interactions(
 def k_core_filter(raw: RawInteractions, k: int) -> InteractionDataset:
     """Recursively drop users and items with degree < k, then re-index densely.
 
-    Alternates user and item removal sweeps until a fixed point, so every
-    surviving user and item keeps at least ``k`` interactions. Dense indices
-    are assigned by sorted original key, which makes the mapping independent
-    of input row order.
+    Every user and item below ``k`` interactions is dropped at once, until
+    nothing changes, so every surviving user and item keeps at least ``k``
+    interactions; the k-core is unique, so the order of the drops does not
+    change it. Dense indices are assigned by sorted original key, which makes
+    the mapping independent of input row order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    user_sets: dict[str, set[str]] = {}
-    item_sets: dict[str, set[str]] = {}
-    for u, v in raw.pairs:
-        user_sets.setdefault(u, set()).add(v)
-        item_sets.setdefault(v, set()).add(u)
-
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        changed = False
-        bad_users = [u for u, s in user_sets.items() if len(s) < k]
-        for u in bad_users:
-            changed = True
-            for v in user_sets.pop(u):
-                s = item_sets[v]
-                s.discard(u)
-                if not s:
-                    del item_sets[v]
-        bad_items = [v for v, s in item_sets.items() if len(s) < k]
-        for v in bad_items:
-            changed = True
-            for u in item_sets.pop(v):
-                s = user_sets[u]
-                s.discard(v)
-                if not s:
-                    del user_sets[u]
-
-    if not user_sets:
-        raise EmptyDatasetError(f"k-core filter with k={k} emptied the dataset after {iterations} iterations")
-
-    user_keys = sorted(user_sets)
-    item_keys = sorted(item_sets)
+    user_keys = sorted({u for u, _ in raw.pairs})
+    item_keys = sorted({v for _, v in raw.pairs})
     uidx = {u: i for i, u in enumerate(user_keys)}
     iidx = {v: i for i, v in enumerate(item_keys)}
-    users = np.repeat([uidx[u] for u in user_sets], [len(items) for items in user_sets.values()])
-    items = np.array([iidx[v] for s in user_sets.values() for v in s], dtype=np.int64)
-    ds = InteractionDataset(len(user_keys), len(item_keys), np.column_stack((users, items)), user_keys, item_keys)
-    assert min(len(a) for a in ds.user_items) >= k
-    assert min(len(a) for a in ds.item_users) >= k
+    n = len(item_keys)
+    codes = np.fromiter((uidx[u] * n + iidx[v] for u, v in raw.pairs), np.int64)
+    users, items = np.divmod(np.unique(codes), n)  # a repeated pair counts once
+    iterations = 0
+    while True:
+        iterations += 1
+        keep = (np.bincount(users)[users] >= k) & (np.bincount(items)[items] >= k)
+        if keep.all():
+            break
+        users, items = users[keep], items[keep]
+    if len(users) == 0:
+        raise EmptyDatasetError(f"k-core filter with k={k} emptied the dataset after {iterations} iterations")
+
+    kept_users, users = np.unique(users, return_inverse=True)
+    kept_items, items = np.unique(items, return_inverse=True)
+    ds = InteractionDataset(
+        len(kept_users),
+        len(kept_items),
+        np.column_stack((users, items)),
+        [user_keys[i] for i in kept_users.tolist()],
+        [item_keys[i] for i in kept_items.tolist()],
+    )
+    assert ds.user_items.lengths.min() >= k and ds.item_users.lengths.min() >= k
     return ds
 
 

@@ -396,8 +396,8 @@ def _pad(index_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _Adjacency:
     """Index lists as one zero-padded table: row ``r`` holds its list in its
-    first ``lengths[r]`` slots. Training draws its histories from the train
-    view's tables, and ``hlr++`` ranking gathers item histories from one."""
+    first ``lengths[r]`` slots. ``hlr++`` ranking gathers its candidates'
+    item histories from one."""
 
     rows: np.ndarray  # (R, W)
     lengths: np.ndarray  # (R,)
@@ -407,12 +407,6 @@ class _Adjacency:
         """The table of a list of index arrays."""
         rows, mask = _pad(neighbours)
         return cls(rows, mask.sum(axis=1))
-
-    @classmethod
-    def flat(cls, values: np.ndarray, lengths: np.ndarray) -> "_Adjacency":
-        """The table of the lists cut from ``values`` at running sums of
-        ``lengths``, in one pass with no per-row Python."""
-        return cls(_padded(values, lengths)[0], lengths)
 
 
 def _stack(contexts: Sequence[RelationContext], kind: ModelKind) -> _Stacked:

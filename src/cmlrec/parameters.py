@@ -357,6 +357,8 @@ def load_checkpoint(path: str | os.PathLike) -> ParameterStore:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     num_users, num_items, dim, n_rel, flag = struct.unpack("<5I", data[8:28])
+    if dim < 1 or n_rel < 1:
+        raise CheckpointError(f"{path}: dim {dim} and n_relations {n_rel} must be >= 1")
     rows = sum(_block_sizes(num_users, num_items, n_rel, bool(flag)))
     payload_len = rows * dim * 4
     expected_len = 28 + payload_len + 4

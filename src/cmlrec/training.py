@@ -17,13 +17,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import rng
-from .datasets import SplitDataset
+from .datasets import InteractionDataset, SplitDataset, _Rows
 from .models import (
     _BACKWARD_CHUNK,
     ModelKind,
     NonFiniteScoreError,
     TripletBatch,
-    _Adjacency,
     _check_finite_distances,
     backward,
     batch_distances,
@@ -84,7 +83,6 @@ class TrainReport:
     best_epoch: int = -1
     diverged: bool = False
     diagnostics: str | None = None
-    checkpoint_path: str | None = None
 
     @property
     def num_epochs(self) -> int:
@@ -160,7 +158,7 @@ def sample_triplets(
 
 
 def _draw_rows(
-    table: _Adjacency, rows: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
+    table: _Rows, rows: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``rows`` of ``table`` without ``exclude[i]`` in row ``i``, each
     subsampled uniformly to at most ``cap`` members: zero-padded ids and
@@ -168,23 +166,35 @@ def _draw_rows(
 
     A row over the cap keeps the members with the ``cap`` smallest random
     keys; padding and the excluded member get keys above every member's.
-    Random keys are drawn only when some row is wider than ``cap``.
+    Random keys, one per slot of the widest row of the call, are drawn only
+    when some row is wider than ``cap``. The rows are gathered from the CSR
+    arrays in blocks of ``_BACKWARD_CHUNK``, so the temporaries hold (block
+    x widest row) slots however many rows the call draws.
     """
-    lengths = table.lengths[rows]
+    lengths, starts = table.lengths[rows], table.starts[rows]
     width = max(int(lengths.max(initial=0)), 1)
-    ids = table.rows[rows, :width]
-    mask = (np.arange(width) < lengths[:, None]) & (ids != exclude[:, None])
-    if width > cap:
-        keys = gen.random(ids.shape)
-        keys[~mask] = 2.0
-        keep = np.sort(np.argpartition(keys, cap, axis=1)[:, : max(cap, 1)], axis=1)
-        ids = np.take_along_axis(ids, keep, axis=1)
-        mask = np.take_along_axis(mask, keep, axis=1) & (cap > 0)  # cap 0 keeps one masked slot
+    cols = width if width <= cap else max(cap, 1)  # cap 0 keeps one masked slot
+    ids = np.zeros((len(rows), cols), dtype=np.int64)
+    mask = np.zeros((len(rows), cols), dtype=bool)
+    slots = np.arange(width)
+    for start in range(0, len(rows), _BACKWARD_CHUNK):
+        part = slice(start, start + _BACKWARD_CHUNK)
+        block_mask = slots < lengths[part, None]
+        block = np.zeros(block_mask.shape, dtype=np.int64)
+        block[block_mask] = table.values[(starts[part, None] + slots)[block_mask]]
+        block_mask &= block != exclude[part, None]
+        if width > cap:
+            keys = gen.random(block.shape)
+            keys[~block_mask] = 2.0
+            keep = np.sort(np.argpartition(keys, cap, axis=1)[:, :cols], axis=1)
+            block = np.take_along_axis(block, keep, axis=1)
+            block_mask = np.take_along_axis(block_mask, keep, axis=1) & (cap > 0)
+        ids[part], mask[part] = block, block_mask
     return ids, mask
 
 
 def user_history(
-    table: _Adjacency, users: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
+    table: _Rows, users: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """User histories of one batch: row ``i`` holds the train items of
     ``users[i]`` other than ``exclude[i]``, capped (see :func:`_draw_rows`).
@@ -193,7 +203,7 @@ def user_history(
 
 
 def item_history(
-    table: _Adjacency, items: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
+    table: _Rows, items: np.ndarray, exclude: np.ndarray, cap: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """``hlr++`` item histories of one batch: row ``i`` holds the train users
     of ``items[i]`` other than ``exclude[i]``, capped (see :func:`_draw_rows`).
@@ -201,39 +211,23 @@ def item_history(
     return _draw_rows(table, items, exclude, cap, gen)
 
 
-@dataclass(frozen=True)
-class _Histories:
-    """The padded train tables a head draws its histories from, built once
-    per run; a table the head does not read is None."""
-
-    user_items: _Adjacency | None
-    item_users: _Adjacency | None
-
-    @classmethod
-    def of(cls, split: SplitDataset, kind: ModelKind) -> "_Histories":
-        user_items, item_users = split.train.user_items, split.train.item_users
-        return cls(
-            _Adjacency.flat(user_items.values, user_items.lengths) if kind.uses_history else None,
-            _Adjacency.flat(item_users.values, item_users.lengths) if kind.uses_item_memory else None,
-        )
-
-
 def _batch(
     users: np.ndarray,
     pos: np.ndarray,
     neg: np.ndarray,
-    tables: _Histories,
-    cap: int,
+    view: InteractionDataset,
+    hp: Hyperparams,
     gen: np.random.Generator,
 ) -> TripletBatch:
-    """The triplets with their history draws. The positive and the negative
-    share one user-history row, which reduces gradient variance."""
+    """The triplets with the histories that ``hp.kind`` reads, drawn from the
+    train ``view``. The positive and the negative share one user-history
+    row, which reduces gradient variance."""
     batch = TripletBatch(pos=pos, neg=neg, users=users)
-    if tables.user_items is not None:
-        batch.hist, batch.hist_mask = user_history(tables.user_items, users, pos, cap, gen)
-    if tables.item_users is not None:
+    if hp.kind.uses_history:
+        batch.hist, batch.hist_mask = user_history(view.user_items, users, pos, hp.history_cap, gen)
+    if hp.kind.uses_item_memory:
         ihist, ihist_mask = item_history(
-            tables.item_users, np.concatenate([pos, neg]), np.concatenate([users, users]), cap, gen
+            view.item_users, np.concatenate([pos, neg]), np.concatenate([users, users]), hp.history_cap, gen
         )
         batch.pos_ihist, batch.neg_ihist = np.split(ihist, 2)
         batch.pos_ihist_mask, batch.neg_ihist_mask = np.split(ihist_mask, 2)
@@ -243,15 +237,14 @@ def _batch(
 def _epoch_batches(
     split: SplitDataset,
     hp: Hyperparams,
-    tables: _Histories,
     sample_gen: np.random.Generator,
     hist_gen: np.random.Generator,
 ) -> Iterator[TripletBatch]:
     for users, pos, neg in sample_triplets(split, sample_gen, hp.batch_size):
-        yield _batch(users, pos, neg, tables, hp.history_cap, hist_gen)
+        yield _batch(users, pos, neg, split.train, hp, hist_gen)
 
 
-def _validation_batch(split: SplitDataset, hp: Hyperparams, tables: _Histories) -> TripletBatch | None:
+def _validation_batch(split: SplitDataset, hp: Hyperparams) -> TripletBatch | None:
     """Fixed per-run validation triplets: every validation positive paired
     with a negative (and history draws) from a dedicated seeded stream, so
     epoch-over-epoch loss comparisons use one sample."""
@@ -261,7 +254,7 @@ def _validation_batch(split: SplitDataset, hp: Hyperparams, tables: _Histories) 
     users, pos = pairs[keep, 0], pairs[keep, 1]
     if len(users) == 0:
         return None
-    return _batch(users, pos, _negatives(split, users, gen), tables, hp.history_cap, gen)
+    return _batch(users, pos, _negatives(split, users, gen), split.train, hp, gen)
 
 
 def _hinge_mean(batch: TripletBatch, kind: ModelKind, store: ParameterStore, margin: float) -> float:
@@ -309,8 +302,7 @@ def train(
         seed=hp.seed,
     )
     adam = AdamState.for_store(store)
-    tables = _Histories.of(split, hp.kind)
-    val_batch = _validation_batch(split, hp, tables)
+    val_batch = _validation_batch(split, hp)
     report = TrainReport()
     best_loss = np.inf
     best_store: ParameterStore | None = None
@@ -323,7 +315,7 @@ def train(
         total = 0.0
         count = 0
         try:
-            for batch in _epoch_batches(split, hp, tables, sample_gen, hist_gen):
+            for batch in _epoch_batches(split, hp, sample_gen, hist_gen):
                 grads, loss = backward(batch, hp.kind, store, hp.margin)
                 adam_step(store, grads, adam, hp.lr)
                 project_unit_ball(store, user_rows=grads.rows(USER_VECS), item_rows=grads.rows(ITEM_VECS))
@@ -376,7 +368,6 @@ class GridCell:
 class GridSearchResult:
     best_params: Hyperparams | None
     best_store: ParameterStore | None
-    best_report: TrainReport | None
     leaderboard: list[GridCell]  # non-failed cells, best NDCG first
     failed: list[GridCell]
 
@@ -421,7 +412,6 @@ def grid_search(
     failed: list[GridCell] = []
     best_cell: GridCell | None = None
     best_store: ParameterStore | None = None
-    best_report: TrainReport | None = None
     for i, (lr, n, margin) in enumerate(cells):
         params = replace(base, lr=lr, n_relations=n, margin=margin)
         try:
@@ -439,7 +429,7 @@ def grid_search(
             )
             ranked.append(cell)
             if best_cell is None or (cell.ndcg is not None and cell.ndcg > (best_cell.ndcg or -1.0)):
-                best_cell, best_store, best_report = cell, store, run_report
+                best_cell, best_store = cell, store
         except Exception as exc:
             cell = GridCell(params=params, status="failed", note=str(exc))
             failed.append(cell)
@@ -450,7 +440,6 @@ def grid_search(
     return GridSearchResult(
         best_params=best_cell.params if best_cell else None,
         best_store=best_store,
-        best_report=best_report,
         leaderboard=ranked,
         failed=failed,
     )

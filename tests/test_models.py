@@ -322,9 +322,9 @@ class TestBatchedConsistency:
         padded, mask = models._pad([np.array(h, dtype=np.int64) for h in lists])
         assert padded.tolist() == [[0, 0, 0, 0], [2, 0, 0, 0], [0, 3, 6, 8], [0, 0, 0, 0], [1, 4, 0, 0]]
         assert mask.sum(axis=1).tolist() == [0, 1, 4, 0, 2]
-        flat = models._Adjacency.flat(np.array([2, 0, 3, 6, 8, 1, 4]), np.array([0, 1, 4, 0, 2]))
-        assert flat.rows.tolist() == padded.tolist() and flat.lengths.tolist() == [0, 1, 4, 0, 2]
-        assert models._Adjacency.flat(EMPTY, np.zeros(3, dtype=np.int64)).rows.shape == (3, 1)
+        flat, flat_mask = models._padded(np.array([2, 0, 3, 6, 8, 1, 4]), np.array([0, 1, 4, 0, 2]))
+        assert flat.tolist() == padded.tolist() and flat_mask.tolist() == mask.tolist()
+        assert models._padded(EMPTY, np.zeros(3, dtype=np.int64))[0].shape == (3, 1)
         mixed = [RelationContext(u, 7 - u, np.array(h, dtype=np.int64), np.array(h[:2], dtype=np.int64))
                  for u, h in enumerate(lists)]
         singles = [score(c, kind, store).distance for c in mixed]

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 import warnings
+import zlib
 
 import numpy as np
 import pytest
 
 from cmlrec.parameters import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     ITEM_REL_KEYS,
     ITEM_REL_MEMORIES,
     ITEM_VECS,
@@ -417,6 +421,17 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 8])
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    # Files whose sizes and CRC agree with their header, for a store that
+    # init_parameters refuses to make: dim 0 leaves an empty payload.
+    @pytest.mark.parametrize("dim, n_rel", [(0, 2), (3, 0)], ids=["dim-0", "relations-0"])
+    def test_empty_dimensions_rejected(self, tmp_path, dim, n_rel):
+        payload = np.zeros(((4 + 5 + 2 * n_rel) * dim), dtype="<f4").tobytes()
+        header = CHECKPOINT_MAGIC + struct.pack("<6I", CHECKPOINT_VERSION, 4, 5, dim, n_rel, 0)
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(header + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CheckpointError, match="must be >= 1"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -1,14 +1,16 @@
 """Triplet sampling contracts, the training loop, and grid search."""
 from __future__ import annotations
 
+import hashlib
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from cmlrec import rng, training
-from cmlrec.datasets import InteractionDataset, SplitDataset, item_history, split_dataset, user_history
+from cmlrec.datasets import InteractionDataset, SplitDataset, _Rows, item_history, split_dataset, user_history
 from cmlrec.models import ModelKind, NonFiniteScoreError, TripletBatch
 from cmlrec.parameters import checkpoint_bytes, init_parameters
 from cmlrec.synthetic import planted_clusters
@@ -122,15 +124,14 @@ class TestHistoryDraws:
         else:
             neighbours, rows, exclude = split.train.item_users, pairs[:, 1], pairs[:, 0]
             draw, reference = training.item_history, item_history
-        table = training._Adjacency.of(neighbours)
         widest = max(len(neighbours[r]) for r in rows.tolist())
-        ids, mask = draw(table, rows, exclude, widest, rng.substream(0, rng.HISTORY, 0))
+        ids, mask = draw(neighbours, rows, exclude, widest, rng.substream(0, rng.HISTORY, 0))
         assert mask.shape == ids.shape == (len(rows), widest)  # trimmed to the widest row
         for r, x, got in zip(rows.tolist(), exclude.tolist(), self._rows(ids, mask)):
             assert got == reference(split, r, exclude=x, cap=widest).tolist()  # the excluded member left out
         cap = 3
         assert widest > cap + 1
-        ids, mask = draw(table, rows, exclude, cap, rng.substream(0, rng.HISTORY, 1))
+        ids, mask = draw(neighbours, rows, exclude, cap, rng.substream(0, rng.HISTORY, 1))
         assert mask.shape == ids.shape == (len(rows), cap)
         for r, x, got in zip(rows.tolist(), exclude.tolist(), self._rows(ids, mask)):
             members = reference(split, r, exclude=x, cap=widest)
@@ -138,7 +139,7 @@ class TestHistoryDraws:
             assert set(got) <= set(members.tolist())
 
     def test_over_cap_subsample_is_uniform(self):
-        table = training._Adjacency.of([np.arange(10, dtype=np.int64)])
+        table = _Rows(np.arange(10, dtype=np.int64), np.array([10]))
         gen = rng.substream(0, rng.HISTORY, 0)
         counts = np.zeros(10)
         draws = 3000
@@ -150,27 +151,65 @@ class TestHistoryDraws:
 
     def test_zero_cap_draws_nothing(self):
         split = self._split()
-        table = training._Adjacency.of(split.train.user_items)
         pairs = split.train.pair_array()[:5]
-        ids, mask = training.user_history(table, pairs[:, 0], pairs[:, 1], 0, rng.substream(0, rng.HISTORY, 0))
+        ids, mask = training.user_history(split.train.user_items, pairs[:, 0], pairs[:, 1], 0, rng.substream(0, rng.HISTORY, 0))
         assert mask.shape == (5, 1) and not mask.any()
 
-    def test_tables_are_the_padded_train_rows(self):
-        split = self._split()
-        tables = training._Histories.of(split, ModelKind.HLRPP)
-        for table, rows in ((tables.user_items, split.train.user_items), (tables.item_users, split.train.item_users)):
-            padded = training._Adjacency.of(list(rows))
-            np.testing.assert_array_equal(table.rows, padded.rows)
-            np.testing.assert_array_equal(table.lengths, padded.lengths)
-        tables = training._Histories.of(split, ModelKind.CML)
-        assert tables.user_items is None and tables.item_users is None
+    @staticmethod
+    def _skewed_split() -> SplitDataset:
+        """1000 users x 100 items: item 0 held by every user and 9 random
+        items more each, so item 0 has 785 train users and a user at most 8
+        train items; 1000 validation triplets."""
+        gen = np.random.default_rng(0)
+        pairs = [(u, 0) for u in range(1000)]
+        for u in range(1000):
+            pairs += [(u, int(v)) for v in gen.choice(np.arange(1, 100), size=9, replace=False)]
+        ds = InteractionDataset.from_pairs(1000, 100, pairs, [f"u{i}" for i in range(1000)], [f"v{j}" for j in range(100)])
+        return split_dataset(ds, seed=0)
+
+    def test_validation_draw_memory_is_bounded_by_a_block(self):
+        # hlr++ draws 2000 item rows as wide as item 0's 785 users: drawn in
+        # one piece, the (rows x widest) temporaries peak at about 40 MB;
+        # drawn in blocks of _BACKWARD_CHUNK rows, at about 7 MB.
+        split = self._skewed_split()
+        hp = _tiny_hp(kind=ModelKind.HLRPP, history_cap=50)
+        assert split.train.item_users.lengths.max() > 4 * hp.history_cap
+        assert split.validation.num_interactions > training._BACKWARD_CHUNK
+        tracemalloc.start()
+        try:
+            batch = training._validation_batch(split, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.pos_ihist.shape == (split.validation.num_interactions, hp.history_cap)
+        assert peak < 16 * 2**20
+
+    # Digests of draws that span several blocks and draw keys: a change to
+    # the key stream or to the order it is consumed in changes them.
+    @pytest.mark.parametrize("side, cap, seed, members, counts", [
+        ("user", 3, 0, "cb928ec42df76c50cc1e61787fe0f27eb8f69db181db4892d1ac576375b4fdd3",
+         "2711f491daa19ae4cf09d488c5a38b52deb0df690905f7f393fe56756c718d5d"),
+        ("item", 50, 1, "651e2b3da5fe1ae850cdd6d4c26938dfadc3fd675bfdf328f7cd4049e521d68f",
+         "84f8bfb8c2559cfb00f1480b91989875ef9220e0aaeeeeebd8f4d9face6163c0"),
+    ], ids=["user", "item"])
+    def test_seeded_draws_are_pinned(self, side, cap, seed, members, counts):
+        split = self._skewed_split()
+        pairs = split.train.pair_array()[::7]
+        if side == "user":
+            table, rows, exclude, draw = split.train.user_items, pairs[:, 0], pairs[:, 1], training.user_history
+        else:
+            table, rows, exclude, draw = split.train.item_users, pairs[:, 1], pairs[:, 0], training.item_history
+        assert len(rows) > 4 * training._BACKWARD_CHUNK and table.lengths.max() > cap
+        ids, mask = draw(table, rows, exclude, cap, rng.substream(5, rng.HISTORY, seed))
+        assert ids.shape == (len(rows), cap)
+        assert hashlib.sha256(ids[mask].tobytes()).hexdigest() == members
+        assert hashlib.sha256(mask.sum(axis=1).astype(np.int64).tobytes()).hexdigest() == counts
 
     def test_sides_share_the_user_history(self):
         split = self._split()
         hp = _tiny_hp(kind=ModelKind.HLRPP, history_cap=4)
-        tables = training._Histories.of(split, hp.kind)
         batch = next(training._epoch_batches(
-            split, hp, tables, rng.substream(0, rng.SAMPLING, 0), rng.substream(0, rng.HISTORY, 0)))
+            split, hp, rng.substream(0, rng.SAMPLING, 0), rng.substream(0, rng.HISTORY, 0)))
         stacked = batch.stacked(0, len(batch))
         half = len(batch)
         np.testing.assert_array_equal(stacked.users[:half], stacked.users[half:])
@@ -188,7 +227,7 @@ class TestHistoryDraws:
     def test_batch_reads_only_the_heads_histories(self, kind):
         split = self._split()
         hp = _tiny_hp(kind=kind)
-        batch = training._validation_batch(split, hp, training._Histories.of(split, kind))
+        batch = training._validation_batch(split, hp)
         assert (batch.hist is not None) == kind.uses_history
         assert (batch.pos_ihist is not None) == (batch.neg_ihist is not None) == kind.uses_item_memory
         assert len(batch) == split.validation.num_interactions
