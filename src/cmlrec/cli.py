@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from . import rng
 from .datasets import (
     DataError,
+    _Rows,
     dataset_stats,
     item_history,
     k_core_filter,
@@ -26,7 +27,7 @@ from .datasets import (
     split_dataset,
 )
 from .evaluation import EvaluationError, check_compatible, evaluate, rank_items, ranking_history, report_csv, report_table
-from .models import ModelKind, NonFiniteScoreError, _Adjacency
+from .models import ModelKind, NonFiniteScoreError
 from .parameters import (
     CheckpointError,
     NonFiniteGradientError,
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+_Number = TypeVar("_Number", int, float)
 
 
 class UsageError(Exception):
@@ -149,14 +152,18 @@ def _hyperparams(cfg: dict[str, object], kind: ModelKind) -> Hyperparams:
     return hp
 
 
+def _at_least(cfg: dict[str, object], key: str, low: _Number) -> _Number:
+    """``cfg[key]`` as the type of ``low``; a value below ``low`` (or NaN)
+    is a usage error."""
+    value = type(low)(cfg[key])
+    if not value >= low:
+        raise UsageError(f"{key} must be >= {low}, got {value}")
+    return value
+
+
 def _ranking_options(cfg: dict[str, object]) -> tuple[int, int]:
     """The ranking cutoff ``k`` (>= 1) and ``history_cap`` (>= 0)."""
-    k, cap = int(cfg["k"]), int(cfg["history_cap"])
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
-    if cap < 0:
-        raise UsageError(f"history_cap must be >= 0, got {cap}")
-    return k, cap
+    return _at_least(cfg, "k", 1), _at_least(cfg, "history_cap", 0)
 
 
 def _float_list(text: str, key: str) -> list[float]:
@@ -210,13 +217,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     ratios = _float_list(str(cfg["ratios"]), "ratios")
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise UsageError(f"ratios must be three numbers summing to 1, got {cfg['ratios']!r}")
+    k_core, threshold = _at_least(cfg, "k_core", 1), _at_least(cfg, "threshold", 0.0)
     _echo_config(cfg, out_dir)
     if not os.path.isfile(input_path):
         raise DataError(f"input file not found: {input_path}")
-    raw = load_interactions(input_path, threshold=float(cfg["threshold"]))
-    ds = k_core_filter(raw, k=int(cfg["k_core"]))
+    raw = load_interactions(input_path, threshold=threshold)
+    ds = k_core_filter(raw, k=k_core)
     split = split_dataset(ds, ratios=(ratios[0], ratios[1], ratios[2]), seed=int(cfg["seed"]))
-    save_split_dir(split, out_dir, k=int(cfg["k_core"]), threshold=float(cfg["threshold"]))
+    save_split_dir(split, out_dir, k=k_core, threshold=threshold)
     stats = dataset_stats(ds)
     rows = [
         ("users", f"{stats.num_users}"),
@@ -256,6 +264,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = str(_require(cfg, "out"))
     kind = _model_kind(cfg)
     hp = _hyperparams(cfg, kind)
+    _at_least(cfg, "workers", 1)
     _echo_config(cfg, out_dir)
     split, _meta = _load_data(data_dir)
     log_path = os.path.join(out_dir, "train_log.csv")
@@ -301,6 +310,7 @@ _EVAL_DEFAULTS: dict[str, object] = {
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _EVAL_DEFAULTS)
     k, cap = _ranking_options(cfg)
+    workers = _at_least(cfg, "workers", 1)
     phase = str(cfg["phase"])
     if phase not in ("validation", "test"):
         raise UsageError(f"phase must be validation or test, got {phase!r}")
@@ -308,9 +318,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _echo_config(cfg, out_dir)
     split, _meta = _load_data(str(_require(cfg, "data")))
     kind, store = _load_model(cfg, split)
-    report = evaluate(
-        store, kind, split, phase=phase, k=k, history_cap=cap, workers=int(cfg["workers"]),
-    )
+    report = evaluate(store, kind, split, phase=phase, k=k, history_cap=cap, workers=workers)
     table = report_table(report)
     print(table, end="")
     if out_dir is not None:
@@ -418,7 +426,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     item_table = None
     if kind.uses_item_memory:
         # As in evaluate: a list that fits the cap is not subsampled, so its stream is never derived.
-        item_table = _Adjacency.of([
+        item_table = _Rows.of([
             item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v)
                          if len(split.train.item_users[v]) > cap else None)
             for v in range(split.num_items)

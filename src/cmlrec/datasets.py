@@ -24,6 +24,8 @@ VIEW_FILES = {"train": "train.tsv", "validation": "valid.tsv", "test": "test.tsv
 USER_KEYS_FILE = "user_keys.tsv"
 ITEM_KEYS_FILE = "item_keys.tsv"
 
+_EMPTY = np.empty(0, dtype=np.int64)
+
 
 class DataError(Exception):
     """Base class for dataset construction and IO failures."""
@@ -67,11 +69,12 @@ class Stats:
 
 
 class _Rows(Sequence[np.ndarray]):
-    """Rows cut from one array at running-sum offsets of the row lengths:
-    row ``i`` is the read-only slice ``values[starts[i]:ends[i]]``, and
-    indexing follows list rules (negative rows count from the end).
+    """Index lists cut from one array at running-sum offsets of the row
+    lengths: row ``i`` is the read-only slice ``values[starts[i]:ends[i]]``,
+    and indexing follows list rules (negative rows count from the end).
     ``values``, ``lengths`` and ``starts`` are the read-only arrays the rows
-    are cut from and at, for code that handles many rows at once."""
+    are cut from and at, for code that handles many rows at once; every
+    zero-padded history the heads read comes from :meth:`padded`."""
 
     __slots__ = ("values", "lengths", "starts", "_starts", "_ends")
 
@@ -85,11 +88,35 @@ class _Rows(Sequence[np.ndarray]):
         self._starts = self.starts.tolist()
         self._ends = ends.tolist()
 
+    @classmethod
+    def of(cls, rows: Sequence[np.ndarray]) -> "_Rows":
+        """The rows of a list of index arrays, copied into one array."""
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        return cls(np.concatenate([_EMPTY, *rows]), lengths)
+
     def __len__(self) -> int:
         return len(self._ends)
 
     def __getitem__(self, i: int) -> np.ndarray:
         return self.values[self._starts[i] : self._ends[i]]
+
+    def padded(self, rows: np.ndarray | None = None, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``rows`` (all rows by default) as a zero-padded (R, W) int64
+        array and its mask: row ``r`` holds its list in its first slots, one
+        gather with no loop over rows. ``width`` defaults to the widest of
+        the rows, and is at least 1; a row wider than ``width`` keeps its
+        first ``width`` entries. Both arrays are transposes of contiguous
+        (W, R) arrays: the slots-by-rows layout makes the broadcasts run
+        along the rows, and is the one ranking reads."""
+        lengths, starts = (self.lengths, self.starts) if rows is None else (self.lengths[rows], self.starts[rows])
+        if width is None:
+            width = int(lengths.max(initial=0))
+        slots = np.arange(max(width, 1))[:, None]
+        mask = slots < lengths
+        # A slot past its row's end reads a neighbour's entry, or is clipped to the last one, and is masked.
+        ids = self.values.take(slots + starts, mode="clip") if len(self.values) else np.zeros(mask.shape, np.int64)
+        ids *= mask
+        return ids.T, mask.T
 
 
 class InteractionDataset:
@@ -381,7 +408,7 @@ def dataset_stats(ds: InteractionDataset) -> Stats:
     per-user interaction count."""
     if ds.num_interactions == 0:
         raise EmptyDatasetError("cannot compute statistics of an empty dataset")
-    degrees = sorted(len(a) for a in ds.user_items)
+    degrees = np.sort(ds.user_items.lengths)
     median = degrees[(len(degrees) - 1) // 2]
     return Stats(
         num_users=ds.num_users,
@@ -392,13 +419,18 @@ def dataset_stats(ds: InteractionDataset) -> Stats:
     )
 
 
-def _capped(candidates: np.ndarray, cap: int, gen: np.random.Generator | None) -> np.ndarray:
-    if cap < len(candidates):
+def _history(row: np.ndarray, exclude: int | None, cap: int, gen: np.random.Generator | None) -> np.ndarray:
+    """``row`` (a sorted index list) minus ``exclude``, subsampled to ``cap``
+    members drawn without replacement by ``gen`` and kept sorted."""
+    if exclude is not None:
+        pos = int(np.searchsorted(row, exclude))
+        if pos < len(row) and row[pos] == exclude:
+            row = np.delete(row, pos)
+    if cap < len(row):
         if gen is None:
             raise ValueError("a generator is required when the history exceeds the cap")
-        candidates = gen.choice(candidates, size=cap, replace=False)
-        candidates = np.sort(candidates)
-    return candidates
+        row = np.sort(gen.choice(row, size=cap, replace=False))
+    return row
 
 
 def user_history(
@@ -413,12 +445,7 @@ def user_history(
     An empty result (the excluded item was the user's only train item) is the
     empty-history signal; model scoring falls back to plain metric distance.
     """
-    items = split.train.user_items[u]
-    if exclude is not None:
-        pos = int(np.searchsorted(items, exclude))
-        if pos < len(items) and items[pos] == exclude:
-            items = np.delete(items, pos)
-    return _capped(items, cap, gen)
+    return _history(split.train.user_items[u], exclude, cap, gen)
 
 
 def item_history(
@@ -429,12 +456,7 @@ def item_history(
     gen: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Train-set users of item ``v`` minus ``exclude``, subsampled to ``cap``."""
-    users = split.train.item_users[v]
-    if exclude is not None:
-        pos = int(np.searchsorted(users, exclude))
-        if pos < len(users) and users[pos] == exclude:
-            users = np.delete(users, pos)
-    return _capped(users, cap, gen)
+    return _history(split.train.item_users[v], exclude, cap, gen)
 
 
 def save_split_dir(split: SplitDataset, path: str | os.PathLike, *, k: int, threshold: float) -> None:

@@ -7,6 +7,7 @@ internally; the human-readable table multiplies by 100.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -15,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng
-from .datasets import InteractionDataset, SplitDataset, item_history, user_history
-from .models import ModelKind, _Adjacency, _padded, candidate_distances
+from .datasets import InteractionDataset, SplitDataset, _Rows, item_history, user_history
+from .models import ModelKind, candidate_distances
 from .parameters import ParameterStore
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -67,17 +68,16 @@ def rank_items(
     k: int,
     *,
     history: np.ndarray | None = None,
-    item_histories: _Adjacency | Sequence[np.ndarray] | None = None,
+    item_histories: _Rows | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Top-k non-excluded items by ascending distance, ties by item index.
 
     ``exclusions`` holds the item indices removed from the candidate set, in
     any order and with repeats; indices outside ``[0, num_items)`` are
     ignored. ``history``/``item_histories`` carry the attention support sets
-    for history-based kinds. ``item_histories`` is either the table over the
+    for history-based kinds. ``item_histories`` is either the rows over the
     catalog that :func:`item_history_table` builds, or a list aligned with
-    the candidate order (ascending item index minus exclusions), which
-    :func:`candidate_distances` pads into a table on entry. Raises
+    the candidate order (ascending item index minus exclusions). Raises
     ``ValueError`` for ``k < 1``.
     """
     if k < 1:
@@ -156,13 +156,10 @@ def mrr_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> float:
 def median_popularity(topk_lists: Sequence[Sequence[int]], train: InteractionDataset) -> float:
     """Lower median of train-set item degree pooled over every recommended
     slot (with multiplicity) across all users."""
-    degrees: list[int] = []
-    for ranked in topk_lists:
-        for v in ranked:
-            degrees.append(len(train.item_users[v]))
-    if not degrees:
+    items = np.fromiter(itertools.chain.from_iterable(topk_lists), dtype=np.int64)
+    if len(items) == 0:
         return 0.0
-    degrees.sort()
+    degrees = np.sort(train.item_users.lengths[items])
     return float(degrees[(len(degrees) - 1) // 2])
 
 
@@ -188,21 +185,21 @@ def _exclusion_sets(split: SplitDataset, phase: str) -> Callable[[int], np.ndarr
     return lambda u: np.concatenate([split.train.user_items[u], split.validation.user_items[u]])
 
 
-def item_history_table(split: SplitDataset, cap: int) -> _Adjacency:
-    """The ``hlr++`` item histories that ranking attends over, as one table
-    over the catalog: row ``v`` holds the train users of ``v``, and an item
-    with more than ``cap`` of them holds ``item_history``'s subsample drawn
-    from the item's ``EVALUATION`` substream. The rows that fit the cap are
-    laid out in one pass over the item-major train pairs, and only the
-    items over the cap derive a stream."""
+def item_history_table(split: SplitDataset, cap: int) -> _Rows:
+    """The ``hlr++`` item histories that ranking attends over, as rows over
+    the catalog: row ``v`` holds the train users of ``v``, and an item with
+    more than ``cap`` of them holds ``item_history``'s subsample drawn from
+    the item's ``EVALUATION`` substream. The rows are cut by one keep-mask
+    over the item-major train users, and only the items over the cap derive
+    a stream."""
     users = split.train.item_users
-    fits = users.lengths <= cap
-    lengths = np.minimum(users.lengths, cap)
-    rows, _ = _padded(users.values[np.repeat(fits, users.lengths)], np.where(fits, users.lengths, 0),
-                      int(lengths.max(initial=0)))
-    for v in np.flatnonzero(~fits).tolist():
-        rows[v, :cap] = item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v))
-    return _Adjacency(rows, lengths)
+    keep = np.ones(len(users.values), dtype=bool)
+    for v in np.flatnonzero(users.lengths > cap).tolist():
+        start, row = int(users.starts[v]), users[v]
+        drawn = item_history(split, v, cap=cap, gen=rng.substream(split.seed, rng.EVALUATION, 1, v))
+        keep[start : start + len(row)] = False
+        keep[start + np.searchsorted(row, drawn)] = True
+    return _Rows(users.values[keep], np.minimum(users.lengths, cap))
 
 
 def check_compatible(store: ParameterStore, kind: ModelKind, split: SplitDataset) -> None:

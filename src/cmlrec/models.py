@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .datasets import _Rows
 from .parameters import (
     ITEM_REL_KEYS,
     ITEM_REL_MEMORIES,
@@ -162,8 +163,8 @@ class TripletBatch:
         for p, n in zip(pos, neg):
             if p.user != n.user or not np.array_equal(p.history, n.history):
                 raise ValueError(f"contexts of user {p.user} (items {p.item}, {n.item}) do not share the user and history")
-        hist, hist_mask = _pad([c.history for c in pos])
-        ihist, ihist_mask = _pad([c.item_history for c in (*pos, *neg)])
+        hist, hist_mask = _Rows.of([c.history for c in pos]).padded()
+        ihist, ihist_mask = _Rows.of([c.item_history for c in (*pos, *neg)]).padded()
         return cls(
             pos=np.fromiter((c.item for c in pos), dtype=np.int64, count=len(pos)),
             neg=np.fromiter((c.item for c in neg), dtype=np.int64, count=len(neg)),
@@ -374,49 +375,14 @@ class _Stacked:
     ihist_mask: np.ndarray | None
 
 
-def _padded(values: np.ndarray, lengths: np.ndarray, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded (R, W) index array and mask whose row ``r`` holds the next
-    ``lengths[r]`` entries of ``values`` in its first slots: one masked
-    assignment, with no loop over rows. ``width`` defaults to the longest
-    row, and is at least 1."""
-    if width is None:
-        width = int(lengths.max(initial=0))
-    mask = np.arange(max(width, 1)) < lengths[:, None]
-    padded = np.zeros(mask.shape, dtype=np.int64)
-    padded[mask] = values
-    return padded, mask
-
-
-def _pad(index_lists: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-padded (B, W >= 1) index array and mask of a list of index arrays."""
-    lengths = np.fromiter(map(len, index_lists), dtype=np.int64, count=len(index_lists))
-    return _padded(np.concatenate([_EMPTY, *index_lists]), lengths)
-
-
-@dataclass(frozen=True)
-class _Adjacency:
-    """Index lists as one zero-padded table: row ``r`` holds its list in its
-    first ``lengths[r]`` slots. ``hlr++`` ranking gathers its candidates'
-    item histories from one."""
-
-    rows: np.ndarray  # (R, W)
-    lengths: np.ndarray  # (R,)
-
-    @classmethod
-    def of(cls, neighbours: Sequence[np.ndarray]) -> "_Adjacency":
-        """The table of a list of index arrays."""
-        rows, mask = _pad(neighbours)
-        return cls(rows, mask.sum(axis=1))
-
-
 def _stack(contexts: Sequence[RelationContext], kind: ModelKind) -> _Stacked:
     users = np.fromiter((c.user for c in contexts), dtype=np.int64, count=len(contexts))
     items = np.fromiter((c.item for c in contexts), dtype=np.int64, count=len(contexts))
     hist = hist_mask = ihist = ihist_mask = None
     if kind.uses_history:
-        hist, hist_mask = _pad([c.history for c in contexts])
+        hist, hist_mask = _Rows.of([c.history for c in contexts]).padded()
     if kind.uses_item_memory:
-        ihist, ihist_mask = _pad([c.item_history for c in contexts])
+        ihist, ihist_mask = _Rows.of([c.item_history for c in contexts]).padded()
     return _Stacked(users, items, hist, hist_mask, ihist, ihist_mask)
 
 
@@ -719,28 +685,25 @@ def _user_side_relations(
 
 def _item_side_relations(
     cand: np.ndarray,
-    item_histories: np.ndarray,
-    lengths: np.ndarray,
+    ids: np.ndarray,
+    mask: np.ndarray,
     user_w: np.ndarray,
     memories: np.ndarray,
 ) -> np.ndarray | None:
     """Item-side relations (C, d) for ``hlr++``, or None if every item history is empty.
 
-    ``item_histories`` (C, W) holds each candidate's support users
-    zero-padded after its first ``lengths[c]`` slots; it is trimmed to the
-    widest row. The anchor (the ranked user's vector) is shared by every
-    candidate, so the key weights ``user_w`` (N, num_users) of a support
-    user depend on that user alone: they are computed once per ranked user
-    and gathered through the padded (J, C) item histories. The attention
-    logit of support user j for candidate c is w_j · (M q_c).
+    ``ids`` (C, J) holds each candidate's support users zero-padded where
+    ``mask`` is unset. The anchor (the ranked user's vector) is shared by
+    every candidate, so the key weights ``user_w`` (N, num_users) of a
+    support user depend on that user alone: they are computed once per
+    ranked user and gathered through the padded (J, C) item histories. The
+    attention logit of support user j for candidate c is w_j · (M q_c).
     """
-    width = int(lengths.max(initial=0))
-    if width == 0:
+    if not mask.any():
         return None
-    mask = np.arange(width)[:, None] < lengths  # (J, C)
-    key_w = user_w[:, np.ascontiguousarray(item_histories[:, :width].T)]  # (N, J, C)
+    key_w = user_w[:, np.ascontiguousarray(ids.T)]  # (N, J, C)
     logits = np.einsum("njc,nc->jc", key_w, memories @ cand.T)
-    key_w *= _masked_softmax(logits, mask, axis=0)
+    key_w *= _masked_softmax(logits, mask.T, axis=0)
     return key_w.sum(axis=1).T @ memories
 
 
@@ -757,16 +720,16 @@ def candidate_distances(
     kind: ModelKind,
     store: ParameterStore,
     history: np.ndarray | None = None,
-    item_histories: _Adjacency | Sequence[np.ndarray] | None = None,
+    item_histories: _Rows | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Distances from one user to many candidate items; agrees with :func:`score`.
 
     ``history`` is the user's (already capped) train history shared by every
     candidate. ``item_histories`` supplies the item histories of the
-    ``hlr++`` head, either as a table over the catalog (row ``v`` holds the
+    ``hlr++`` head, either as rows over the catalog (row ``v`` holds the
     history of item ``v``; see :func:`evaluation.item_history_table`) or as a
-    list with one user array per candidate, which is padded into a table
-    over the candidates on entry. Every head scores ‖p + r − q‖² in closed
+    list with one user array per candidate. Each candidate block pads only
+    its own rows. Every head scores ‖p + r − q‖² in closed
     form, one cache-sized block Q of candidates at a time, with no
     per-candidate context and no (C, H, d) tensor. Only the translation r
     differs: none for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``;
@@ -781,17 +744,16 @@ def candidate_distances(
     if kind.uses_history and history is not None and len(history) > 0:
         hist = store.item_vecs[history]
     widest = 1 if hist is None else len(hist)
-    user_w = table = rows = lengths = None
+    user_w = table = rows = None
     if kind is ModelKind.HLRPP and item_histories is not None:
-        if isinstance(item_histories, _Adjacency):
+        if isinstance(item_histories, _Rows):
             table, rows = item_histories, candidates
         elif len(item_histories) == len(candidates):
-            table, rows = _Adjacency.of(item_histories), np.arange(len(candidates))
+            table, rows = _Rows.of(item_histories), np.arange(len(candidates))
         else:
             raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
-        lengths = table.lengths[rows]
         user_w = _softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T)  # (N, num_users)
-        widest = max(widest, int(lengths.max(initial=0)))
+        widest = max(widest, int(table.lengths[rows].max(initial=0)))
     step = max(1, _RANK_BLOCK_ELEMENTS // (len(store.rel_keys) * widest))
     diff = np.empty((len(candidates), store.dim))
     for start in range(0, len(candidates), step):
@@ -805,9 +767,7 @@ def candidate_distances(
         elif hist is not None:
             relation = _user_side_relations(pu, cand, hist, store.rel_keys, store.rel_memories)
         if user_w is not None:
-            item_rel = _item_side_relations(
-                cand, table.rows[rows[block]], lengths[block], user_w, store.item_rel_memories
-            )
+            item_rel = _item_side_relations(cand, *table.padded(rows[block]), user_w, store.item_rel_memories)
             if item_rel is not None:
                 relation = item_rel if relation is None else relation + item_rel
         if relation is None:

@@ -167,21 +167,17 @@ def _draw_rows(
     A row over the cap keeps the members with the ``cap`` smallest random
     keys; padding and the excluded member get keys above every member's.
     Random keys, one per slot of the widest row of the call, are drawn only
-    when some row is wider than ``cap``. The rows are gathered from the CSR
-    arrays in blocks of ``_BACKWARD_CHUNK``, so the temporaries hold (block
-    x widest row) slots however many rows the call draws.
+    when some row is wider than ``cap``. The rows are padded in blocks of
+    ``_BACKWARD_CHUNK``, so the temporaries hold (block x widest row) slots
+    however many rows the call draws.
     """
-    lengths, starts = table.lengths[rows], table.starts[rows]
-    width = max(int(lengths.max(initial=0)), 1)
+    width = max(int(table.lengths[rows].max(initial=0)), 1)
     cols = width if width <= cap else max(cap, 1)  # cap 0 keeps one masked slot
     ids = np.zeros((len(rows), cols), dtype=np.int64)
     mask = np.zeros((len(rows), cols), dtype=bool)
-    slots = np.arange(width)
     for start in range(0, len(rows), _BACKWARD_CHUNK):
         part = slice(start, start + _BACKWARD_CHUNK)
-        block_mask = slots < lengths[part, None]
-        block = np.zeros(block_mask.shape, dtype=np.int64)
-        block[block_mask] = table.values[(starts[part, None] + slots)[block_mask]]
+        block, block_mask = table.padded(rows[part], width)
         block_mask &= block != exclude[part, None]
         if width > cap:
             keys = gen.random(block.shape)

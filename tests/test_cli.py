@@ -8,9 +8,11 @@ import shutil
 import numpy as np
 import pytest
 
+from cmlrec import cli
 from cmlrec.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from cmlrec.datasets import load_split_dir
-from cmlrec.parameters import load_checkpoint, save_checkpoint
+from cmlrec.evaluation import item_history_table
+from cmlrec.parameters import init_parameters, load_checkpoint, save_checkpoint
 from test_datasets import CORRUPTIONS, corrupt_dir
 
 
@@ -314,6 +316,30 @@ class TestRecommendCommand:
         assert code == EXIT_DATA
         assert str(bad) in capsys.readouterr().err
 
+    def test_hlrpp_item_table_is_the_evaluate_table(self, workspace, tmp_path, monkeypatch, capsys):
+        """recommend builds its hlr++ item histories one item at a time;
+        they must be evaluate's rows, subsamples of the items over the cap
+        included."""
+        _, data, _ = workspace
+        split, _ = load_split_dir(data)
+        counts = split.train.item_users.lengths
+        cap = int(np.median(counts))
+        assert (counts > cap).any() and (counts <= cap).any()
+        ckpt = tmp_path / "hlrpp.ckpt"
+        save_checkpoint(init_parameters(split.num_users, split.num_items, 4, 2, with_item_memory=True, seed=0), ckpt)
+        tables = []
+
+        def spy(*args, item_histories=None, **kwargs):
+            tables.append(item_histories)
+            return real(*args, item_histories=item_histories, **kwargs)
+
+        real = cli.rank_items
+        monkeypatch.setattr(cli, "rank_items", spy)
+        code = run_cli("recommend", "--checkpoint", str(ckpt), "--data", str(data), "--model", "hlr++",
+                       "--users", "u3,u5", "--history-cap", str(cap))
+        assert code == EXIT_OK and len(tables) == 2 and tables[0] is tables[1]
+        assert [row.tolist() for row in tables[0]] == [row.tolist() for row in item_history_table(split, cap)]
+
     def test_no_users_given(self, workspace, capsys):
         _, data, run = workspace
         code = run_cli("recommend", "--checkpoint", str(run / "model.ckpt"),
@@ -355,6 +381,32 @@ class TestRankingOptions:
                        "--model", "cml", "--n-relations", "0")
         assert code == EXIT_USAGE
         assert "n_relations must be >= 1" in capsys.readouterr().err
+
+
+class TestOptionRanges:
+    """Out-of-range values of the other options are usage errors too, found
+    before any output is written or any data is read."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("preprocess", "--k-core", "0"),
+        ("preprocess", "--threshold", "-1"),
+        ("train", "--workers", "-5"),
+        ("evaluate", "--workers", "0"),
+        ("evaluate", "--workers", "-2"),
+    ])
+    def test_out_of_range_is_usage_error(self, workspace, tmp_path, capsys, command, flag, value):
+        root, data, run = workspace
+        args = {
+            "preprocess": ["--input", str(root / "ratings.tsv")],
+            "train": ["--data", str(data), "--model", "cml"],
+            "evaluate": ["--data", str(data), "--checkpoint", str(run / "model.ckpt"), "--model", "hlr"],
+        }[command]
+        out = tmp_path / "out"
+        code = run_cli(command, *args, "--out", str(out), flag, value)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert f"{flag[2:].replace('-', '_')} must be >= " in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestGridSearchCommand:

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmlrec import datasets
@@ -383,6 +383,35 @@ class TestHistories:
         split = self._split()
         with pytest.raises(ValueError):
             user_history(split, 0, cap=2, gen=None)
+
+
+@st.composite
+def _padding_cases(draw):
+    """Index lists (empty ones included), and the rows and width to pad:
+    all rows or a subset with repeats, at the widest row or a given width."""
+    lists = draw(st.lists(st.lists(st.integers(0, 60), max_size=6), max_size=8))
+    rows = draw(st.none() | st.lists(st.integers(0, len(lists) - 1), max_size=10) if lists else st.none())
+    return lists, rows, draw(st.none() | st.integers(0, 8))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_padding_cases())
+@example(([[], [2], [0, 3, 6, 8], [], [1, 4]], None, None))
+@example(([[], [], []], None, None))
+@example(([[], [], []], [2, 0], 0))
+@example(([[5, 1], [], [7]], [], None))
+def test_rows_pad_like_a_per_row_reference(case):
+    lists, rows, width = case
+    table = datasets._Rows.of([np.array(row, dtype=np.int64) for row in lists])
+    assert [row.tolist() for row in table] == lists and table.lengths.tolist() == [len(row) for row in lists]
+    picked = range(len(lists)) if rows is None else rows
+    ids, mask = table.padded(None if rows is None else np.array(rows, dtype=np.int64), width)
+    cols = max(max((len(lists[r]) for r in picked), default=0) if width is None else width, 1)
+    assert ids.dtype == np.int64 and mask.dtype == bool and ids.shape == mask.shape == (len(picked), cols)
+    for i, r in enumerate(picked):
+        row = lists[r][:cols]
+        pad = [0] * (cols - len(row))
+        assert ids[i].tolist() == row + pad and mask[i].tolist() == [True] * len(row) + [False] * len(pad)
 
 
 class TestDirectoryRoundTrip:

@@ -1,11 +1,13 @@
 """Ranking metrics against a brute-force oracle, plus the evaluate pipeline."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cmlrec import evaluation, rng
-from cmlrec.datasets import InteractionDataset, SplitDataset, item_history, split_dataset
+from cmlrec.datasets import InteractionDataset, SplitDataset, _Rows, item_history, split_dataset
 from cmlrec.evaluation import (
     EvaluationError,
     _top_k,
@@ -20,7 +22,7 @@ from cmlrec.evaluation import (
     report_csv,
     report_table,
 )
-from cmlrec.models import ModelKind, RelationContext, _Adjacency, score
+from cmlrec.models import ModelKind, RelationContext, score
 from cmlrec.parameters import init_parameters, load_checkpoint, save_checkpoint
 from cmlrec.synthetic import planted_split
 from cmlrec.training import Hyperparams, train
@@ -239,7 +241,7 @@ class TestRankItems:
         rows = [np.array([0, 1, 4, 5], dtype=np.int64)] * 30
         for v, h in zip(candidates.tolist(), ihists):
             rows[v] = h
-        table = _Adjacency.of(rows)
+        table = _Rows.of(rows)
         assert rank_items(1, store, kind, exclusions, 10, history=hist, item_histories=table).tolist() == ranked.tolist()
         dist = {
             int(v): score(RelationContext(1, int(v), hist, ihists[i]), kind, store).distance
@@ -296,11 +298,28 @@ class TestItemHistoryTable:
                          if counts[v] > cap else None)
             for v in range(15)
         ]
-        assert table.lengths.tolist() == [len(h) for h in reference]
-        assert table.rows.shape == (15, max(1, min(cap, int(counts.max()))))
-        for v, h in enumerate(reference):
-            assert table.rows[v, : len(h)].tolist() == h.tolist()
-            assert not table.rows[v, len(h):].any()
+        assert len(table) == 15
+        assert [table[v].tolist() for v in range(15)] == [h.tolist() for h in reference]
+
+
+    def test_sparse_table_memory_is_bounded(self):
+        """20,000 items, all held by one user but item 0, held by all 2,000:
+        a zero-padded (20,000, 50) table alone would hold 7.6 MiB."""
+        n_users, n_items = 2000, 20000
+        items = np.arange(1, n_items)
+        pairs = np.concatenate([np.column_stack((items % n_users, items)),
+                                np.column_stack((np.arange(n_users), np.zeros(n_users, dtype=np.int64)))])
+        ukeys, ikeys = [f"u{i}" for i in range(n_users)], [f"v{j}" for j in range(n_items)]
+        empty = InteractionDataset(n_users, n_items, [], ukeys, ikeys)
+        split = SplitDataset(InteractionDataset(n_users, n_items, pairs, ukeys, ikeys), empty, empty, seed=0)
+        tracemalloc.start()
+        try:
+            table = item_history_table(split, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.lengths.tolist() == [50] + [1] * (n_items - 1)
+        assert peak < 5 * 2**20, f"item_history_table peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestEvaluate:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cmlrec import models
+from cmlrec.datasets import _Rows
 from cmlrec.models import (
     ModelKind,
     RelationContext,
@@ -319,12 +320,6 @@ class TestBatchedConsistency:
     def test_mixed_length_and_all_empty_histories(self, kind):
         store = init_parameters(6, 9, 5, 3, with_item_memory=True, seed=27)
         lists = [[], [2], [0, 3, 6, 8], [], [1, 4]]
-        padded, mask = models._pad([np.array(h, dtype=np.int64) for h in lists])
-        assert padded.tolist() == [[0, 0, 0, 0], [2, 0, 0, 0], [0, 3, 6, 8], [0, 0, 0, 0], [1, 4, 0, 0]]
-        assert mask.sum(axis=1).tolist() == [0, 1, 4, 0, 2]
-        flat, flat_mask = models._padded(np.array([2, 0, 3, 6, 8, 1, 4]), np.array([0, 1, 4, 0, 2]))
-        assert flat.tolist() == padded.tolist() and flat_mask.tolist() == mask.tolist()
-        assert models._padded(EMPTY, np.zeros(3, dtype=np.int64))[0].shape == (3, 1)
         mixed = [RelationContext(u, 7 - u, np.array(h, dtype=np.int64), np.array(h[:2], dtype=np.int64))
                  for u, h in enumerate(lists)]
         singles = [score(c, kind, store).distance for c in mixed]
@@ -353,7 +348,7 @@ class TestCandidateDistances:
             rows = [np.array([0, user], dtype=np.int64)] * store.num_items
             for v, h in zip(cands.tolist(), ihists):
                 rows[v] = h
-            table = models._Adjacency.of(rows)
+            table = _Rows.of(rows)
             assert candidate_distances(user, cands, kind, store, history=hist, item_histories=table).tobytes() == d.tobytes()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
