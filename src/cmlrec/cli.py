@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Iterable, Sequence, TypeVar
@@ -34,7 +35,7 @@ from .parameters import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import GridCell, Hyperparams, grid_search, train
+from .training import GridCell, Hyperparams, grid_cells, grid_search, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,18 +167,15 @@ def _ranking_options(cfg: dict[str, object]) -> tuple[int, int]:
     return _at_least(cfg, "k", 1), _at_least(cfg, "history_cap", 0)
 
 
-def _float_list(text: str, key: str) -> list[float]:
+def _number_list(text: str, key: str, number: type[_Number]) -> list[_Number]:
+    """Comma-separated values of type ``number``; ``int`` takes integers only."""
     try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [number(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"{key}: expected comma-separated numbers, got {text!r}") from None
+        raise UsageError(f"{key}: expected comma-separated {number.__name__} values, got {text!r}") from None
     if not values:
         raise UsageError(f"{key}: empty list")
     return values
-
-
-def _int_list(text: str, key: str) -> list[int]:
-    return [int(v) for v in _float_list(text, key)]
 
 
 def _load_data(path: str):
@@ -214,9 +212,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _PRE_DEFAULTS)
     input_path = str(_require(cfg, "input"))
     out_dir = str(_require(cfg, "out"))
-    ratios = _float_list(str(cfg["ratios"]), "ratios")
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise UsageError(f"ratios must be three numbers summing to 1, got {cfg['ratios']!r}")
+    ratios = _number_list(str(cfg["ratios"]), "ratios", float)
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        raise UsageError(f"ratios must be three finite numbers > 0 summing to 1, got {cfg['ratios']!r}")
     k_core, threshold = _at_least(cfg, "k_core", 1), _at_least(cfg, "threshold", 0.0)
     _echo_config(cfg, out_dir)
     if not os.path.isfile(input_path):
@@ -354,9 +352,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
     out_dir = str(_require(cfg, "out"))
     kind = _model_kind(cfg)
     base = _hyperparams({**cfg, "margin": 0.5, "lr": 0.001}, kind)
-    lr_grid = _float_list(str(cfg["lr_grid"]), "lr_grid")
-    n_grid = _int_list(str(cfg["n_grid"]), "n_grid")
-    margin_grid = _float_list(str(cfg["margin_grid"]), "margin_grid")
+    lr_grid = _number_list(str(cfg["lr_grid"]), "lr_grid", float)
+    n_grid = _number_list(str(cfg["n_grid"]), "n_grid", int)
+    margin_grid = _number_list(str(cfg["margin_grid"]), "margin_grid", float)
+    # A cell that train would refuse is a usage error before any output, not a failed cell.
+    for lr, n, margin in grid_cells(kind, lr_grid, n_grid, margin_grid, default_n=base.n_relations):
+        _hyperparams({**cfg, "lr": lr, "n_relations": n, "margin": margin}, kind)
     _echo_config(cfg, out_dir)
     split, _meta = _load_data(data_dir)
 

@@ -74,19 +74,19 @@ class _Rows(Sequence[np.ndarray]):
     and indexing follows list rules (negative rows count from the end).
     ``values``, ``lengths`` and ``starts`` are the read-only arrays the rows
     are cut from and at, for code that handles many rows at once; every
-    zero-padded history the heads read comes from :meth:`padded`."""
+    zero-padded history the heads read comes from :meth:`padded`. The
+    Python offset lists behind row reads are built on the first one, in one
+    assignment, so readers that race build equal lists."""
 
-    __slots__ = ("values", "lengths", "starts", "_starts", "_ends")
+    __slots__ = ("values", "lengths", "starts", "_bounds")
 
     def __init__(self, values: np.ndarray, counts: np.ndarray):
-        ends = np.cumsum(counts)
         self.values = values
         self.lengths = counts
-        self.starts = ends - counts
+        self.starts = np.cumsum(counts) - counts
         for array in (values, counts, self.starts):
             array.flags.writeable = False
-        self._starts = self.starts.tolist()
-        self._ends = ends.tolist()
+        self._bounds: tuple[list[int], list[int]] | None = None
 
     @classmethod
     def of(cls, rows: Sequence[np.ndarray]) -> "_Rows":
@@ -95,10 +95,13 @@ class _Rows(Sequence[np.ndarray]):
         return cls(np.concatenate([_EMPTY, *rows]), lengths)
 
     def __len__(self) -> int:
-        return len(self._ends)
+        return len(self.lengths)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        return self.values[self._starts[i] : self._ends[i]]
+        if self._bounds is None:
+            self._bounds = (self.starts.tolist(), (self.starts + self.lengths).tolist())
+        starts, ends = self._bounds
+        return self.values[starts[i] : ends[i]]
 
     def padded(self, rows: np.ndarray | None = None, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``rows`` (all rows by default) as a zero-padded (R, W) int64
@@ -366,8 +369,8 @@ def split_dataset(
     and logged, never dropped). The same ``(ds, seed)`` reproduces the
     identical split.
     """
-    if any(r <= 0 for r in ratios):
-        raise ValueError("all ratios must be > 0")
+    if not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError("all ratios must be finite and > 0")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must sum to 1")
     # Each user's shuffled items, cut per view; a view is assembled once.

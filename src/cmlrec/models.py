@@ -539,6 +539,9 @@ def _backward_stacked(
     read the same users and user-history rows. So the gradients of those
     rows are summed over the halves first and scattered once; the items and
     the ``hlr++`` item histories differ per half and are scattered whole.
+    ``adacml``'s history gradient, α_h ḡ + g_logit_h q per slot and half,
+    comes out summed over both halves from one rank-4 batched product
+    (half, H, 4) @ (half, 4, d).
     """
     stacked = cache.stacked
     half = len(coeff) // 2
@@ -567,7 +570,9 @@ def _backward_stacked(
         inner = (g_alpha * cache.alpha).sum(axis=1, keepdims=True)
         g_logits = cache.alpha * (g_alpha - inner)
         g_qv = g_qv + (g_logits[:, None, :] @ cache.hist_emb)[:, 0, :]
-        g_hist = shared(cache.alpha[:, :, None] * g_rel[:, None, :] + g_logits[:, :, None] * cache.qv[:, None, :])
+        weights = np.stack([cache.alpha[:half], g_logits[:half], cache.alpha[half:], g_logits[half:]], axis=2)
+        vectors = np.stack([g_rel[:half], cache.qv[:half], g_rel[half:], cache.qv[half:]], axis=1)
+        g_hist = weights @ vectors
         mask = stacked.hist_mask[:half]
         grads.add_rows(ITEM_VECS, stacked.hist[:half][mask], g_hist[mask])
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):

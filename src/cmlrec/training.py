@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
@@ -58,11 +59,11 @@ class Hyperparams:
     def validate(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.margin <= 0:
-            raise ValueError(f"margin must be > 0, got {self.margin}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ValueError(f"margin must be finite and > 0, got {self.margin}")
         # lr = 0 is admitted as the null update (no-op training run).
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:

@@ -79,6 +79,16 @@ class TestPreprocess:
         assert code == EXIT_USAGE
         assert "ratios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,nan,0.5", "inf,0.1,0.1", "0,0.5,0.5", "1.2,-0.1,-0.1"])
+    def test_non_finite_or_non_positive_ratios_are_usage_errors(self, workspace, tmp_path, capsys, ratios):
+        root, _, _ = workspace
+        out = tmp_path / "d"
+        code = run_cli("preprocess", "--input", str(root / "ratings.tsv"), "--out", str(out), "--ratios", ratios)
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "ratios must be three finite numbers > 0" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 class TestTrainCommand:
     def test_artifacts(self, workspace):
@@ -131,6 +141,18 @@ class TestTrainCommand:
                        "--margin", "-1")
         assert code == EXIT_USAGE
         assert "margin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--margin", "nan"), ("--margin", "inf"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-inf"),
+    ])
+    def test_non_finite_hyperparameter_is_usage_error(self, workspace, tmp_path, capsys, flag, value):
+        _, data, _ = workspace
+        out = tmp_path / "m"
+        code = run_cli("train", "--data", str(data), "--out", str(out), "--model", "cml", f"{flag}={value}")
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert f"{flag[2:]} must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestEvaluateCommand:
@@ -428,6 +450,28 @@ class TestGridSearchCommand:
         best = (out / "best_config.txt").read_text()
         assert "model=cml" in best and "best_ndcg=" in best
         assert "4 cells ranked" in stdout
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-grid", "inf", "n_grid: expected comma-separated int values"),
+        ("--n-grid", "nan", "n_grid: expected comma-separated int values"),
+        ("--n-grid", "2.7", "n_grid: expected comma-separated int values"),
+        ("--n-grid", "2,0", "n_relations must be >= 1"),
+        ("--margin-grid", "0.5,-1", "margin must be finite and > 0"),
+        ("--margin-grid", "nan", "margin must be finite and > 0"),
+        ("--lr-grid", "0.01,inf", "lr must be finite and >= 0"),
+        ("--lr-grid", "x", "lr_grid: expected comma-separated float values"),
+    ])
+    def test_bad_grid_value_is_usage_error(self, workspace, tmp_path, capsys, flag, value, message):
+        _, data, _ = workspace
+        out = tmp_path / "grid"
+        grid = {"--lr-grid": "0.01", "--n-grid": "2", "--margin-grid": "0.5", flag: value}
+        code = run_cli("grid-search", "--data", str(data), "--out", str(out), "--model", "hlr", "--dim", "4",
+                       "--batch-size", "64", "--max-epochs", "1", *(arg for item in grid.items() for arg in item))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
 
 
 class TestReproducibility:

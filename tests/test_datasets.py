@@ -320,6 +320,17 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             split_dataset(ds, ratios=(1.0, 0.0, 0.0), seed=0)
 
+    @pytest.mark.parametrize("ratios", [
+        (float("nan"), 0.5, 0.5),
+        (0.8, float("nan"), 0.1),
+        (float("inf"), 0.1, 0.1),
+        (0.8, 0.1, -float("inf")),
+    ])
+    def test_non_finite_ratios_rejected(self, ratios):
+        ds = _dense_dataset(np.random.default_rng(1), n_u=4, n_v=6, p=0.9)
+        with pytest.raises(ValueError, match="finite"):
+            split_dataset(ds, ratios=ratios, seed=0)
+
 
 class TestStats:
     def test_density_formula_large_counts(self):
@@ -622,3 +633,15 @@ def corrupt_dir(path, case: str) -> None:
     else:
         raise ValueError(case)
     (path / "meta").write_text("".join(f"{key}={value}\n" for key, value in meta.items()))
+
+
+def test_rows_build_their_offset_lists_on_the_first_row_read():
+    """Rows that are only padded or counted never build the Python offset
+    lists behind row reads; the first row read builds them."""
+    table = datasets._Rows.of([np.array([4, 2]), np.array([], dtype=np.int64), np.array([7])])
+    table.padded()
+    assert len(table) == 3 and table._bounds is None
+    assert table[-1].tolist() == [7] and table._bounds == ([0, 2, 2], [2, 2, 3])
+    assert [row.tolist() for row in table] == [[4, 2], [], [7]]
+    with pytest.raises(IndexError):
+        table[3]

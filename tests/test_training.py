@@ -350,6 +350,11 @@ class TestTrain:
             train(split, _tiny_hp(margin=0.0))
         with pytest.raises(ValueError):
             train(split, _tiny_hp(lr=-1.0))
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="margin must be finite and > 0"):
+                train(split, _tiny_hp(margin=bad))
+            with pytest.raises(ValueError, match="lr must be finite and >= 0"):
+                train(split, _tiny_hp(lr=bad))
         with pytest.raises(ValueError):
             train(split, _tiny_hp(kind=ModelKind.LRML, n_relations=0))
         for kind in ModelKind:  # init_parameters needs a memory slot for every head
