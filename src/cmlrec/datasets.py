@@ -366,8 +366,8 @@ def split_dataset(
     ``(seed, user index)`` and cut with floor rounding on the validation and
     test shares; the remainder goes to train, so train is never starved.
     Users with fewer than 3 interactions keep everything in train (counted
-    and logged, never dropped). The same ``(ds, seed)`` reproduces the
-    identical split.
+    and logged, never dropped); a user with none gets empty rows in all
+    three views. The same ``(ds, seed)`` reproduces the identical split.
     """
     if not all(math.isfinite(r) and r > 0 for r in ratios):
         raise ValueError("all ratios must be finite and > 0")
@@ -379,8 +379,9 @@ def split_dataset(
     for u in range(ds.num_users):
         items = ds.user_items[u]
         n = len(items)
-        gen = rngmod.substream(seed, rngmod.SPLIT, u)
-        perm = gen.permutation(items)
+        # ``permutation`` raises on an empty read-only row; every user has
+        # its own substream, so skipping the draw leaves the others' as they are
+        perm = rngmod.substream(seed, rngmod.SPLIT, u).permutation(items) if n else items
         if n < 3:
             small_users += 1
             n_valid = n_test = 0

@@ -12,6 +12,7 @@ L2 unit ball; keys and memories are unconstrained.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import struct
 import zlib
@@ -254,11 +255,11 @@ def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, l
     """Apply one bias-corrected Adam update to the rows present in ``grads``.
 
     Untouched rows and their moments are left as-is. The step counter
-    advances exactly once per call. Raises on non-finite gradients before
-    touching anything.
+    advances exactly once per call. Raises on a non-finite or negative
+    ``lr`` and on non-finite gradients before touching anything.
     """
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     grads.check_finite()
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1**state.step

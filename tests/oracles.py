@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the library's vectorized code paths: the gradient
-oracle differentiates the single-pair scoring path numerically, and the
-ranking-metric oracle evaluates the textbook formulas with plain loops.
+oracle differentiates the single-pair scoring path numerically, the
+ranking-metric oracle evaluates the textbook formulas with plain loops, and
+the planted-data oracle draws every cluster with ``Generator.choice``.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 
+from cmlrec.datasets import InteractionDataset
 from cmlrec.models import (
     ModelKind,
     RelationContext,
@@ -176,3 +178,42 @@ def brute_mrr(ranked: list[int], relevant: set[int], k: int) -> float:
         if v in relevant:
             return 1.0 / i
     return 0.0
+
+
+# ---------------------------------------------------------------------------
+# Planted-cluster generator, one ``choice(p=...)`` per draw
+# ---------------------------------------------------------------------------
+
+
+def planted_clusters_loop(
+    num_users: int = 500,
+    num_items: int = 300,
+    n_clusters: int = 10,
+    interactions_per_user: int = 30,
+    noise: float = 0.1,
+    seed: int = 0,
+) -> InteractionDataset:
+    """The planted-cluster generator as one ``choice(n_pref, p=weights)`` per
+    preferred-cluster draw and a set of pair tuples; ``planted_clusters`` must
+    return the same pairs and keys."""
+    if num_items % n_clusters != 0:
+        raise ValueError("num_items must be divisible by n_clusters")
+    if not 0 <= noise <= 1:
+        raise ValueError(f"noise must be in [0, 1], got {noise}")
+    gen = np.random.default_rng(seed)
+    cluster_size = num_items // n_clusters
+    pairs: set[tuple[int, int]] = set()
+    for u in range(num_users):
+        n_pref = int(gen.integers(2, 4))
+        prefs = gen.choice(n_clusters, size=n_pref, replace=False)
+        weights = gen.dirichlet(np.ones(n_pref) * 2.0)
+        for _ in range(interactions_per_user):
+            if gen.random() < noise:
+                v = int(gen.integers(num_items))
+            else:
+                c = int(prefs[gen.choice(n_pref, p=weights)])
+                v = c * cluster_size + int(gen.integers(cluster_size))
+            pairs.add((u, v))
+    user_keys = [f"u{u}" for u in range(num_users)]
+    item_keys = [f"i{v}" for v in range(num_items)]
+    return InteractionDataset(num_users, num_items, sorted(pairs), user_keys, item_keys)

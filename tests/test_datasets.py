@@ -264,6 +264,18 @@ class TestSplitDataset:
         assert len(split.test.user_items[0]) == 0
         assert any("fewer than 3" in rec.message for rec in caplog.records)
 
+    def test_user_without_interactions_gets_empty_rows(self):
+        gen = np.random.default_rng(4)
+        ds = _dense_dataset(gen, n_u=3, n_v=12, p=0.7)
+        pairs = ds.pair_array()
+        keys = ds.user_keys + ["empty"]
+        with_empty = InteractionDataset(4, ds.num_items, pairs, keys, ds.item_keys)
+        a, b = split_dataset(with_empty, seed=2), split_dataset(ds, seed=2)
+        for view_a, view_b in zip((a.train, a.validation, a.test), (b.train, b.validation, b.test)):
+            assert len(view_a.user_items[3]) == 0
+            for u in range(3):
+                assert np.array_equal(view_a.user_items[u], view_b.user_items[u])
+
     def test_determinism(self):
         gen = np.random.default_rng(5)
         ds = _dense_dataset(gen, n_u=8, n_v=20, p=0.6)

@@ -307,6 +307,21 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(store, grads, state, lr=-0.1)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_lr_rejected_before_update(self, lr):
+        store = init_parameters(4, 5, 3, 2, seed=0)
+        state = AdamState.for_store(store)
+        state.moment1 += 0.5
+        state.moment2 += 0.25
+        before = [store.arena.copy(), state.moment1.copy(), state.moment2.copy()]
+        grads = SparseGradients(store)
+        grads.add(USER_VECS, 1, np.ones(3))
+        with pytest.raises(ValueError, match="lr must be finite"):
+            adam_step(store, grads, state, lr=lr)
+        for a, b in zip(before, (store.arena, state.moment1, state.moment2)):
+            np.testing.assert_array_equal(a, b)
+        assert state.step == 0
+
 
 class TestProjection:
     def _store(self):
