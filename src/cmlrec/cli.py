@@ -215,13 +215,13 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     ratios = _number_list(str(cfg["ratios"]), "ratios", float)
     if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise UsageError(f"ratios must be three finite numbers > 0 summing to 1, got {cfg['ratios']!r}")
-    k_core, threshold = _at_least(cfg, "k_core", 1), _at_least(cfg, "threshold", 0.0)
+    k_core, threshold, seed = _at_least(cfg, "k_core", 1), _at_least(cfg, "threshold", 0.0), _at_least(cfg, "seed", 0)
     _echo_config(cfg, out_dir)
     if not os.path.isfile(input_path):
         raise DataError(f"input file not found: {input_path}")
     raw = load_interactions(input_path, threshold=threshold)
     ds = k_core_filter(raw, k=k_core)
-    split = split_dataset(ds, ratios=(ratios[0], ratios[1], ratios[2]), seed=int(cfg["seed"]))
+    split = split_dataset(ds, ratios=(ratios[0], ratios[1], ratios[2]), seed=seed)
     save_split_dir(split, out_dir, k=k_core, threshold=threshold)
     stats = dataset_stats(ds)
     rows = [

@@ -68,6 +68,15 @@ class Stats:
     median_interactions_per_user: int
 
 
+def _sorted_unique(codes: np.ndarray) -> np.ndarray:
+    """``np.unique(codes)`` of 1-d integers by a sort and a neighbour mask;
+    on int64, ``np.unique`` takes a hash path many times slower."""
+    ordered = np.sort(codes)
+    keep = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 class _Rows(Sequence[np.ndarray]):
     """Index lists cut from one array at running-sum offsets of the row
     lengths: row ``i`` is the read-only slice ``values[starts[i]:ends[i]]``,
@@ -225,7 +234,7 @@ class SplitDataset:
         three views, so membership of many pairs is one ``searchsorted``."""
         if self._pair_keys is None:
             pairs = np.concatenate([v.pair_array() for v in (self.train, self.validation, self.test)])
-            self._pair_keys = np.unique(pairs @ (self.num_items, 1))
+            self._pair_keys = _sorted_unique(pairs @ (self.num_items, 1))
             self._pair_keys.flags.writeable = False
         return self._pair_keys
 
@@ -331,7 +340,7 @@ def k_core_filter(raw: RawInteractions, k: int) -> InteractionDataset:
     iidx = {v: i for i, v in enumerate(item_keys)}
     n = len(item_keys)
     codes = np.fromiter((uidx[u] * n + iidx[v] for u, v in raw.pairs), np.int64)
-    users, items = np.divmod(np.unique(codes), n)  # a repeated pair counts once
+    users, items = np.divmod(_sorted_unique(codes), n)  # a repeated pair counts once
     iterations = 0
     while True:
         iterations += 1
@@ -593,7 +602,8 @@ def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str
 
     Raises :class:`DataError` naming the file when a line does not parse,
     a key-map index is listed twice, a view's row count differs from its
-    ``meta`` count, or a pair repeats within one view or across two.
+    ``meta`` count, ``meta`` gives a negative seed, or a pair repeats within
+    one view or across two.
     """
     path = os.fspath(path)
     meta_path = os.path.join(path, META_FILE)
@@ -607,6 +617,8 @@ def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str
         seed = int(meta.get("seed", "0"))
     except (KeyError, ValueError) as exc:
         raise DataError(f"{meta_path}: missing or malformed counts") from exc
+    if seed < 0:
+        raise DataError(f"{meta_path}: seed must be >= 0, got {seed}")
     user_keys = _read_keys(os.path.join(path, USER_KEYS_FILE), num_users)
     item_keys = _read_keys(os.path.join(path, ITEM_KEYS_FILE), num_items)
     views = {}

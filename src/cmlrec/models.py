@@ -15,9 +15,11 @@ a (possibly translated) user point and the item point:
                  candidate item's user history, backed by a second memory.
 
 Single-pair scoring (:func:`score`) is written with the small composable
-operations below and is the readable reference. Training runs the positives
-and negatives of a chunk of triplets as one stacked forward and backward
-pass. Ranking (:func:`candidate_distances`) is one block loop for all five
+operations below and is the readable reference. A :class:`TripletBatch`
+holds each user and user-history row once, with the triplet's sides (the
+positives and the negatives) as an axis of its items; training runs each
+chunk ``batch[a:b]`` as one forward and backward pass over both sides.
+Ranking (:func:`candidate_distances`) is one block loop for all five
 heads: it scores one user against a block of the candidate matrix Q in
 closed form, with no per-candidate context.
 
@@ -131,72 +133,75 @@ class ScoreBreakdown:
 
 @dataclass
 class TripletBatch:
-    """One batch of (user, positive, negative) triplets as index arrays.
+    """One pass of ``m`` sides over ``U`` anchors, as index arrays.
 
-    Triplet ``i`` scores ``pos[i]`` and ``neg[i]`` for ``users[i]``. Both
-    sides read the one user-history row ``hist[i]``; the ``hlr++`` item
-    histories ``pos_ihist[i]`` and ``neg_ihist[i]`` differ per side. History
-    arrays are zero-padded to the batch's widest row, and only the slots
-    their masks set are read. A history a head does not read is None.
+    Side ``s`` scores ``items[s, i]`` for ``users[i]``; a training batch has
+    two sides, the positives ``pos`` and the negatives ``neg``. Every side
+    reads the one user-history row ``hist[i]``; the ``hlr++`` item histories
+    ``ihist[s, i]`` differ per side. History arrays are zero-padded to the
+    batch's widest row, and only the slots their masks set are read. A
+    history a head does not read is None. ``batch[a:b]`` holds anchors
+    ``a:b`` of every side.
     """
 
-    pos: np.ndarray  # (B,)
-    neg: np.ndarray  # (B,)
-    users: np.ndarray  # (B,)
-    hist: np.ndarray | None = None  # (B, H)
+    users: np.ndarray  # (U,)
+    items: np.ndarray  # (m, U)
+    hist: np.ndarray | None = None  # (U, H)
     hist_mask: np.ndarray | None = None
-    pos_ihist: np.ndarray | None = None  # (B, J)
-    pos_ihist_mask: np.ndarray | None = None
-    neg_ihist: np.ndarray | None = None  # (B, J)
-    neg_ihist_mask: np.ndarray | None = None
+    ihist: np.ndarray | None = None  # (m, U, J)
+    ihist_mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not len(self.users) == len(self.pos) == len(self.neg):
-            raise ValueError("users, positives and negatives must have equal length")
+        if self.items.ndim != 2 or self.items.shape[1] != len(self.users):
+            raise ValueError(f"items {self.items.shape} do not match {len(self.users)} users: expected (sides, users)")
 
     @classmethod
-    def from_contexts(cls, pos: Sequence[RelationContext], neg: Sequence[RelationContext]) -> "TripletBatch":
-        """Array batch of hand-built context pairs; ``pos[i]`` and ``neg[i]``
-        must share the user and the history."""
-        if len(pos) != len(neg):
-            raise ValueError("positive and negative context lists must have equal length")
-        for p, n in zip(pos, neg):
-            if p.user != n.user or not np.array_equal(p.history, n.history):
-                raise ValueError(f"contexts of user {p.user} (items {p.item}, {n.item}) do not share the user and history")
-        hist, hist_mask = _Rows.of([c.history for c in pos]).padded()
-        ihist, ihist_mask = _Rows.of([c.item_history for c in (*pos, *neg)]).padded()
+    def from_contexts(cls, *sides: Sequence[RelationContext]) -> "TripletBatch":
+        """Array batch of hand-built context lists, one per side; the
+        contexts ``sides[s][i]`` must share the user and the history."""
+        first = sides[0]
+        if any(len(side) != len(first) for side in sides):
+            raise ValueError("context lists must have equal length")
+        for c, *others in zip(*sides):
+            for o in others:
+                if o.user != c.user or not np.array_equal(o.history, c.history):
+                    raise ValueError(f"contexts of user {c.user} (items {c.item}, {o.item}) "
+                                     "do not share the user and history")
+        hist, hist_mask = _Rows.of([c.history for c in first]).padded()
+        ihist, ihist_mask = _Rows.of([c.item_history for side in sides for c in side]).padded()
+        shape = (len(sides), len(first), ihist.shape[1])
         return cls(
-            pos=np.fromiter((c.item for c in pos), dtype=np.int64, count=len(pos)),
-            neg=np.fromiter((c.item for c in neg), dtype=np.int64, count=len(neg)),
-            users=np.fromiter((c.user for c in pos), dtype=np.int64, count=len(pos)),
+            users=np.fromiter((c.user for c in first), dtype=np.int64, count=len(first)),
+            items=np.array([[c.item for c in side] for side in sides], dtype=np.int64),
             hist=hist,
             hist_mask=hist_mask,
-            pos_ihist=ihist[: len(pos)],
-            pos_ihist_mask=ihist_mask[: len(pos)],
-            neg_ihist=ihist[len(pos) :],
-            neg_ihist_mask=ihist_mask[len(pos) :],
+            ihist=ihist.reshape(shape),
+            ihist_mask=ihist_mask.reshape(shape),
         )
 
+    @property
+    def pos(self) -> np.ndarray:
+        return self.items[0]
+
+    @property
+    def neg(self) -> np.ndarray:
+        return self.items[1]
+
     def __len__(self) -> int:
-        return len(self.pos)
+        return len(self.users)
 
-    def stacked(self, start: int, stop: int) -> "_Stacked":
-        """Triplets ``start:stop`` as one stacked pass: positives, then negatives."""
-        part = slice(start, stop)
+    def __getitem__(self, part: slice) -> "TripletBatch":
+        def cut(rows: np.ndarray | None, index: slice | tuple[slice, slice]) -> np.ndarray | None:
+            return None if rows is None else rows[index]
 
-        def both(side: np.ndarray | None) -> np.ndarray | None:
-            return None if side is None else np.concatenate([side[part], side[part]])
-
-        def sides(pos: np.ndarray | None, neg: np.ndarray | None) -> np.ndarray | None:
-            return None if pos is None or neg is None else np.concatenate([pos[part], neg[part]])
-
-        return _Stacked(
-            users=both(self.users),
-            items=sides(self.pos, self.neg),
-            hist=both(self.hist),
-            hist_mask=both(self.hist_mask),
-            ihist=sides(self.pos_ihist, self.neg_ihist),
-            ihist_mask=sides(self.pos_ihist_mask, self.neg_ihist_mask),
+        sides = (slice(None), part)
+        return TripletBatch(
+            users=self.users[part],
+            items=self.items[sides],
+            hist=cut(self.hist, part),
+            hist_mask=cut(self.hist_mask, part),
+            ihist=cut(self.ihist, sides),
+            ihist_mask=cut(self.ihist_mask, sides),
         )
 
 
@@ -359,31 +364,8 @@ def triplet_margin_loss(d_pos: float, d_neg: float, margin: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Stacked (batched) forward/backward
+# Batched forward/backward over the sides of a TripletBatch
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Stacked:
-    """Padded index arrays for a batch of contexts."""
-
-    users: np.ndarray  # (B,)
-    items: np.ndarray  # (B,)
-    hist: np.ndarray | None  # (B, H) padded with 0
-    hist_mask: np.ndarray | None  # (B, H)
-    ihist: np.ndarray | None  # (B, J) padded with 0
-    ihist_mask: np.ndarray | None
-
-
-def _stack(contexts: Sequence[RelationContext], kind: ModelKind) -> _Stacked:
-    users = np.fromiter((c.user for c in contexts), dtype=np.int64, count=len(contexts))
-    items = np.fromiter((c.item for c in contexts), dtype=np.int64, count=len(contexts))
-    hist = hist_mask = ihist = ihist_mask = None
-    if kind.uses_history:
-        hist, hist_mask = _Rows.of([c.history for c in contexts]).padded()
-    if kind.uses_item_memory:
-        ihist, ihist_mask = _Rows.of([c.item_history for c in contexts]).padded()
-    return _Stacked(users, items, hist, hist_mask, ihist, ihist_mask)
 
 
 @dataclass
@@ -475,7 +457,7 @@ def _attention_backward(
 
 @dataclass
 class _ForwardCache:
-    stacked: _Stacked
+    batch: TripletBatch
     pu: np.ndarray
     qv: np.ndarray
     diff: np.ndarray
@@ -494,35 +476,40 @@ class _ForwardCache:
 # Diverging parameters overflow here; callers detect the non-finite distances
 # and raise NonFiniteScoreError, so numpy's warnings would only repeat that.
 @np.errstate(over="ignore", invalid="ignore")
-def _forward_stacked(stacked: _Stacked, kind: ModelKind, store: ParameterStore) -> _ForwardCache:
-    pu = store.user_vecs[stacked.users]
-    qv = store.item_vecs[stacked.items]
-    cache = _ForwardCache(stacked, pu, qv, diff=np.empty(0), distances=np.empty(0))
+def _forward_stacked(batch: TripletBatch, kind: ModelKind, store: ParameterStore) -> _ForwardCache:
+    """One pass over every side of ``batch``, flattened side-major: row
+    ``s * U + i`` scores ``items[s, i]`` for ``users[i]``."""
+    sides = len(batch.items)
+    pu = store.user_vecs[np.concatenate([batch.users] * sides)]
+    qv = store.item_vecs[batch.items.reshape(-1)]
+    cache = _ForwardCache(batch, pu, qv, diff=np.empty(0), distances=np.empty(0))
     relation = np.zeros_like(pu)
+    if kind.uses_history:
+        assert batch.hist is not None and batch.hist_mask is not None
+        hist, hist_mask = np.concatenate([batch.hist] * sides), np.concatenate([batch.hist_mask] * sides)
     if kind is ModelKind.LRML:
         cache.s = pu * qv
         cache.key_w = stable_softmax(cache.s @ store.rel_keys.T, axis=-1)
         relation = cache.key_w @ store.rel_memories
     elif kind is ModelKind.ADACML:
-        assert stacked.hist is not None and stacked.hist_mask is not None
-        cache.hist_emb = store.item_vecs[stacked.hist]
+        cache.hist_emb = store.item_vecs[hist]
         logits = (cache.hist_emb @ qv[:, :, None])[:, :, 0]
-        cache.alpha = _masked_softmax(logits, stacked.hist_mask)
+        cache.alpha = _masked_softmax(logits, hist_mask)
         relation = (cache.alpha[:, None, :] @ cache.hist_emb)[:, 0, :]
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):
-        assert stacked.hist is not None and stacked.hist_mask is not None
         cache.user_att = _attention_forward(
-            stacked.hist, stacked.hist_mask, store.item_vecs, anchor=qv, query=pu,
+            hist, hist_mask, store.item_vecs, anchor=qv, query=pu,
             keys=store.rel_keys, memories=store.rel_memories,
         )
         relation = cache.user_att.relation
         if kind is ModelKind.HLRPP:
-            assert stacked.ihist is not None and stacked.ihist_mask is not None
+            assert batch.ihist is not None and batch.ihist_mask is not None
             if store.item_rel_keys is None or store.item_rel_memories is None:
                 raise ValueError("hlr++ requires a store initialized with the item memory")
+            width = batch.ihist.shape[2]
             cache.item_att = _attention_forward(
-                stacked.ihist, stacked.ihist_mask, store.user_vecs, anchor=pu, query=qv,
-                keys=store.item_rel_keys, memories=store.item_rel_memories,
+                batch.ihist.reshape(-1, width), batch.ihist_mask.reshape(-1, width), store.user_vecs, anchor=pu,
+                query=qv, keys=store.item_rel_keys, memories=store.item_rel_memories,
             )
             relation = relation + cache.item_att.relation
     cache.diff = pu + relation - qv
@@ -535,19 +522,21 @@ def _backward_stacked(
 ) -> None:
     """Accumulate coeff[b] * d(distance_b)/d(params) into ``grads``.
 
-    ``cache`` is a pass of :meth:`TripletBatch.stacked`, whose two halves
-    read the same users and user-history rows. So the gradients of those
-    rows are summed over the halves first and scattered once; the items and
-    the ``hlr++`` item histories differ per half and are scattered whole.
-    ``adacml``'s history gradient, α_h ḡ + g_logit_h q per slot and half,
-    comes out summed over both halves from one rank-4 batched product
-    (half, H, 4) @ (half, 4, d).
+    ``cache`` is a pass over a two-sided batch, whose sides read the same
+    users and user-history rows. So the gradients of those rows are summed
+    over the sides first and scattered once; the items and the ``hlr++``
+    item histories differ per side and are scattered whole. ``adacml``'s
+    history gradient, α_h ḡ + g_logit_h q per slot and side, comes out
+    summed over both sides from one rank-4 batched product
+    (U, H, 4) @ (U, 4, d).
     """
-    stacked = cache.stacked
-    half = len(coeff) // 2
+    batch = cache.batch
+
+    def sides(per_row: np.ndarray) -> np.ndarray:
+        return per_row.reshape(2, len(batch), *per_row.shape[1:])
 
     def shared(per_row: np.ndarray) -> np.ndarray:
-        return per_row[:half] + per_row[half:]
+        return np.add(*sides(per_row))
 
     g_diff = (2.0 * coeff)[:, None] * cache.diff
     g_pu = g_diff
@@ -570,11 +559,11 @@ def _backward_stacked(
         inner = (g_alpha * cache.alpha).sum(axis=1, keepdims=True)
         g_logits = cache.alpha * (g_alpha - inner)
         g_qv = g_qv + (g_logits[:, None, :] @ cache.hist_emb)[:, 0, :]
-        weights = np.stack([cache.alpha[:half], g_logits[:half], cache.alpha[half:], g_logits[half:]], axis=2)
-        vectors = np.stack([g_rel[:half], cache.qv[:half], g_rel[half:], cache.qv[half:]], axis=1)
+        # Weights (α, g_logit) and vectors (ḡ, q) of each side in turn.
+        weights = np.stack([w for side in zip(sides(cache.alpha), sides(g_logits)) for w in side], axis=2)
+        vectors = np.stack([v for side in zip(sides(g_rel), sides(cache.qv)) for v in side], axis=1)
         g_hist = weights @ vectors
-        mask = stacked.hist_mask[:half]
-        grads.add_rows(ITEM_VECS, stacked.hist[:half][mask], g_hist[mask])
+        grads.add_rows(ITEM_VECS, batch.hist[batch.hist_mask], g_hist[batch.hist_mask])
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):
         att = cache.user_att
         assert att is not None
@@ -586,8 +575,7 @@ def _backward_stacked(
         grads.add_dense(REL_KEYS, g_keys)
         grads.add_dense(REL_MEMORIES, g_memories)
         g_emb = shared(g_emb)
-        mask = att.mask[:half]
-        grads.add_rows(ITEM_VECS, att.support[:half][mask], g_emb[mask])
+        grads.add_rows(ITEM_VECS, batch.hist[batch.hist_mask], g_emb[batch.hist_mask])
         if kind is ModelKind.HLRPP:
             iatt = cache.item_att
             assert iatt is not None and store.item_rel_keys is not None and store.item_rel_memories is not None
@@ -600,22 +588,20 @@ def _backward_stacked(
             grads.add_dense(ITEM_REL_MEMORIES, g_memories_i)
             imask = iatt.mask
             grads.add_rows(USER_VECS, iatt.support[imask], g_emb_i[imask])
-    grads.add_rows(USER_VECS, stacked.users[:half], shared(g_pu))
-    grads.add_rows(ITEM_VECS, stacked.items, g_qv)
+    grads.add_rows(USER_VECS, batch.users, shared(g_pu))
+    grads.add_rows(ITEM_VECS, batch.items.reshape(-1), g_qv)
 
 
 def batch_distances(
-    pairs: _Stacked | Sequence[RelationContext], kind: ModelKind, store: ParameterStore
+    pairs: TripletBatch | Sequence[RelationContext], kind: ModelKind, store: ParameterStore
 ) -> np.ndarray:
     """Distances of many pairs at once; agrees with :func:`score`.
 
-    ``pairs`` is a stacked pass (:meth:`TripletBatch.stacked`) or a sequence
-    of contexts, which is stacked first.
+    ``pairs`` is a batch, whose distances come side after side, or a
+    sequence of contexts, which is scored as a one-sided batch.
     """
-    if not isinstance(pairs, _Stacked):
-        if len(pairs) == 0:
-            return np.zeros(0)
-        pairs = _stack(pairs, kind)
+    if not isinstance(pairs, TripletBatch):
+        pairs = TripletBatch.from_contexts(pairs)
     return _forward_stacked(pairs, kind, store).distances
 
 
@@ -629,7 +615,7 @@ def _check_finite_distances(distances: np.ndarray, users: np.ndarray, items: np.
 
 
 # ``backward`` runs the batch in chunks of this many triplets, which bounds
-# the size of the stacked forward temporaries of one pass.
+# the size of the forward temporaries of one pass over both sides.
 _BACKWARD_CHUNK = 256
 
 
@@ -641,22 +627,24 @@ def backward(
 ) -> tuple[SparseGradients, float]:
     """Exact subgradients of the summed triplet hinge loss over a batch.
 
-    Each chunk of triplets is one stacked forward and backward pass over its
-    positives followed by its negatives, with coefficients +1 and -1 on the
-    active triplets; the two halves share the user and the history draw.
-    Satisfied triplets (hinge exactly 0 included) contribute zero gradient.
-    Returns the sparse gradients, whose embedding rows are reduced once when
-    first read, and the summed batch loss. Raises
-    :class:`NonFiniteScoreError` naming the offending triplet if a forward
-    pass degenerates.
+    ``batch`` has two sides, the positives and the negatives. Each chunk
+    ``batch[a:b]`` is one forward and backward pass over both sides, with
+    coefficients +1 and -1 on the active triplets; the sides share the user
+    and the history draw. Satisfied triplets (hinge exactly 0 included)
+    contribute zero gradient. Returns the sparse gradients, whose embedding
+    rows are reduced once when first read, and the summed batch loss.
+    Raises :class:`NonFiniteScoreError` naming the offending triplet if a
+    forward pass degenerates.
     """
+    if len(batch.items) != 2:
+        raise ValueError(f"backward needs a batch of two sides, positives and negatives; got {len(batch.items)}")
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     grads = SparseGradients(store)
     total = 0.0
     for start in range(0, len(batch), _BACKWARD_CHUNK):
-        cache = _forward_stacked(batch.stacked(start, start + _BACKWARD_CHUNK), kind, store)
-        d_pos, d_neg = np.split(cache.distances, 2)
+        cache = _forward_stacked(batch[start : start + _BACKWARD_CHUNK], kind, store)
+        d_pos, d_neg = cache.distances.reshape(2, -1)
         _check_finite_distances(d_pos, batch.users, batch.pos, start)
         _check_finite_distances(d_neg, batch.users, batch.neg, start)
         slack = d_pos - d_neg + margin

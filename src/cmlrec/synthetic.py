@@ -12,7 +12,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .datasets import InteractionDataset, SplitDataset, split_dataset
+from .datasets import InteractionDataset, SplitDataset, _sorted_unique, split_dataset
 
 MAX_PREFERRED = 3  # a user prefers 2 or 3 distinct clusters
 
@@ -73,8 +73,7 @@ def planted_clusters(
                 codes.append(base + int(gen.integers(num_items)))
             else:
                 codes.append(starts[bisect_right(cdf, gen.random())] + int(gen.integers(cluster_size)))
-    ordered = np.sort(np.array(codes, dtype=np.int64))
-    users, items = np.divmod(ordered[np.diff(ordered, prepend=-1) != 0], num_items)
+    users, items = np.divmod(_sorted_unique(np.array(codes, dtype=np.int64)), num_items)
     user_keys = [f"u{u}" for u in range(num_users)]
     item_keys = [f"i{v}" for v in range(num_items)]
     return InteractionDataset(num_users, num_items, np.column_stack((users, items)), user_keys, item_keys)

@@ -72,6 +72,8 @@ class Hyperparams:
             raise ValueError(f"history_cap must be >= 0, got {self.history_cap}")
         if self.n_relations < 1:
             raise ValueError(f"n_relations must be >= 1, got {self.n_relations}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -218,16 +220,14 @@ def _batch(
 ) -> TripletBatch:
     """The triplets with the histories that ``hp.kind`` reads, drawn from the
     train ``view``. The positive and the negative share one user-history
-    row, which reduces gradient variance."""
-    batch = TripletBatch(pos=pos, neg=neg, users=users)
+    row, which reduces gradient variance; the item histories of both sides
+    are one draw."""
+    batch = TripletBatch(users=users, items=np.array((pos, neg)))
     if hp.kind.uses_history:
         batch.hist, batch.hist_mask = user_history(view.user_items, users, pos, hp.history_cap, gen)
     if hp.kind.uses_item_memory:
-        ihist, ihist_mask = item_history(
-            view.item_users, np.concatenate([pos, neg]), np.concatenate([users, users]), hp.history_cap, gen
-        )
-        batch.pos_ihist, batch.neg_ihist = np.split(ihist, 2)
-        batch.pos_ihist_mask, batch.neg_ihist_mask = np.split(ihist_mask, 2)
+        ihist, mask = item_history(view.item_users, batch.items.reshape(-1), np.tile(users, 2), hp.history_cap, gen)
+        batch.ihist, batch.ihist_mask = ihist.reshape(2, len(users), -1), mask.reshape(2, len(users), -1)
     return batch
 
 
@@ -255,14 +255,14 @@ def _validation_batch(split: SplitDataset, hp: Hyperparams) -> TripletBatch | No
 
 
 def _hinge_mean(batch: TripletBatch, kind: ModelKind, store: ParameterStore, margin: float) -> float:
-    """Mean triplet hinge over ``batch``, scored in stacked passes of
+    """Mean triplet hinge over ``batch``, scored in passes of
     ``_BACKWARD_CHUNK`` rows, both sides of half as many triplets, so that
     the forward temporaries stay small. Raises :class:`NonFiniteScoreError`
     naming the first triplet with a non-finite distance."""
     hinges = []
     step = max(_BACKWARD_CHUNK // 2, 1)
     for start in range(0, len(batch), step):
-        d_pos, d_neg = np.split(batch_distances(batch.stacked(start, start + step), kind, store), 2)
+        d_pos, d_neg = batch_distances(batch[start : start + step], kind, store).reshape(2, -1)
         _check_finite_distances(d_pos, batch.users, batch.pos, start)
         _check_finite_distances(d_neg, batch.users, batch.neg, start)
         hinges.append(np.maximum(0.0, d_pos - d_neg + margin))

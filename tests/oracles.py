@@ -25,15 +25,15 @@ from cmlrec.parameters import ParameterStore, SparseGradients, init_parameters
 def batch_contexts(batch: TripletBatch) -> list[tuple[RelationContext, RelationContext]]:
     """The (positive, negative) context pair of each triplet of an array batch."""
 
-    def row(ids: np.ndarray | None, mask: np.ndarray | None, i: int) -> np.ndarray:
-        return np.empty(0, dtype=np.int64) if ids is None else ids[i][mask[i]]
+    def row(ids: np.ndarray | None, mask: np.ndarray | None, index: tuple[int, ...]) -> np.ndarray:
+        return np.empty(0, dtype=np.int64) if ids is None else ids[index][mask[index]]
 
     pairs = []
-    for i, (u, v, w) in enumerate(zip(batch.users.tolist(), batch.pos.tolist(), batch.neg.tolist())):
-        hist = row(batch.hist, batch.hist_mask, i)
-        pairs.append((
-            RelationContext(u, v, hist, row(batch.pos_ihist, batch.pos_ihist_mask, i)),
-            RelationContext(u, w, hist, row(batch.neg_ihist, batch.neg_ihist_mask, i)),
+    for i, u in enumerate(batch.users.tolist()):
+        hist = row(batch.hist, batch.hist_mask, (i,))
+        pairs.append(tuple(
+            RelationContext(u, int(batch.items[s, i]), hist, row(batch.ihist, batch.ihist_mask, (s, i)))
+            for s in range(2)
         ))
     return pairs
 

@@ -412,7 +412,10 @@ class TestOptionRanges:
     @pytest.mark.parametrize("command, flag, value", [
         ("preprocess", "--k-core", "0"),
         ("preprocess", "--threshold", "-1"),
+        ("preprocess", "--seed", "-1"),
         ("train", "--workers", "-5"),
+        ("train", "--seed", "-1"),
+        ("grid-search", "--seed", "-1"),
         ("evaluate", "--workers", "0"),
         ("evaluate", "--workers", "-2"),
     ])
@@ -422,6 +425,8 @@ class TestOptionRanges:
             "preprocess": ["--input", str(root / "ratings.tsv")],
             "train": ["--data", str(data), "--model", "cml"],
             "evaluate": ["--data", str(data), "--checkpoint", str(run / "model.ckpt"), "--model", "hlr"],
+            "grid-search": ["--data", str(data), "--model", "cml", "--dim", "4", "--max-epochs", "1",
+                            "--lr-grid", "0.01", "--n-grid", "2", "--margin-grid", "0.5"],
         }[command]
         out = tmp_path / "out"
         code = run_cli(command, *args, "--out", str(out), flag, value)

@@ -42,6 +42,7 @@ CORRUPTIONS = {
     "pair_in_two_views": ["train.tsv", "test.tsv"],
     "meta_count_differs": ["valid.tsv", "meta"],
     "key_index_listed_twice": ["item_keys.tsv"],
+    "meta_seed_negative": ["meta"],
 }
 
 # View-file texts on which np.loadtxt and the per-line parser part ways, read
@@ -642,6 +643,8 @@ def corrupt_dir(path, case: str) -> None:
         lines = (path / "item_keys.tsv").read_text().splitlines(keepends=True)
         lines[1] = "0" + lines[1][lines[1].index("\t") :]
         (path / "item_keys.tsv").write_text("".join(lines))
+    elif case == "meta_seed_negative":
+        meta["seed"] = "-1"
     else:
         raise ValueError(case)
     (path / "meta").write_text("".join(f"{key}={value}\n" for key, value in meta.items()))
@@ -657,3 +660,12 @@ def test_rows_build_their_offset_lists_on_the_first_row_read():
     assert [row.tolist() for row in table] == [[4, 2], [], [7]]
     with pytest.raises(IndexError):
         table[3]
+
+
+@pytest.mark.parametrize("size, high", [(0, 1), (1, 5), (500, 40), (3000, 2**40)],
+                         ids=["empty", "one", "dense", "sparse"])
+def test_sorted_unique_matches_np_unique(size, high):
+    codes = np.random.default_rng(size).integers(0, high, size=size, dtype=np.int64)
+    got = datasets._sorted_unique(codes)
+    expected = np.unique(codes)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()

@@ -460,6 +460,27 @@ class TestBackwardBasics:
         with pytest.raises(ValueError):
             TripletBatch.from_contexts([RelationContext(0, 0)], [])
 
+    @pytest.mark.parametrize("items", [np.zeros(3, dtype=np.int64), np.zeros((2, 4), dtype=np.int64)],
+                             ids=["flat", "long"])
+    def test_items_must_give_each_user_a_side(self, items):
+        with pytest.raises(ValueError, match="expected \\(sides, users\\)"):
+            TripletBatch(users=np.arange(3), items=items)
+
+    def test_backward_rejects_a_one_sided_batch(self):
+        store = init_parameters(3, 4, 4, 2, seed=0)
+        batch = TripletBatch.from_contexts([RelationContext(0, 1), RelationContext(2, 3)])
+        assert batch.items.shape == (1, 2)
+        with pytest.raises(ValueError, match="two sides"):
+            backward(batch, ModelKind.CML, store, margin=0.5)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_one_sided_batch_matches_context_list(self, kind):
+        gen = np.random.default_rng(16)
+        store = init_parameters(7, 9, 6, 3, with_item_memory=True, seed=16)
+        contexts = [_rand_ctx(gen, 7, 9, True, True) for _ in range(10)]
+        batch = TripletBatch.from_contexts(contexts)
+        assert batch_distances(batch, kind, store).tobytes() == batch_distances(contexts, kind, store).tobytes()
+
     def test_contexts_must_share_user_and_history(self):
         with pytest.raises(ValueError, match="share"):
             TripletBatch.from_contexts([RelationContext(0, 1)], [RelationContext(1, 2)])
@@ -475,8 +496,8 @@ class TestBackwardBasics:
                for c in pos]
         batch = TripletBatch.from_contexts(pos, neg)
         assert batch.users.tolist() == [c.user for c in pos]
-        stacked = batch_distances(batch.stacked(2, 9), kind, store)
-        np.testing.assert_allclose(stacked, batch_distances([*pos[2:9], *neg[2:9]], kind, store), rtol=1e-12, atol=1e-14)
+        chunk = batch_distances(batch[2:9], kind, store)
+        np.testing.assert_allclose(chunk, batch_distances([*pos[2:9], *neg[2:9]], kind, store), rtol=1e-12, atol=1e-14)
 
 
 class TestModelKind:

@@ -181,7 +181,7 @@ class TestHistoryDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert batch.pos_ihist.shape == (split.validation.num_interactions, hp.history_cap)
+        assert batch.ihist.shape == (2, split.validation.num_interactions, hp.history_cap)
         assert peak < 16 * 2**20
 
     # Digests of draws that span several blocks and draw keys: a change to
@@ -210,16 +210,11 @@ class TestHistoryDraws:
         hp = _tiny_hp(kind=ModelKind.HLRPP, history_cap=4)
         batch = next(training._epoch_batches(
             split, hp, rng.substream(0, rng.SAMPLING, 0), rng.substream(0, rng.HISTORY, 0)))
-        stacked = batch.stacked(0, len(batch))
-        half = len(batch)
-        np.testing.assert_array_equal(stacked.users[:half], stacked.users[half:])
-        np.testing.assert_array_equal(stacked.hist[:half], stacked.hist[half:])
-        np.testing.assert_array_equal(stacked.hist_mask[:half], stacked.hist_mask[half:])
-        assert batch.hist.shape[1] == 4 and batch.pos_ihist.shape == batch.neg_ihist.shape
+        assert batch.hist.shape == (len(batch), 4) and batch.ihist.shape[:2] == batch.items.shape == (2, len(batch))
         for i, (u, v, w) in enumerate(zip(batch.users.tolist(), batch.pos.tolist(), batch.neg.tolist())):
             hist = batch.hist[i][batch.hist_mask[i]].tolist()
             assert v not in hist and set(hist) <= set(split.train.user_items[u].tolist())
-            for item, ids, mask in ((v, batch.pos_ihist, batch.pos_ihist_mask), (w, batch.neg_ihist, batch.neg_ihist_mask)):
+            for item, ids, mask in zip((v, w), batch.ihist, batch.ihist_mask):
                 users = ids[i][mask[i]].tolist()
                 assert u not in users and set(users) <= set(split.train.item_users[item].tolist())
 
@@ -229,7 +224,7 @@ class TestHistoryDraws:
         hp = _tiny_hp(kind=kind)
         batch = training._validation_batch(split, hp)
         assert (batch.hist is not None) == kind.uses_history
-        assert (batch.pos_ihist is not None) == (batch.neg_ihist is not None) == kind.uses_item_memory
+        assert (batch.ihist is not None) == kind.uses_item_memory
         assert len(batch) == split.validation.num_interactions
         for u, v in zip(batch.users.tolist(), batch.neg.tolist()):
             assert _outside_views(split, u, v)
@@ -331,7 +326,7 @@ class TestTrain:
         hist_mask = np.zeros((5, 2), dtype=bool)
         hist_mask[3] = True
         users = np.arange(5)
-        batch = TripletBatch(pos=users + 1, neg=np.full(5, 7), users=users, hist=hist, hist_mask=hist_mask)
+        batch = TripletBatch(users=users, items=np.stack([users + 1, np.full(5, 7)]), hist=hist, hist_mask=hist_mask)
         monkeypatch.setattr(training, "_BACKWARD_CHUNK", 2)
         with pytest.raises(NonFiniteScoreError) as err:
             training._hinge_mean(batch, ModelKind.HLR, store, margin=0.5)
