@@ -119,7 +119,8 @@ class _Rows(Sequence[np.ndarray]):
         the rows, and is at least 1; a row wider than ``width`` keeps its
         first ``width`` entries. Both arrays are transposes of contiguous
         (W, R) arrays: the slots-by-rows layout makes the broadcasts run
-        along the rows, and is the one ranking reads."""
+        along the rows, and ranking's ``hlr++`` item side reads the mask in
+        it, for a softmax over the slots on the leading axis."""
         lengths, starts = (self.lengths, self.starts) if rows is None else (self.lengths[rows], self.starts[rows])
         if width is None:
             width = int(lengths.max(initial=0))
@@ -516,9 +517,11 @@ def _read_keys(path: str, expected: int) -> list[str]:
         lines = fh.read().split("\n")
     rows = [line.partition("\t") for line in lines if line]
     if [idx for idx, _, _ in rows] == [str(i) for i in range(expected)]:
-        return [key for _, _, key in rows]  # line i holds index i, as save_split_dir writes it
+        listed = [key for _, _, key in rows]  # line i holds index i, as save_split_dir writes it
+        if len(set(listed)) == expected:
+            return listed
     keys: list[str | None] = [None] * expected
-    seen = 0
+    lines_of: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
@@ -531,10 +534,12 @@ def _read_keys(path: str, expected: int) -> list[str]:
             raise ParseError(lineno, f"key-map index {idx} out of range 0..{expected - 1}", path)
         if keys[idx] is not None:
             raise ParseError(lineno, f"key-map index {idx} is listed twice", path)
+        if key in lines_of:
+            raise ParseError(lineno, f"key-map key {key!r} is listed twice (first on line {lines_of[key]})", path)
         keys[idx] = key
-        seen += 1
-    if seen != expected:
-        raise DataError(f"{path}: expected {expected} key rows, found {seen}")
+        lines_of[key] = lineno
+    if len(lines_of) != expected:
+        raise DataError(f"{path}: expected {expected} key rows, found {len(lines_of)}")
     return keys
 
 
@@ -601,9 +606,9 @@ def load_split_dir(path: str | os.PathLike) -> tuple[SplitDataset, dict[str, str
     """Load a dataset directory written by :func:`save_split_dir`.
 
     Raises :class:`DataError` naming the file when a line does not parse,
-    a key-map index is listed twice, a view's row count differs from its
-    ``meta`` count, ``meta`` gives a negative seed, or a pair repeats within
-    one view or across two.
+    a key-map index or key is listed twice, a view's row count differs from
+    its ``meta`` count, ``meta`` gives a negative seed, or a pair repeats
+    within one view or across two.
     """
     path = os.fspath(path)
     meta_path = os.path.join(path, META_FILE)

@@ -31,8 +31,11 @@ attention-weighted sum of relations is (Σ_h α_h w_h) M. So no (B, H, d) or
 a batch from one batched product per side (:func:`_attention_forward`), and
 its backward pass gives the memory gradient as two (N, B) @ (B, d) products
 (:func:`_attention_backward`). In ranking, the key logits of every (history
-item, candidate) pair of a block come from one GEMM. Tests hold the
-single-pair, training and ranking paths together.
+item, candidate) pair of a block come from one GEMM. ``hlr++``'s item side
+reads the ranked user's key weights, one contiguous row per support user,
+by one (C, J, N) gather, and its attention logits and mixed key weights are
+two batched products. Tests hold the single-pair, training and ranking
+paths together.
 """
 from __future__ import annotations
 
@@ -687,22 +690,29 @@ def _item_side_relations(
 
     ``ids`` (C, J) holds each candidate's support users zero-padded where
     ``mask`` is unset. The anchor (the ranked user's vector) is shared by
-    every candidate, so the key weights ``user_w`` (N, num_users) of a
-    support user depend on that user alone: they are computed once per
-    ranked user and gathered through the padded (J, C) item histories. The
-    attention logit of support user j for candidate c is w_j · (M q_c).
+    every candidate, so the key weights of a support user depend on that
+    user alone: they are computed once per ranked user, as the rows of
+    ``user_w`` (num_users, N), and one gather through ``ids`` gives the
+    (C, J, N) key weights of the block, a contiguous row per slot. The
+    attention logit of support user j for candidate c is w_j · (M q_c), so
+    the logits are one batched product with the reads Q Mᵀ; the mixed key
+    weights are one (C, 1, J) @ (C, J, N) product, and the relations those
+    weights times M.
     """
     if not mask.any():
         return None
-    key_w = user_w[:, np.ascontiguousarray(ids.T)]  # (N, J, C)
-    logits = np.einsum("njc,nc->jc", key_w, memories @ cand.T)
-    key_w *= _masked_softmax(logits, mask.T, axis=0)
-    return key_w.sum(axis=1).T @ memories
+    key_w = user_w.take(ids, axis=0)  # (C, J, N)
+    logits = key_w @ (cand @ memories.T)[:, :, None]  # (C, J, 1)
+    # ``mask.T`` is a contiguous (J, C) array, so the softmax reduces over J
+    # along the leading axis: whole rows, not many rows of a few entries.
+    beta = _masked_softmax(logits[:, :, 0].T, mask.T, axis=0)
+    return (beta.T[:, None, :] @ key_w)[:, 0, :] @ memories
 
 
-# Ranking scores the candidates in blocks whose largest temporary, the
-# (N, H, block) key weights of ``hlr``/``hlr++``, holds about this many
-# float64s (1 MiB): a block's passes over it then stay in a core's L2 cache
+# Ranking scores the candidates in blocks whose largest temporaries, the
+# (N, H, block) key weights of ``hlr``/``hlr++`` and the (block, J, N)
+# gathered item-side key weights of ``hlr++``, hold about this many float64s
+# (1 MiB) each: a block's passes over them then stay in a core's L2 cache
 # instead of streaming through the shared last-level cache.
 _RANK_BLOCK_ELEMENTS = 1 << 17
 
@@ -727,8 +737,11 @@ def candidate_distances(
     per-candidate context and no (C, H, d) tensor. Only the translation r
     differs: none for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``;
     softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``; the
-    collapsed memory reads for ``hlr`` and ``hlr++``. An empty history gives
-    no translation, so those heads then rank exactly like ``cml``.
+    collapsed memory reads for ``hlr`` and ``hlr++``. ``hlr++``'s item side
+    computes the user's key weights over the second memory once, as a
+    contiguous (num_users, N) array, and each block gathers its rows (see
+    :func:`_item_side_relations`). An empty history gives no translation,
+    so those heads then rank exactly like ``cml``.
     """
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
@@ -745,7 +758,8 @@ def candidate_distances(
             table, rows = _Rows.of(item_histories), np.arange(len(candidates))
         else:
             raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
-        user_w = _softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T)  # (N, num_users)
+        # The key weights of every user as the support of ``pu``, one row each.
+        user_w = np.ascontiguousarray(_softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T).T)
         widest = max(widest, int(table.lengths[rows].max(initial=0)))
     step = max(1, _RANK_BLOCK_ELEMENTS // (len(store.rel_keys) * widest))
     diff = np.empty((len(candidates), store.dim))

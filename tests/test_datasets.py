@@ -42,6 +42,7 @@ CORRUPTIONS = {
     "pair_in_two_views": ["train.tsv", "test.tsv"],
     "meta_count_differs": ["valid.tsv", "meta"],
     "key_index_listed_twice": ["item_keys.tsv"],
+    "key_listed_twice": ["user_keys.tsv"],
     "meta_seed_negative": ["meta"],
 }
 
@@ -545,6 +546,8 @@ class TestViewParsing:
         ("0\tu0\n1\tu1\n1\tu2\n", "line 3: key-map index 1 is listed twice"),
         ("0\tu0\n\tu1\n2\tu2\n", "line 2: bad index"),
         ("0\tu0\n1\tu1\n", "expected 3 key rows, found 2"),
+        ("0\tu0\n1\tu0\n2\tu2\n", "line 2: key-map key 'u0' is listed twice (first on line 1)"),
+        ("2\tu2\n0\tu0\n\n1\tu2\n", "line 4: key-map key 'u2' is listed twice (first on line 1)"),
     ])
     def test_key_map_layouts(self, tmp_path, text, error):
         path = tmp_path / "user_keys.tsv"
@@ -643,6 +646,10 @@ def corrupt_dir(path, case: str) -> None:
         lines = (path / "item_keys.tsv").read_text().splitlines(keepends=True)
         lines[1] = "0" + lines[1][lines[1].index("\t") :]
         (path / "item_keys.tsv").write_text("".join(lines))
+    elif case == "key_listed_twice":
+        lines = (path / "user_keys.tsv").read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: lines[1].index("\t")] + lines[0][lines[0].index("\t") :]
+        (path / "user_keys.tsv").write_text("".join(lines))
     elif case == "meta_seed_negative":
         meta["seed"] = "-1"
     else:

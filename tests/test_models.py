@@ -403,6 +403,31 @@ class TestCandidateDistances:
         for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
             self._assert_matches_score(3, cands, kind, store, hist, ihists)
 
+    @pytest.mark.parametrize("n_relations", [3, 16])
+    def test_hlrpp_wide_item_histories_across_blocks(self, n_relations, monkeypatch):
+        # Item rows hold 0-12 users, so rows both narrower and wider than the
+        # N slots occur. The budget gives blocks of 4 candidates (budget over
+        # N slots times the widest row, 12); the second block's rows are all
+        # empty, so it scores no item side.
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 4 * n_relations * 12)
+        item_side, returned = models._item_side_relations, []
+
+        def recording(*args):
+            returned.append(item_side(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(models, "_item_side_relations", recording)
+        gen = np.random.default_rng(27)
+        store = init_parameters(20, 16, 5, n_relations, with_item_memory=True, seed=27)
+        cands = np.arange(2, 15, dtype=np.int64)
+        widths = [12, 5, 0, 9, 0, 0, 0, 0, 3, 12, 1, 7, 2]
+        ihists = [np.sort(gen.choice(20, size=w, replace=False)).astype(np.int64) for w in widths]
+        for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
+            returned.clear()
+            self._assert_matches_score(3, cands, ModelKind.HLRPP, store, hist, ihists)
+            # The list form, then the table form, each in 4 blocks.
+            assert [r is None for r in returned] == [False, True, False, False] * 2
+
     def test_item_histories_must_align_with_candidates(self):
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)
         with pytest.raises(ValueError, match="candidates"):
