@@ -1,19 +1,23 @@
 """Command-line surface: preprocess, train, evaluate, grid-search, recommend.
 
-Configuration is declarative: every option has a default, a flat key=value
-config file can override defaults, and explicit command-line flags win over
-both. Each command echoes its fully-resolved effective config before doing
-work, so any run can be re-created from its output alone.
+Configuration is declarative. Every option is declared once, in
+``_OPTIONS``, with its type, default and help; ``_COMMANDS`` lists the
+options each command takes and the few defaults a command changes. A flat
+key=value config file can override the defaults (a key set twice is a usage
+error), and explicit command-line flags win over both. Each command echoes
+its fully-resolved effective config before doing work, so any run can be
+re-created from its output alone.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
-from typing import Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from . import rng
 from .datasets import (
@@ -62,10 +66,43 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+# Every option once: name -> (type, default, help). The flag is ``--name``
+# with ``_`` spelt ``-``. Training options default to ``Hyperparams()``'s
+# fields, so the command line and the library cannot disagree.
+_HP = Hyperparams()
+_OPTIONS: dict[str, tuple[type, object, str]] = {
+    "input": (str, None, "raw interactions file (csv/tsv)"),
+    "data": (str, None, "preprocessed dataset directory"),
+    "out": (str, None, "output directory or file"),
+    "checkpoint": (str, None, "model checkpoint path"),
+    "model": (str, _HP.kind.value, "model kind: cml, lrml, adacml, hlr, hlr++"),
+    "threshold": (float, 4.0, "minimum rating/count kept as a positive"),
+    "k_core": (int, 10, "k-core filter order"),
+    "ratios": (str, "0.8,0.1,0.1", "train,validation,test ratios"),
+    "seed": (int, _HP.seed, "root random seed"),
+    "dim": (int, _HP.dim, "embedding dimension"),
+    "n_relations": (int, _HP.n_relations, "relation memory slices"),
+    "margin": (float, _HP.margin, "hinge margin"),
+    "lr": (float, _HP.lr, "Adam learning rate"),
+    "batch_size": (int, _HP.batch_size, "triplets per optimizer step"),
+    "max_epochs": (int, _HP.max_epochs, "training epoch budget"),
+    "history_cap": (int, _HP.history_cap, "attention history subsample size"),
+    "workers": (int, 1, "evaluation threads; any count gives the same results (train ignores it)"),
+    "k": (int, 10, "ranking cutoff"),
+    "phase": (str, "test", "evaluation phase: validation or test"),
+    "lr_grid": (str, "0.0002,0.0005,0.00075,0.001", "comma-separated learning rates"),
+    "n_grid": (str, "5,10,20,50", "comma-separated memory sizes"),
+    "margin_grid": (str, "0.2,0.5,0.75,1.0", "comma-separated margins"),
+    "users": (str, "", "comma-separated user keys"),
+    "users_file": (str, "", "file with one user key per line"),
+}
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     if not os.path.isfile(path):
         raise UsageError(f"config file not found: {path}")
     out: dict[str, str] = {}
+    set_on: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -74,32 +111,34 @@ def _parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise UsageError(f"{path}:{ln}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in set_on:
+                raise UsageError(f"{path}:{ln}: config key {key!r} is already set on line {set_on[key]}")
+            set_on[key] = ln
+            out[key] = value.strip()
     return out
 
 
-def _coerce(key: str, text: str, template) -> object:
+def _coerce(key: str, text: str) -> object:
+    typ = _OPTIONS[key][0]
     try:
-        if isinstance(template, int):
-            return int(text)
-        if isinstance(template, float):
-            return float(text)
-        return text
+        return typ(text)
     except ValueError:
-        raise UsageError(f"config key {key!r}: cannot parse {text!r} as {type(template).__name__}") from None
+        raise UsageError(f"config key {key!r}: cannot parse {text!r} as {typ.__name__}") from None
 
 
-def _resolve(args: argparse.Namespace, defaults: dict[str, object]) -> dict[str, object]:
-    """defaults < config file < explicit flags; unknown config keys rejected."""
-    merged = dict(defaults)
+def _resolve(args: argparse.Namespace) -> dict[str, object]:
+    """The command's defaults < config file < explicit flags; config keys
+    the command does not take are rejected."""
+    _help, keys, overrides, _func = _COMMANDS[args.command]
+    merged = {key: overrides.get(key, _OPTIONS[key][1]) for key in keys}
     config_path = getattr(args, "config", None)
     if config_path:
         for key, text in _parse_config_file(config_path).items():
-            if key not in defaults:
-                raise UsageError(f"unknown config key {key!r} (valid: {', '.join(sorted(defaults))})")
-            template = defaults[key] if defaults[key] is not None else ""
-            merged[key] = _coerce(key, text, template)
-    for key in defaults:
+            if key not in merged:
+                raise UsageError(f"unknown config key {key!r} (valid: {', '.join(sorted(merged))})")
+            merged[key] = _coerce(key, text)
+    for key in keys:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -109,10 +148,7 @@ def _resolve(args: argparse.Namespace, defaults: dict[str, object]) -> dict[str,
 def _echo_config(cfg: dict[str, object], out_dir: str | None = None) -> None:
     lines = ["# effective config"]
     for key in sorted(cfg):
-        value = cfg[key]
-        if isinstance(value, ModelKind):
-            value = value.value
-        lines.append(f"{key}={value}")
+        lines.append(f"{key}={cfg[key]}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if out_dir is not None:
@@ -135,17 +171,9 @@ def _model_kind(cfg: dict[str, object]) -> ModelKind:
 
 
 def _hyperparams(cfg: dict[str, object], kind: ModelKind) -> Hyperparams:
-    hp = Hyperparams(
-        kind=kind,
-        dim=int(cfg["dim"]),
-        n_relations=int(cfg["n_relations"]),
-        margin=float(cfg["margin"]),
-        lr=float(cfg["lr"]),
-        batch_size=int(cfg["batch_size"]),
-        max_epochs=int(cfg["max_epochs"]),
-        history_cap=int(cfg["history_cap"]),
-        seed=int(cfg["seed"]),
-    )
+    """``Hyperparams`` from the fields ``cfg`` sets; the others keep their defaults."""
+    fields = (f.name for f in dataclasses.fields(Hyperparams) if f.name != "kind")
+    hp = Hyperparams(kind=kind, **{key: cfg[key] for key in fields if key in cfg})
     try:
         hp.validate()
     except ValueError as exc:
@@ -198,18 +226,9 @@ def _load_model(cfg: dict[str, object], split) -> tuple[ModelKind, "object"]:
 # Commands
 # ---------------------------------------------------------------------------
 
-_PRE_DEFAULTS: dict[str, object] = {
-    "input": None,
-    "out": None,
-    "threshold": 4.0,
-    "k_core": 10,
-    "ratios": "0.8,0.1,0.1",
-    "seed": 0,
-}
-
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _PRE_DEFAULTS)
+    cfg = _resolve(args)
     input_path = str(_require(cfg, "input"))
     out_dir = str(_require(cfg, "out"))
     ratios = _number_list(str(cfg["ratios"]), "ratios", float)
@@ -240,24 +259,8 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_TRAIN_DEFAULTS: dict[str, object] = {
-    "data": None,
-    "out": None,
-    "model": "cml",
-    "dim": 100,
-    "n_relations": 10,
-    "margin": 0.5,
-    "lr": 0.001,
-    "batch_size": 1000,
-    "max_epochs": 100,
-    "history_cap": 50,
-    "seed": 0,
-    "workers": 1,
-}
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _TRAIN_DEFAULTS)
+    cfg = _resolve(args)
     data_dir = str(_require(cfg, "data"))
     out_dir = str(_require(cfg, "out"))
     kind = _model_kind(cfg)
@@ -293,20 +296,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_EVAL_DEFAULTS: dict[str, object] = {
-    "checkpoint": None,
-    "data": None,
-    "model": None,
-    "phase": "test",
-    "k": 10,
-    "history_cap": 50,
-    "workers": 1,
-    "out": "",
-}
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _EVAL_DEFAULTS)
+    cfg = _resolve(args)
     k, cap = _ranking_options(cfg)
     workers = _at_least(cfg, "workers", 1)
     phase = str(cfg["phase"])
@@ -328,30 +319,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_GRID_DEFAULTS: dict[str, object] = {
-    "data": None,
-    "out": None,
-    "model": "cml",
-    "lr_grid": "0.0002,0.0005,0.00075,0.001",
-    "n_grid": "5,10,20,50",
-    "margin_grid": "0.2,0.5,0.75,1.0",
-    "dim": 100,
-    "n_relations": 10,
-    "batch_size": 1000,
-    "max_epochs": 100,
-    "history_cap": 50,
-    "seed": 0,
-    "k": 10,
-}
-
-
 def cmd_grid(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _GRID_DEFAULTS)
+    cfg = _resolve(args)
     k, _cap = _ranking_options(cfg)
     data_dir = str(_require(cfg, "data"))
     out_dir = str(_require(cfg, "out"))
     kind = _model_kind(cfg)
-    base = _hyperparams({**cfg, "margin": 0.5, "lr": 0.001}, kind)
+    base = _hyperparams(cfg, kind)
     lr_grid = _number_list(str(cfg["lr_grid"]), "lr_grid", float)
     n_grid = _number_list(str(cfg["n_grid"]), "n_grid", int)
     margin_grid = _number_list(str(cfg["margin_grid"]), "margin_grid", float)
@@ -397,20 +371,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_REC_DEFAULTS: dict[str, object] = {
-    "checkpoint": None,
-    "data": None,
-    "model": None,
-    "users": "",
-    "users_file": "",
-    "k": 10,
-    "history_cap": 50,
-    "out": "",
-}
-
-
 def cmd_recommend(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _REC_DEFAULTS)
+    cfg = _resolve(args)
     k, cap = _ranking_options(cfg)
     _echo_config(cfg)
     split, _meta = _load_data(str(_require(cfg, "data")))
@@ -463,46 +425,23 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, keys: Iterable[str]) -> None:
-    sub.add_argument("--config", default=None, help="key=value config file; flags override it")
-    flags = {
-        "input": (str, "raw interactions file (csv/tsv)"),
-        "data": (str, "preprocessed dataset directory"),
-        "out": (str, "output directory or file"),
-        "checkpoint": (str, "model checkpoint path"),
-        "model": (str, "model kind: cml, lrml, adacml, hlr, hlr++"),
-        "threshold": (float, "minimum rating/count kept as a positive"),
-        "k_core": (int, "k-core filter order"),
-        "ratios": (str, "train,validation,test ratios"),
-        "seed": (int, "root random seed"),
-        "dim": (int, "embedding dimension"),
-        "n_relations": (int, "relation memory slices"),
-        "margin": (float, "hinge margin"),
-        "lr": (float, "Adam learning rate"),
-        "batch_size": (int, "triplets per optimizer step"),
-        "max_epochs": (int, "training epoch budget"),
-        "history_cap": (int, "attention history subsample size"),
-        "workers": (int, "evaluation threads; any count gives the same results (train ignores it)"),
-        "k": (int, "ranking cutoff"),
-        "phase": (str, "evaluation phase: validation or test"),
-        "lr_grid": (str, "comma-separated learning rates"),
-        "n_grid": (str, "comma-separated memory sizes"),
-        "margin_grid": (str, "comma-separated margins"),
-        "users": (str, "comma-separated user keys"),
-        "users_file": (str, "file with one user key per line"),
-    }
-    for key in keys:
-        typ, help_text = flags[key]
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None, help=help_text)
-
-
-_COMMANDS = (
-    ("preprocess", "binarize, k-core filter, split, and write a dataset directory", _PRE_DEFAULTS, cmd_preprocess),
-    ("train", "train one model and write its best-epoch checkpoint", _TRAIN_DEFAULTS, cmd_train),
-    ("evaluate", "rank the full catalog and report the metrics", _EVAL_DEFAULTS, cmd_evaluate),
-    ("grid-search", "train a grid of configs and rank them by validation NDCG", _GRID_DEFAULTS, cmd_grid),
-    ("recommend", "top-K unseen item keys for the given user keys", _REC_DEFAULTS, cmd_recommend),
-)
+# name -> (help, options in --help order, defaults that differ from _OPTIONS', handler)
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], dict[str, object], Callable[[argparse.Namespace], int]]] = {
+    "preprocess": ("binarize, k-core filter, split, and write a dataset directory",
+                   ("input", "out", "threshold", "k_core", "ratios", "seed"), {}, cmd_preprocess),
+    "train": ("train one model and write its best-epoch checkpoint",
+              ("data", "out", "model", "dim", "n_relations", "margin", "lr", "batch_size", "max_epochs",
+               "history_cap", "seed", "workers"), {}, cmd_train),
+    "evaluate": ("rank the full catalog and report the metrics",
+                 ("checkpoint", "data", "model", "phase", "k", "history_cap", "workers", "out"),
+                 {"model": None, "out": ""}, cmd_evaluate),
+    "grid-search": ("train a grid of configs and rank them by validation NDCG",
+                    ("data", "out", "model", "lr_grid", "n_grid", "margin_grid", "dim", "n_relations",
+                     "batch_size", "max_epochs", "history_cap", "seed", "k"), {}, cmd_grid),
+    "recommend": ("top-K unseen item keys for the given user keys",
+                  ("checkpoint", "data", "model", "users", "users_file", "k", "history_cap", "out"),
+                  {"model": None, "out": ""}, cmd_recommend),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -511,10 +450,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     that parsing a ``command`` line or printing the top-level help reads."""
     parser = _Parser(prog="cmlrec", description="Metric-learning recommenders: preprocess, train, evaluate, recommend.")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text, defaults, func in _COMMANDS:
+    for name, (help_text, keys, _overrides, func) in _COMMANDS.items():
         p = subs.add_parser(name, help=help_text)
         if command in (None, name):
-            _add_common(p, defaults)
+            p.add_argument("--config", default=None, help="key=value config file; flags override it")
+            for key in keys:
+                typ, _default, key_help = _OPTIONS[key]
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ, default=None, help=key_help)
         p.set_defaults(func=func)
     return parser
 

@@ -268,17 +268,14 @@ def _looks_like_header(fields: list[str]) -> bool:
 def load_interactions(
     source: str | os.PathLike | Iterable[str],
     threshold: float,
-    *,
-    delimiter: str | None = None,
-    has_header: bool | None = None,
 ) -> RawInteractions:
     """Parse an event stream into binarized, deduplicated positives.
 
     Each line is ``user<sep>item[<sep>value[...]]``; rows with
     ``value >= threshold`` are kept. A missing value column counts as
     above-threshold (already-binary data). Extra columns (timestamps etc.)
-    are ignored. The delimiter is auto-detected among comma and tab unless
-    given, and a header row is auto-detected unless ``has_header`` is set.
+    are ignored. The delimiter is auto-detected among comma and tab, and so
+    is a header row.
     """
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
@@ -289,22 +286,20 @@ def load_interactions(
     else:
         fh = source
     seen: dict[tuple[str, str], None] = {}
+    delimiter: str | None = None
     try:
         lineno = 0
-        first_data_line = True
         for raw_line in fh:
             lineno += 1
             line = raw_line.rstrip("\n").rstrip("\r")
             if not line.strip():
                 continue
-            if delimiter is None:
+            first_data_line = delimiter is None
+            if first_data_line:
                 delimiter = _detect_delimiter(line)
             fields = [f.strip() for f in line.split(delimiter)]
-            if first_data_line:
-                first_data_line = False
-                header = has_header if has_header is not None else _looks_like_header(fields)
-                if header:
-                    continue
+            if first_data_line and _looks_like_header(fields):
+                continue
             if len(fields) < 2 or not fields[0] or not fields[1]:
                 raise ParseError(lineno, f"expected 'user{delimiter}item[{delimiter}value]', got {line!r}")
             if len(fields) >= 3:

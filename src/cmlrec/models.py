@@ -407,7 +407,7 @@ def _attention_forward(
     relation w_h M is w_h · (M q); and the relation is (Σ_h α_h w_h) M. So no
     (B, H, d) joint-embedding or relation tensor is formed.
     """
-    emb = table[support]  # (B, H, d)
+    emb = table.take(support, axis=0)  # (B, H, d)
     anchored_keys = anchor[:, None, :] * keys  # (B, N, d)
     # Slots on the middle axis, so the in-place softmax over them reduces
     # whole rows of H entries rather than many short rows of N.

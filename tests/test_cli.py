@@ -269,6 +269,17 @@ class TestConfigResolution:
         assert code == EXIT_USAGE
         assert ":2:" in capsys.readouterr().err
 
+    def test_key_set_twice_is_usage_error(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("dim=8\n# later\ndim=16\n")
+        out = tmp_path / "x"
+        code = run_cli("train", "--config", str(cfg), "--data", str(data), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert f"{cfg}:3: config key 'dim' is already set on line 1" in err
+        assert not out.exists()  # refused before anything is written
+
     def test_unparseable_flag_value(self, capsys):
         assert run_cli("train", "--dim", "abc") == EXIT_USAGE
 
@@ -297,6 +308,116 @@ class TestConfigResolution:
     def test_one_subcommand_parses_like_the_full_parser(self):
         argv = ["recommend", "--checkpoint", "m.ckpt", "--data", "d", "--model", "hlr++", "--users", "a,b", "--k", "5"]
         assert vars(build_parser("recommend").parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def help_options(help_text: str) -> list[str]:
+    """The option entries of a ``--help`` text, whitespace collapsed, so
+    neither the terminal width nor the section heading matters."""
+    entries: list[list[str]] = []
+    for line in help_text.split("\n\n", 1)[1].splitlines()[1:]:
+        if line.startswith("  -"):
+            entries.append(line.split())
+        else:
+            entries[-1].extend(line.split())
+    return [" ".join(entry) for entry in entries]
+
+
+_HELP_HEAD = ["-h, --help show this help message and exit",
+              "--config CONFIG key=value config file; flags override it"]
+_WORKERS = "--workers WORKERS evaluation threads; any count gives the same results (train ignores it)"
+
+# Each command's options in --help order, and the config it echoes when
+# only the options it cannot run without are given (paths shown as <tmp>).
+OPTION_TABLE = {
+    "preprocess": (
+        ["--input", "<tmp>/none.tsv", "--out", "<tmp>/out"], EXIT_DATA,
+        ["--input INPUT raw interactions file (csv/tsv)",
+         "--out OUT output directory or file",
+         "--threshold THRESHOLD minimum rating/count kept as a positive",
+         "--k-core K_CORE k-core filter order",
+         "--ratios RATIOS train,validation,test ratios",
+         "--seed SEED root random seed"],
+        "input=<tmp>/none.tsv\nk_core=10\nout=<tmp>/out\nratios=0.8,0.1,0.1\nseed=0\nthreshold=4.0\n",
+    ),
+    "train": (
+        ["--data", "<tmp>/none", "--out", "<tmp>/out"], EXIT_DATA,
+        ["--data DATA preprocessed dataset directory",
+         "--out OUT output directory or file",
+         "--model MODEL model kind: cml, lrml, adacml, hlr, hlr++",
+         "--dim DIM embedding dimension",
+         "--n-relations N_RELATIONS relation memory slices",
+         "--margin MARGIN hinge margin",
+         "--lr LR Adam learning rate",
+         "--batch-size BATCH_SIZE triplets per optimizer step",
+         "--max-epochs MAX_EPOCHS training epoch budget",
+         "--history-cap HISTORY_CAP attention history subsample size",
+         "--seed SEED root random seed",
+         _WORKERS],
+        "batch_size=1000\ndata=<tmp>/none\ndim=100\nhistory_cap=50\nlr=0.001\nmargin=0.5\nmax_epochs=100\n"
+        "model=cml\nn_relations=10\nout=<tmp>/out\nseed=0\nworkers=1\n",
+    ),
+    "evaluate": (
+        [], EXIT_USAGE,
+        ["--checkpoint CHECKPOINT model checkpoint path",
+         "--data DATA preprocessed dataset directory",
+         "--model MODEL model kind: cml, lrml, adacml, hlr, hlr++",
+         "--phase PHASE evaluation phase: validation or test",
+         "--k K ranking cutoff",
+         "--history-cap HISTORY_CAP attention history subsample size",
+         _WORKERS,
+         "--out OUT output directory or file"],
+        "checkpoint=None\ndata=None\nhistory_cap=50\nk=10\nmodel=None\nout=\nphase=test\nworkers=1\n",
+    ),
+    "grid-search": (
+        ["--data", "<tmp>/none", "--out", "<tmp>/out"], EXIT_DATA,
+        ["--data DATA preprocessed dataset directory",
+         "--out OUT output directory or file",
+         "--model MODEL model kind: cml, lrml, adacml, hlr, hlr++",
+         "--lr-grid LR_GRID comma-separated learning rates",
+         "--n-grid N_GRID comma-separated memory sizes",
+         "--margin-grid MARGIN_GRID comma-separated margins",
+         "--dim DIM embedding dimension",
+         "--n-relations N_RELATIONS relation memory slices",
+         "--batch-size BATCH_SIZE triplets per optimizer step",
+         "--max-epochs MAX_EPOCHS training epoch budget",
+         "--history-cap HISTORY_CAP attention history subsample size",
+         "--seed SEED root random seed",
+         "--k K ranking cutoff"],
+        "batch_size=1000\ndata=<tmp>/none\ndim=100\nhistory_cap=50\nk=10\nlr_grid=0.0002,0.0005,0.00075,0.001\n"
+        "margin_grid=0.2,0.5,0.75,1.0\nmax_epochs=100\nmodel=cml\nn_grid=5,10,20,50\nn_relations=10\n"
+        "out=<tmp>/out\nseed=0\n",
+    ),
+    "recommend": (
+        [], EXIT_USAGE,
+        ["--checkpoint CHECKPOINT model checkpoint path",
+         "--data DATA preprocessed dataset directory",
+         "--model MODEL model kind: cml, lrml, adacml, hlr, hlr++",
+         "--users USERS comma-separated user keys",
+         "--users-file USERS_FILE file with one user key per line",
+         "--k K ranking cutoff",
+         "--history-cap HISTORY_CAP attention history subsample size",
+         "--out OUT output directory or file"],
+        "checkpoint=None\ndata=None\nhistory_cap=50\nk=10\nmodel=None\nout=\nusers=\nusers_file=\n",
+    ),
+}
+
+
+class TestOptionTable:
+    """Golden: no option is dropped, reordered, re-typed or re-defaulted."""
+
+    @pytest.mark.parametrize("command", list(OPTION_TABLE))
+    def test_help_lists_the_options_in_order(self, command, capsys):
+        assert run_cli(command, "--help") == EXIT_OK
+        assert help_options(capsys.readouterr().out) == _HELP_HEAD + OPTION_TABLE[command][2]
+
+    @pytest.mark.parametrize("command", list(OPTION_TABLE))
+    def test_default_config_echo(self, command, tmp_path, capsys):
+        argv, code, _options, echo = OPTION_TABLE[command]
+        assert run_cli(command, *(arg.replace("<tmp>", str(tmp_path)) for arg in argv)) == code
+        assert capsys.readouterr().out.replace(str(tmp_path), "<tmp>") == "# effective config\n" + echo
+        if "--out" in argv:  # the echo is also written next to the outputs
+            assert (tmp_path / "out" / "config.txt").read_text().replace(str(tmp_path), "<tmp>") \
+                == "# effective config\n" + echo
 
 
 class TestRecommendCommand:

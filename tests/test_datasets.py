@@ -109,11 +109,6 @@ class TestLoadInteractions:
         raw = load_interactions(["user,item,rating", "a,x,5"], threshold=4)
         assert raw.pairs == (("a", "x"),)
 
-    def test_has_header_override(self):
-        # first row would pass the numeric sniff, force it to be a header
-        raw = load_interactions(["9,9,9", "a,x,5"], threshold=4, has_header=True)
-        assert raw.pairs == (("a", "x"),)
-
     def test_extra_columns_ignored(self):
         raw = load_interactions(["a,x,5,978300760"], threshold=4)
         assert raw.pairs == (("a", "x"),)
