@@ -241,7 +241,7 @@ def evaluate(
     check_compatible(store, kind, split)
     view = split.validation if phase == "validation" else split.test
     exclusions_for = _exclusion_sets(split, phase)
-    users = [u for u in range(split.num_users) if len(view.user_items[u]) > 0]
+    users = np.flatnonzero(view.user_items.lengths > 0).tolist()
     if not users:
         raise EvaluationError(f"no users with relevant items in the {phase} view")
 

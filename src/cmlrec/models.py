@@ -21,21 +21,25 @@ positives and the negatives) as an axis of its items; training runs each
 chunk ``batch[a:b]`` as one forward and backward pass over both sides.
 Ranking (:func:`candidate_distances`) is one block loop for all five
 heads: it scores one user against a block of the candidate matrix Q in
-closed form, with no per-candidate context.
+closed form, with no per-candidate context. The candidates are split into
+evenly sized blocks, as many as their largest temporary holds budgets of
+``_RANK_BLOCK_ELEMENTS``, rounded.
 
 Both training and ranking read the memories of ``hlr``/``hlr++`` in the
 collapsed array form: a key logit ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n),
 an attention logit over a relation w M is w · (M p), and an
 attention-weighted sum of relations is (Σ_h α_h w_h) M. So no (B, H, d) or
 (C, H, d) relation tensor is built anywhere. Training gets the key logits of
-a batch from one batched product per side (:func:`_attention_forward`), and
-its backward pass gives the memory gradient as two (N, B) @ (B, d) products
-(:func:`_attention_backward`). In ranking, the key logits of every (history
-item, candidate) pair of a block come from one GEMM. ``hlr++``'s item side
-reads the ranked user's key weights, one contiguous row per support user,
-by one (C, J, N) gather, and its attention logits and mixed key weights are
-two batched products. Tests hold the single-pair, training and ranking
-paths together.
+a batch from one batched product per side (:func:`_attention_forward`),
+stored slot-major so that the softmax over the slots reduces contiguous
+rows, and its backward pass gives the memory gradient as two (N, B) @ (B, d)
+products (:func:`_attention_backward`). The attention over history slots
+is one in-place masked softmax (:func:`_masked_softmax`). In ranking, the
+key logits of every (history item, candidate) pair of a block come from one
+GEMM. ``hlr++``'s item side reads the ranked user's key weights, one
+contiguous row per support user, by one (C, J, N) gather, and its attention
+logits and mixed key weights are two batched products. Tests hold the
+single-pair, training and ranking paths together.
 """
 from __future__ import annotations
 
@@ -221,13 +225,20 @@ def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _masked_softmax(logits: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax over the unmasked entries along ``axis``; fully-masked slices yield zeros."""
-    guarded = np.where(mask, logits, -np.inf)
-    mx = np.max(guarded, axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    ex = np.where(mask, np.exp(guarded - mx), 0.0)
-    denom = ex.sum(axis=axis, keepdims=True)
-    return np.divide(ex, denom, out=np.zeros_like(ex), where=denom > 0)
+    """Softmax over the set entries of ``mask`` along ``axis``.
+
+    One copy floors the unset entries at a finite -1e300, whose exponential
+    after the max shift is exactly 0, and the rest runs in place. A fully
+    masked slice would come out uniform, so the result is multiplied by
+    whether the slice has a set entry: it yields zeros. A NaN in a set entry
+    yields NaN.
+    """
+    ex = np.where(mask, logits, -1e300)
+    ex -= ex.max(axis=axis, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=axis, keepdims=True)
+    ex *= mask.any(axis=axis, keepdims=True)
+    return ex
 
 
 def _softmax_leading(logits: np.ndarray) -> np.ndarray:
@@ -409,10 +420,12 @@ def _attention_forward(
     """
     emb = table.take(support, axis=0)  # (B, H, d)
     anchored_keys = anchor[:, None, :] * keys  # (B, N, d)
-    # Slots on the middle axis, so the in-place softmax over them reduces
-    # whole rows of H entries rather than many short rows of N.
-    key_w = anchored_keys @ emb.transpose(0, 2, 1)  # (B, N, H)
-    _softmax_leading(key_w.transpose(1, 0, 2))
+    # The logits are stored slot-major, (N, B, H), so the in-place softmax
+    # over the slots reduces whole contiguous (B, H) rows; key_w is its
+    # (B, N, H) view.
+    by_slot = np.empty((len(keys), *support.shape))
+    key_w = np.matmul(anchored_keys, emb.transpose(0, 2, 1), out=by_slot.transpose(1, 0, 2))
+    _softmax_leading(by_slot)
     read = query @ memories.T  # (B, N)
     att_logits = (read[:, None, :] @ key_w)[:, 0, :]  # (B, H)
     alpha = _masked_softmax(att_logits, mask)
@@ -541,6 +554,11 @@ def _backward_stacked(
     def shared(per_row: np.ndarray) -> np.ndarray:
         return np.add(*sides(per_row))
 
+    def add_set_slots(name: str, ids: np.ndarray, mask: np.ndarray, g_slots: np.ndarray) -> None:
+        # The (ids, gradient) pairs of the slots ``mask`` sets, in row order.
+        set_slots = np.flatnonzero(mask)
+        grads.add_rows(name, ids.take(set_slots), g_slots.reshape(mask.size, -1).take(set_slots, axis=0))
+
     g_diff = (2.0 * coeff)[:, None] * cache.diff
     g_pu = g_diff
     g_qv = -g_diff
@@ -566,7 +584,7 @@ def _backward_stacked(
         weights = np.stack([w for side in zip(sides(cache.alpha), sides(g_logits)) for w in side], axis=2)
         vectors = np.stack([v for side in zip(sides(g_rel), sides(cache.qv)) for v in side], axis=1)
         g_hist = weights @ vectors
-        grads.add_rows(ITEM_VECS, batch.hist[batch.hist_mask], g_hist[batch.hist_mask])
+        add_set_slots(ITEM_VECS, batch.hist, batch.hist_mask, g_hist)
     elif kind in (ModelKind.HLR, ModelKind.HLRPP):
         att = cache.user_att
         assert att is not None
@@ -577,8 +595,7 @@ def _backward_stacked(
         g_qv = g_qv + g_anchor
         grads.add_dense(REL_KEYS, g_keys)
         grads.add_dense(REL_MEMORIES, g_memories)
-        g_emb = shared(g_emb)
-        grads.add_rows(ITEM_VECS, batch.hist[batch.hist_mask], g_emb[batch.hist_mask])
+        add_set_slots(ITEM_VECS, batch.hist, batch.hist_mask, shared(g_emb))
         if kind is ModelKind.HLRPP:
             iatt = cache.item_att
             assert iatt is not None and store.item_rel_keys is not None and store.item_rel_memories is not None
@@ -589,8 +606,7 @@ def _backward_stacked(
             g_pu = g_pu + g_anchor_i
             grads.add_dense(ITEM_REL_KEYS, g_keys_i)
             grads.add_dense(ITEM_REL_MEMORIES, g_memories_i)
-            imask = iatt.mask
-            grads.add_rows(USER_VECS, iatt.support[imask], g_emb_i[imask])
+            add_set_slots(USER_VECS, iatt.support, iatt.mask, g_emb_i)
     grads.add_rows(USER_VECS, batch.users, shared(g_pu))
     grads.add_rows(ITEM_VECS, batch.items.reshape(-1), g_qv)
 
@@ -709,11 +725,15 @@ def _item_side_relations(
     return (beta.T[:, None, :] @ key_w)[:, 0, :] @ memories
 
 
-# Ranking scores the candidates in blocks whose largest temporaries, the
-# (N, H, block) key weights of ``hlr``/``hlr++`` and the (block, J, N)
-# gathered item-side key weights of ``hlr++``, hold about this many float64s
-# (1 MiB) each: a block's passes over them then stay in a core's L2 cache
-# instead of streaming through the shared last-level cache.
+# Ranking splits the candidates into evenly sized blocks whose largest
+# temporaries, the (N, H, block) key weights of ``hlr``/``hlr++`` and the
+# (block, J, N) gathered item-side key weights of ``hlr++``, hold about this
+# many float64s (1 MiB) each: a block's passes over them then stay near a
+# core's L2 cache instead of streaming through the shared last-level cache.
+# The block count is the total rounded to the nearest whole number of
+# budgets, so a user just over one budget is still one block, rather than a
+# full block and a nearly empty one that pays the per-block cost for little
+# work.
 _RANK_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -732,8 +752,8 @@ def candidate_distances(
     ``hlr++`` head, either as rows over the catalog (row ``v`` holds the
     history of item ``v``; see :func:`evaluation.item_history_table`) or as a
     list with one user array per candidate. Each candidate block pads only
-    its own rows. Every head scores ‖p + r − q‖² in closed
-    form, one cache-sized block Q of candidates at a time, with no
+    its own rows. Every head scores ‖p + r − q‖² in closed form, one
+    cache-sized block Q of evenly split candidates at a time, with no
     per-candidate context and no (C, H, d) tensor. Only the translation r
     differs: none for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``;
     softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``; the
@@ -761,7 +781,8 @@ def candidate_distances(
         # The key weights of every user as the support of ``pu``, one row each.
         user_w = np.ascontiguousarray(_softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T).T)
         widest = max(widest, int(table.lengths[rows].max(initial=0)))
-    step = max(1, _RANK_BLOCK_ELEMENTS // (len(store.rel_keys) * widest))
+    blocks = max(1, round(len(candidates) * len(store.rel_keys) * widest / _RANK_BLOCK_ELEMENTS))
+    step = max(1, -(-len(candidates) // blocks))
     diff = np.empty((len(candidates), store.dim))
     for start in range(0, len(candidates), step):
         block = slice(start, start + step)

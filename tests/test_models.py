@@ -56,6 +56,50 @@ class TestSoftmax:
         assert abs(w.sum() - 1.0) < 1e-9
 
 
+class TestMaskedSoftmax:
+    @staticmethod
+    def _reference(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Softmax of one slice over its set entries, exact zeros elsewhere."""
+        out = np.zeros(len(logits))
+        if mask.any():
+            out[mask] = np.exp(logits[mask] - logits[mask].max())
+            out /= out.sum()
+        return out
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_matches_per_slice_reference(self, axis):
+        # The reduced axis is contiguous, as in a 1-D slice, so numpy sums it
+        # in the same order as the reference's sum and the bits must agree.
+        gen = np.random.default_rng(40)
+        for width in range(1, 61):
+            rows = int(gen.integers(1, 30))
+            logits = gen.normal(scale=gen.uniform(0.1, 20), size=(rows, width))
+            mask = gen.random((rows, width)) < gen.uniform(0.05, 1.0)
+            mask[0] = False  # one fully masked slice in every case
+            if axis == 0:
+                logits, mask = logits.T, mask.T
+            got = models._masked_softmax(logits, mask, axis=axis)
+            slices = zip(logits.T, mask.T, got.T) if axis == 0 else zip(logits, mask, got)
+            for row_logits, row_mask, row_got in slices:
+                assert row_got.tobytes() == self._reference(row_logits, row_mask).tobytes()
+
+    def test_fully_masked_slice_gives_zeros(self):
+        logits = np.array([[1.0, -2.0, 3.0], [0.5, 7.0, -1.0]])
+        mask = np.array([[False, False, False], [True, False, True]])
+        got = models._masked_softmax(logits, mask)
+        assert got[0].tolist() == [0.0, 0.0, 0.0]
+        assert got[1].tobytes() == self._reference(logits[1], mask[1]).tobytes()
+        assert models._masked_softmax(logits, np.zeros((2, 3), dtype=bool), axis=0).tolist() == [[0.0] * 3] * 2
+
+    def test_nan_in_a_set_entry_gives_nan(self):
+        logits = np.array([[np.nan, 1.0, 2.0], [np.nan, 1.0, 2.0]])
+        mask = np.array([[True, True, False], [False, True, True]])
+        got = models._masked_softmax(logits, mask)
+        assert np.isnan(got[0]).all()
+        # A NaN in an unset entry is never read.
+        assert got[1].tobytes() == self._reference(logits[1], mask[1]).tobytes()
+
+
 class TestBuildingBlocks:
     def test_joint_embedding_elementwise(self):
         np.testing.assert_array_equal(joint_embedding(np.array([1.0, 2.0]), np.array([3.0, 4.0])), [3.0, 8.0])
@@ -390,10 +434,11 @@ class TestCandidateDistances:
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("budget", [1, 40])
     def test_candidate_blocks_match_score(self, kind, budget, monkeypatch):
-        # budget 1 scores one candidate per block; 40 with 3 slots gives blocks of
-        # 13 // (widest support set): 4 for the 3 history items, 3 where an hlr++
-        # item history holds 4 users, and all 13 candidates in one block with no
-        # support set (cml, lrml, an empty history).
+        # budget 1 scores one candidate per block; 40 with 3 slots splits the 13
+        # candidates into round(13 * 3 * widest support set / 40) even blocks:
+        # 3 blocks (5, 5, 3) for the 3 history items, 4 blocks (4, 4, 4, 1)
+        # where an hlr++ item history holds 4 users, and one block of all 13
+        # with no support set (cml, lrml, an empty history).
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
         gen = np.random.default_rng(26)
         store = init_parameters(8, 14, 5, 3, with_item_memory=True, seed=26)
@@ -406,10 +451,11 @@ class TestCandidateDistances:
     @pytest.mark.parametrize("n_relations", [3, 16])
     def test_hlrpp_wide_item_histories_across_blocks(self, n_relations, monkeypatch):
         # Item rows hold 0-12 users, so rows both narrower and wider than the
-        # N slots occur. The budget gives blocks of 4 candidates (budget over
-        # N slots times the widest row, 12); the second block's rows are all
-        # empty, so it scores no item side.
-        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 4 * n_relations * 12)
+        # N slots occur. The budget splits the 13 candidates into
+        # 13 * N * 12 (the widest row) / budget = 4 even blocks of 4
+        # (4, 4, 4, 1); the second block's rows are all empty, so it scores
+        # no item side.
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 39 * n_relations)
         item_side, returned = models._item_side_relations, []
 
         def recording(*args):
@@ -427,6 +473,26 @@ class TestCandidateDistances:
             self._assert_matches_score(3, cands, ModelKind.HLRPP, store, hist, ihists)
             # The list form, then the table form, each in 4 blocks.
             assert [r is None for r in returned] == [False, True, False, False] * 2
+
+    def test_hlrpp_user_just_over_the_budget_is_one_block(self, monkeypatch):
+        # 273 candidates with 50-user item rows at N = 10 hold 136,500 key
+        # weights, 1.04 budgets: one block, not a full block and a sliver.
+        calls = []
+        item_side = models._item_side_relations
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return item_side(*args)
+
+        monkeypatch.setattr(models, "_item_side_relations", counting)
+        gen = np.random.default_rng(28)
+        store = init_parameters(60, 300, 4, 10, with_item_memory=True, seed=28)
+        cands = np.sort(gen.choice(300, size=273, replace=False)).astype(np.int64)
+        rows = [np.sort(gen.choice(60, size=50, replace=False)).astype(np.int64) for _ in range(300)]
+        hist = np.array([1, 7, 30], dtype=np.int64)
+        d = candidate_distances(5, cands, ModelKind.HLRPP, store, history=hist, item_histories=_Rows.of(rows))
+        assert calls == [273]
+        assert d.shape == (273,) and np.isfinite(d).all()
 
     def test_item_histories_must_align_with_candidates(self):
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)
