@@ -32,8 +32,9 @@ attention-weighted sum of relations is (Σ_h α_h w_h) M. So no (B, H, d) or
 (C, H, d) relation tensor is built anywhere. Training gets the key logits of
 a batch from one batched product per side (:func:`_attention_forward`),
 stored slot-major so that the softmax over the slots reduces contiguous
-rows, and its backward pass gives the memory gradient as two (N, B) @ (B, d)
-products (:func:`_attention_backward`). The attention over history slots
+rows. A training pass returns its backward next to its distances, and the
+backward of an attention block gives the memory gradient as two
+(N, B) @ (B, d) products. The attention over history slots
 is one in-place masked softmax (:func:`_masked_softmax`). In ranking, the
 key logits of every (history item, candidate) pair of a block come from one
 GEMM. ``hlr++``'s item side reads the ranked user's key weights, one
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -381,23 +382,9 @@ def triplet_margin_loss(d_pos: float, d_neg: float, margin: float) -> float:
 # Batched forward/backward over the sides of a TripletBatch
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class _AttentionCache:
-    """Intermediates of one memory-attention block (user or item side)."""
-
-    support: np.ndarray  # (B, H) indices into the embedding table
-    mask: np.ndarray  # (B, H)
-    emb: np.ndarray  # (B, H, d) gathered support embeddings
-    anchor: np.ndarray  # (B, d) the vector forming joint embeddings
-    anchored_keys: np.ndarray  # (B, N, d) anchor ⊙ keys
-    query: np.ndarray  # (B, d) the attention query vector
-    read: np.ndarray  # (B, N) M q, the memory rows read by the query
-    key_w: np.ndarray  # (B, N, H)
-    att_logits: np.ndarray  # (B, H)
-    alpha: np.ndarray  # (B, H)
-    mixed_w: np.ndarray  # (B, N) Σ_h α_h w_h
-    relation: np.ndarray  # (B, d)
+# ``backward(coeff, grads)`` of a pass: adds coeff[b] * d(distance_b)/d(params)
+# into ``grads``.
+Backward = Callable[[np.ndarray, SparseGradients], None]
 
 
 def _attention_forward(
@@ -408,10 +395,10 @@ def _attention_forward(
     query: np.ndarray,
     keys: np.ndarray,
     memories: np.ndarray,
-) -> _AttentionCache:
+) -> tuple[np.ndarray, Callable[[np.ndarray], tuple[np.ndarray, ...]]]:
     """Hierarchical relation block: memory relations between ``anchor`` and
     each support row, then attention with ``query``. Shapes: support (B, H),
-    anchor/query (B, d).
+    anchor/query (B, d). Returns the relations (B, d) and their backward.
 
     The memory read is collapsed: the key logit of support row e_h and slot n
     is e_h · (anchor ⊙ k_n), one batched product; the attention logit of the
@@ -430,185 +417,151 @@ def _attention_forward(
     att_logits = (read[:, None, :] @ key_w)[:, 0, :]  # (B, H)
     alpha = _masked_softmax(att_logits, mask)
     mixed_w = (key_w @ alpha[:, :, None])[:, :, 0]  # (B, N)
-    relation = mixed_w @ memories
-    return _AttentionCache(
-        support, mask, emb, anchor, anchored_keys, query, read, key_w, att_logits, alpha, mixed_w, relation
-    )
 
+    def backward(g_relation: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Given dL/d(relation) returns (g_query, g_anchor, g_emb (B, H, d),
+        g_keys, g_memories); g_emb is zero at masked slots. The memories get
+        w̄ᵀ g_relation + ḡwᵀ q, two (N, B) @ (B, d) products. The key-logit
+        gradient is key_w ⊙ (ḡ αᵀ + (M q) g_attᵀ − c), a rank-2 batched
+        product less a (B, H) term c; one (B, N, d) product of it with the
+        support embeddings gives both g_keys and g_anchor.
+        """
+        g_mixed = g_relation @ memories.T  # (B, N)
+        g_alpha = (g_mixed[:, None, :] @ key_w)[:, 0, :]  # (B, H)
+        inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
+        g_att = alpha * (g_alpha - inner)  # attention-logit gradient (B, H)
+        g_read = (key_w @ g_att[:, :, None])[:, :, 0]  # (B, N)
+        g_query = g_read @ memories
+        g_memories = mixed_w.T @ g_relation + g_read.T @ query
+        # dL/dw_h = α_h ḡ + g_att_h (M q), whose product with w_h is
+        # α_h g_alpha_h + g_att_h att_logit_h, so the softmax backward needs no
+        # (B, N, H) reduction.
+        g_key_logits = np.stack([g_mixed, read], axis=2) @ np.stack([alpha, g_att], axis=1)  # (B, N, H)
+        g_key_logits -= (alpha * g_alpha + g_att * att_logits)[:, None, :]
+        g_key_logits *= key_w
+        g_emb = g_key_logits.transpose(0, 2, 1) @ anchored_keys  # (B, H, d)
+        g_anchored = g_key_logits @ emb  # (B, N, d)
+        g_anchor = np.einsum("bnd,nd->bd", g_anchored, keys)
+        g_keys = np.einsum("bnd,bd->nd", g_anchored, anchor)
+        return g_query, g_anchor, g_emb, g_keys, g_memories
 
-def _attention_backward(
-    cache: _AttentionCache,
-    g_relation: np.ndarray,
-    keys: np.ndarray,
-    memories: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop one attention block in the collapsed form of the forward.
-
-    Given dL/d(relation) returns (g_query, g_anchor, g_emb (B, H, d),
-    g_keys, g_memories); g_emb is zero at masked slots. The memories get
-    w̄ᵀ g_relation + ḡwᵀ q, two (N, B) @ (B, d) products. The key-logit
-    gradient is key_w ⊙ (ḡ αᵀ + (M q) g_attᵀ − c), a rank-2 batched product
-    less a (B, H) term c; one (B, N, d) product of it with the support
-    embeddings gives both g_keys and g_anchor.
-    """
-    g_mixed = g_relation @ memories.T  # (B, N)
-    g_alpha = (g_mixed[:, None, :] @ cache.key_w)[:, 0, :]  # (B, H)
-    inner = (g_alpha * cache.alpha).sum(axis=1, keepdims=True)
-    g_att = cache.alpha * (g_alpha - inner)  # attention-logit gradient (B, H)
-    g_read = (cache.key_w @ g_att[:, :, None])[:, :, 0]  # (B, N)
-    g_query = g_read @ memories
-    g_memories = cache.mixed_w.T @ g_relation + g_read.T @ cache.query
-    # dL/dw_h = α_h ḡ + g_att_h (M q), whose product with w_h is
-    # α_h g_alpha_h + g_att_h att_logit_h, so the softmax backward needs no
-    # (B, N, H) reduction.
-    g_key_logits = np.stack([g_mixed, cache.read], axis=2) @ np.stack([cache.alpha, g_att], axis=1)  # (B, N, H)
-    g_key_logits -= (cache.alpha * g_alpha + g_att * cache.att_logits)[:, None, :]
-    g_key_logits *= cache.key_w
-    g_emb = g_key_logits.transpose(0, 2, 1) @ cache.anchored_keys  # (B, H, d)
-    g_anchored = g_key_logits @ cache.emb  # (B, N, d)
-    g_anchor = np.einsum("bnd,nd->bd", g_anchored, keys)
-    g_keys = np.einsum("bnd,bd->nd", g_anchored, cache.anchor)
-    return g_query, g_anchor, g_emb, g_keys, g_memories
-
-
-@dataclass
-class _ForwardCache:
-    batch: TripletBatch
-    pu: np.ndarray
-    qv: np.ndarray
-    diff: np.ndarray
-    distances: np.ndarray
-    # lrml
-    s: np.ndarray | None = None
-    key_w: np.ndarray | None = None
-    # adacml
-    hist_emb: np.ndarray | None = None
-    alpha: np.ndarray | None = None
-    # hlr / hlr++
-    user_att: _AttentionCache | None = None
-    item_att: _AttentionCache | None = None
+    return mixed_w @ memories, backward
 
 
 # Diverging parameters overflow here; callers detect the non-finite distances
 # and raise NonFiniteScoreError, so numpy's warnings would only repeat that.
 @np.errstate(over="ignore", invalid="ignore")
-def _forward_stacked(batch: TripletBatch, kind: ModelKind, store: ParameterStore) -> _ForwardCache:
+def _forward_stacked(batch: TripletBatch, kind: ModelKind, store: ParameterStore) -> tuple[np.ndarray, Backward]:
     """One pass over every side of ``batch``, flattened side-major: row
-    ``s * U + i`` scores ``items[s, i]`` for ``users[i]``."""
+    ``s * U + i`` scores ``items[s, i]`` for ``users[i]``. Returns the
+    distances and the pass's backward.
+
+    Each head's branch computes its translation r and, next to it, the
+    backward of ‖p + r − q‖² from ḡ = dL/d(p + r − q): it adds the gradients
+    of the head's keys, memories and history slots into ``grads`` and returns
+    those of p and q, ḡ and −ḡ plus the head's terms. The sides read the same
+    users and user-history rows, so the gradients of those rows are summed
+    over the sides first and scattered once; the items and the ``hlr++`` item
+    histories differ per side and are scattered whole.
+    """
     sides = len(batch.items)
     pu = store.user_vecs[np.concatenate([batch.users] * sides)]
     qv = store.item_vecs[batch.items.reshape(-1)]
-    cache = _ForwardCache(batch, pu, qv, diff=np.empty(0), distances=np.empty(0))
-    relation = np.zeros_like(pu)
+
+    def per_side(per_row: np.ndarray) -> np.ndarray:
+        return per_row.reshape(sides, len(batch), *per_row.shape[1:])
+
+    def shared(per_row: np.ndarray) -> np.ndarray:
+        return per_side(per_row).sum(axis=0)
+
+    def add_set_slots(
+        grads: SparseGradients, name: str, ids: np.ndarray, mask: np.ndarray, g_slots: np.ndarray
+    ) -> None:
+        # The (ids, gradient) pairs of the slots ``mask`` sets, in row order.
+        set_slots = np.flatnonzero(mask)
+        grads.add_rows(name, ids.take(set_slots), g_slots.reshape(mask.size, -1).take(set_slots, axis=0))
+
     if kind.uses_history:
         assert batch.hist is not None and batch.hist_mask is not None
         hist, hist_mask = np.concatenate([batch.hist] * sides), np.concatenate([batch.hist_mask] * sides)
-    if kind is ModelKind.LRML:
-        cache.s = pu * qv
-        cache.key_w = stable_softmax(cache.s @ store.rel_keys.T, axis=-1)
-        relation = cache.key_w @ store.rel_memories
+    if kind is ModelKind.CML:
+        relation = np.zeros_like(pu)
+
+        def translation_backward(g_rel: np.ndarray, grads: SparseGradients) -> tuple[np.ndarray, np.ndarray]:
+            return g_rel, -g_rel
+
+    elif kind is ModelKind.LRML:
+        s = pu * qv
+        key_w = stable_softmax(s @ store.rel_keys.T, axis=-1)
+        relation = key_w @ store.rel_memories
+
+        def translation_backward(g_rel: np.ndarray, grads: SparseGradients) -> tuple[np.ndarray, np.ndarray]:
+            grads.add_dense(REL_MEMORIES, key_w.T @ g_rel)
+            g_key_w = g_rel @ store.rel_memories.T
+            inner = (g_key_w * key_w).sum(axis=1, keepdims=True)
+            g_logits = key_w * (g_key_w - inner)
+            grads.add_dense(REL_KEYS, g_logits.T @ s)
+            g_s = g_logits @ store.rel_keys
+            return g_rel + g_s * qv, -g_rel + g_s * pu
+
     elif kind is ModelKind.ADACML:
-        cache.hist_emb = store.item_vecs[hist]
-        logits = (cache.hist_emb @ qv[:, :, None])[:, :, 0]
-        cache.alpha = _masked_softmax(logits, hist_mask)
-        relation = (cache.alpha[:, None, :] @ cache.hist_emb)[:, 0, :]
-    elif kind in (ModelKind.HLR, ModelKind.HLRPP):
-        cache.user_att = _attention_forward(
+        hist_emb = store.item_vecs[hist]
+        alpha = _masked_softmax((hist_emb @ qv[:, :, None])[:, :, 0], hist_mask)
+        relation = (alpha[:, None, :] @ hist_emb)[:, 0, :]
+
+        def translation_backward(g_rel: np.ndarray, grads: SparseGradients) -> tuple[np.ndarray, np.ndarray]:
+            g_alpha = (hist_emb @ g_rel[:, :, None])[:, :, 0]
+            inner = (g_alpha * alpha).sum(axis=1, keepdims=True)
+            g_logits = alpha * (g_alpha - inner)
+            g_qv = -g_rel + (g_logits[:, None, :] @ hist_emb)[:, 0, :]
+            # The history gradient α_h ḡ + g_logit_h q per slot, summed over
+            # the sides by one batched product of the weights (α, g_logit)
+            # and the vectors (ḡ, q) of each side in turn.
+            weights = np.stack([w for side in zip(per_side(alpha), per_side(g_logits)) for w in side], axis=2)
+            vectors = np.stack([v for side in zip(per_side(g_rel), per_side(qv)) for v in side], axis=1)
+            add_set_slots(grads, ITEM_VECS, batch.hist, batch.hist_mask, weights @ vectors)
+            return g_rel, g_qv
+
+    else:  # hlr, hlr++
+        relation, user_backward = _attention_forward(
             hist, hist_mask, store.item_vecs, anchor=qv, query=pu,
             keys=store.rel_keys, memories=store.rel_memories,
         )
-        relation = cache.user_att.relation
+        item_backward = None
         if kind is ModelKind.HLRPP:
             assert batch.ihist is not None and batch.ihist_mask is not None
             if store.item_rel_keys is None or store.item_rel_memories is None:
                 raise ValueError("hlr++ requires a store initialized with the item memory")
             width = batch.ihist.shape[2]
-            cache.item_att = _attention_forward(
-                batch.ihist.reshape(-1, width), batch.ihist_mask.reshape(-1, width), store.user_vecs, anchor=pu,
+            ihist, ihist_mask = batch.ihist.reshape(-1, width), batch.ihist_mask.reshape(-1, width)
+            item_rel, item_backward = _attention_forward(
+                ihist, ihist_mask, store.user_vecs, anchor=pu,
                 query=qv, keys=store.item_rel_keys, memories=store.item_rel_memories,
             )
-            relation = relation + cache.item_att.relation
-    cache.diff = pu + relation - qv
-    cache.distances = np.einsum("bd,bd->b", cache.diff, cache.diff)
-    return cache
+            relation = relation + item_rel
 
+        def translation_backward(g_rel: np.ndarray, grads: SparseGradients) -> tuple[np.ndarray, np.ndarray]:
+            g_query, g_anchor, g_emb, g_keys, g_memories = user_backward(g_rel)
+            g_pu, g_qv = g_rel + g_query, -g_rel + g_anchor
+            grads.add_dense(REL_KEYS, g_keys)
+            grads.add_dense(REL_MEMORIES, g_memories)
+            add_set_slots(grads, ITEM_VECS, batch.hist, batch.hist_mask, shared(g_emb))
+            if item_backward is not None:
+                g_query, g_anchor, g_emb, g_keys, g_memories = item_backward(g_rel)
+                g_pu, g_qv = g_pu + g_anchor, g_qv + g_query
+                grads.add_dense(ITEM_REL_KEYS, g_keys)
+                grads.add_dense(ITEM_REL_MEMORIES, g_memories)
+                add_set_slots(grads, USER_VECS, ihist, ihist_mask, g_emb)
+            return g_pu, g_qv
 
-def _backward_stacked(
-    cache: _ForwardCache, kind: ModelKind, store: ParameterStore, coeff: np.ndarray, grads: SparseGradients
-) -> None:
-    """Accumulate coeff[b] * d(distance_b)/d(params) into ``grads``.
+    diff = pu + relation - qv
 
-    ``cache`` is a pass over a two-sided batch, whose sides read the same
-    users and user-history rows. So the gradients of those rows are summed
-    over the sides first and scattered once; the items and the ``hlr++``
-    item histories differ per side and are scattered whole. ``adacml``'s
-    history gradient, α_h ḡ + g_logit_h q per slot and side, comes out
-    summed over both sides from one rank-4 batched product
-    (U, H, 4) @ (U, 4, d).
-    """
-    batch = cache.batch
+    def backward(coeff: np.ndarray, grads: SparseGradients) -> None:
+        g_pu, g_qv = translation_backward((2.0 * coeff)[:, None] * diff, grads)
+        grads.add_rows(USER_VECS, batch.users, shared(g_pu))
+        grads.add_rows(ITEM_VECS, batch.items.reshape(-1), g_qv)
 
-    def sides(per_row: np.ndarray) -> np.ndarray:
-        return per_row.reshape(2, len(batch), *per_row.shape[1:])
-
-    def shared(per_row: np.ndarray) -> np.ndarray:
-        return np.add(*sides(per_row))
-
-    def add_set_slots(name: str, ids: np.ndarray, mask: np.ndarray, g_slots: np.ndarray) -> None:
-        # The (ids, gradient) pairs of the slots ``mask`` sets, in row order.
-        set_slots = np.flatnonzero(mask)
-        grads.add_rows(name, ids.take(set_slots), g_slots.reshape(mask.size, -1).take(set_slots, axis=0))
-
-    g_diff = (2.0 * coeff)[:, None] * cache.diff
-    g_pu = g_diff
-    g_qv = -g_diff
-    if kind is ModelKind.LRML:
-        assert cache.s is not None and cache.key_w is not None
-        g_rel = g_diff
-        grads.add_dense(REL_MEMORIES, cache.key_w.T @ g_rel)
-        g_key_w = g_rel @ store.rel_memories.T
-        inner = (g_key_w * cache.key_w).sum(axis=1, keepdims=True)
-        g_logits = cache.key_w * (g_key_w - inner)
-        grads.add_dense(REL_KEYS, g_logits.T @ cache.s)
-        g_s = g_logits @ store.rel_keys
-        g_pu = g_pu + g_s * cache.qv
-        g_qv = g_qv + g_s * cache.pu
-    elif kind is ModelKind.ADACML:
-        assert cache.hist_emb is not None and cache.alpha is not None
-        g_rel = g_diff
-        g_alpha = (cache.hist_emb @ g_rel[:, :, None])[:, :, 0]
-        inner = (g_alpha * cache.alpha).sum(axis=1, keepdims=True)
-        g_logits = cache.alpha * (g_alpha - inner)
-        g_qv = g_qv + (g_logits[:, None, :] @ cache.hist_emb)[:, 0, :]
-        # Weights (α, g_logit) and vectors (ḡ, q) of each side in turn.
-        weights = np.stack([w for side in zip(sides(cache.alpha), sides(g_logits)) for w in side], axis=2)
-        vectors = np.stack([v for side in zip(sides(g_rel), sides(cache.qv)) for v in side], axis=1)
-        g_hist = weights @ vectors
-        add_set_slots(ITEM_VECS, batch.hist, batch.hist_mask, g_hist)
-    elif kind in (ModelKind.HLR, ModelKind.HLRPP):
-        att = cache.user_att
-        assert att is not None
-        g_query, g_anchor, g_emb, g_keys, g_memories = _attention_backward(
-            att, g_diff, store.rel_keys, store.rel_memories
-        )
-        g_pu = g_pu + g_query
-        g_qv = g_qv + g_anchor
-        grads.add_dense(REL_KEYS, g_keys)
-        grads.add_dense(REL_MEMORIES, g_memories)
-        add_set_slots(ITEM_VECS, batch.hist, batch.hist_mask, shared(g_emb))
-        if kind is ModelKind.HLRPP:
-            iatt = cache.item_att
-            assert iatt is not None and store.item_rel_keys is not None and store.item_rel_memories is not None
-            g_query_i, g_anchor_i, g_emb_i, g_keys_i, g_memories_i = _attention_backward(
-                iatt, g_diff, store.item_rel_keys, store.item_rel_memories
-            )
-            g_qv = g_qv + g_query_i
-            g_pu = g_pu + g_anchor_i
-            grads.add_dense(ITEM_REL_KEYS, g_keys_i)
-            grads.add_dense(ITEM_REL_MEMORIES, g_memories_i)
-            add_set_slots(USER_VECS, iatt.support, iatt.mask, g_emb_i)
-    grads.add_rows(USER_VECS, batch.users, shared(g_pu))
-    grads.add_rows(ITEM_VECS, batch.items.reshape(-1), g_qv)
+    return np.einsum("bd,bd->b", diff, diff), backward
 
 
 def batch_distances(
@@ -621,16 +574,21 @@ def batch_distances(
     """
     if not isinstance(pairs, TripletBatch):
         pairs = TripletBatch.from_contexts(pairs)
-    return _forward_stacked(pairs, kind, store).distances
+    return _forward_stacked(pairs, kind, store)[0]
 
 
-def _check_finite_distances(distances: np.ndarray, users: np.ndarray, items: np.ndarray, start: int = 0) -> None:
-    """Raise for the first non-finite distance; ``distances[i]`` belongs to
-    the pair ``(users[start + i], items[start + i])``."""
-    finite = np.isfinite(distances)
-    if not finite.all():
-        idx = start + int(np.argmin(finite))
-        raise NonFiniteScoreError(idx, int(users[idx]), int(items[idx]))
+def _triplet_slack(distances: np.ndarray, chunk: TripletBatch, margin: float, start: int = 0) -> np.ndarray:
+    """d_pos − d_neg + margin of each triplet of the two-sided ``chunk``
+    from its ``distances``, side after side. Raises
+    :class:`NonFiniteScoreError` for the first non-finite distance, the
+    positives first; ``start`` is the chunk's offset in its batch."""
+    d_pos, d_neg = distances.reshape(2, -1)
+    for items, side in zip(chunk.items, (d_pos, d_neg)):
+        finite = np.isfinite(side)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise NonFiniteScoreError(start + i, int(chunk.users[i]), int(items[i]))
+    return d_pos - d_neg + margin
 
 
 # ``backward`` runs the batch in chunks of this many triplets, which bounds
@@ -662,16 +620,14 @@ def backward(
     grads = SparseGradients(store)
     total = 0.0
     for start in range(0, len(batch), _BACKWARD_CHUNK):
-        cache = _forward_stacked(batch[start : start + _BACKWARD_CHUNK], kind, store)
-        d_pos, d_neg = cache.distances.reshape(2, -1)
-        _check_finite_distances(d_pos, batch.users, batch.pos, start)
-        _check_finite_distances(d_neg, batch.users, batch.neg, start)
-        slack = d_pos - d_neg + margin
+        chunk = batch[start : start + _BACKWARD_CHUNK]
+        distances, chunk_backward = _forward_stacked(chunk, kind, store)
+        slack = _triplet_slack(distances, chunk, margin, start)
         active = slack > 0.0
         total += float(slack[active].sum())
         if active.any():
             coeff = active.astype(np.float64)
-            _backward_stacked(cache, kind, store, np.concatenate([coeff, -coeff]), grads)
+            chunk_backward(np.concatenate([coeff, -coeff]), grads)
     return grads, total
 
 

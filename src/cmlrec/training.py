@@ -19,12 +19,13 @@ import numpy as np
 
 from . import rng
 from .datasets import InteractionDataset, SplitDataset, _Rows
+from .evaluation import evaluate
 from .models import (
     _BACKWARD_CHUNK,
     ModelKind,
     NonFiniteScoreError,
     TripletBatch,
-    _check_finite_distances,
+    _triplet_slack,
     backward,
     batch_distances,
 )
@@ -262,10 +263,9 @@ def _hinge_mean(batch: TripletBatch, kind: ModelKind, store: ParameterStore, mar
     hinges = []
     step = max(_BACKWARD_CHUNK // 2, 1)
     for start in range(0, len(batch), step):
-        d_pos, d_neg = batch_distances(batch[start : start + step], kind, store).reshape(2, -1)
-        _check_finite_distances(d_pos, batch.users, batch.pos, start)
-        _check_finite_distances(d_neg, batch.users, batch.neg, start)
-        hinges.append(np.maximum(0.0, d_pos - d_neg + margin))
+        chunk = batch[start : start + step]
+        slack = _triplet_slack(batch_distances(chunk, kind, store), chunk, margin, start)
+        hinges.append(np.maximum(0.0, slack))
     return float(np.concatenate(hinges).mean())
 
 
@@ -342,7 +342,6 @@ def train(
 
     if best_store is None:
         best_store = last_finite
-        report.best_epoch = max(report.best_epoch, 0) if report.num_epochs else -1
     return best_store, report
 
 
@@ -402,8 +401,6 @@ def grid_search(
     A cell whose run raises or diverges is marked failed and skipped; it
     does not stop the search. Ties in NDCG keep enumeration order.
     """
-    from .evaluation import evaluate  # local import to avoid a module cycle
-
     cells = grid_cells(base.kind, lr_grid, n_grid, margin_grid, default_n=base.n_relations)
     ranked: list[GridCell] = []
     failed: list[GridCell] = []
@@ -425,7 +422,7 @@ def grid_search(
                 best_epoch=run_report.best_epoch,
             )
             ranked.append(cell)
-            if best_cell is None or (cell.ndcg is not None and cell.ndcg > (best_cell.ndcg or -1.0)):
+            if best_cell is None or cell.ndcg > best_cell.ndcg:
                 best_cell, best_store = cell, store
         except Exception as exc:
             cell = GridCell(params=params, status="failed", note=str(exc))
@@ -433,7 +430,7 @@ def grid_search(
             logger.warning("grid cell %d/%d failed: %s", i + 1, len(cells), exc)
         if log_fn is not None:
             log_fn(i, len(cells), cell)
-    ranked.sort(key=lambda c: -(c.ndcg if c.ndcg is not None else -np.inf))
+    ranked.sort(key=lambda c: -c.ndcg)
     return GridSearchResult(
         best_params=best_cell.params if best_cell else None,
         best_store=best_store,

@@ -5,11 +5,12 @@ import hashlib
 import logging
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cmlrec import rng, training
+from cmlrec import models, rng, training
 from cmlrec.datasets import InteractionDataset, SplitDataset, _Rows, item_history, split_dataset, user_history
 from cmlrec.models import ModelKind, NonFiniteScoreError, TripletBatch
 from cmlrec.parameters import checkpoint_bytes, init_parameters
@@ -316,27 +317,40 @@ class TestTrain:
         assert report.diverged
         assert "non-finite" in report.diagnostics
 
-    def test_validation_loss_names_non_finite_triplet(self, monkeypatch):
+    @pytest.mark.parametrize("side", ["positive", "negative"])
+    @pytest.mark.parametrize("loss", ["_hinge_mean", "backward"])
+    def test_validation_loss_names_non_finite_triplet(self, monkeypatch, loss, side):
         store = init_parameters(6, 8, 4, 3, seed=0)
-        store.rel_memories[1] = 1e200  # every relation read from it overflows
-        # Only triplet 3 has a history, so only its distances read the memory;
-        # passes of 2 rows score one triplet each, so it is not the first pass.
+        users = np.arange(5)
+        neg = np.full(5, 7)
+        if side == "positive":
+            # Every relation read from memory slot 1 overflows, and only
+            # triplet 3 has a history, so only its distances read the memory.
+            store.rel_memories[1] = 1e200
+        else:
+            neg[3] = 6
+            store.item_vecs[6] = 1e200  # only the negative of triplet 3 is that far
         hist = np.zeros((5, 2), dtype=np.int64)
         hist[3] = [0, 2]
         hist_mask = np.zeros((5, 2), dtype=bool)
         hist_mask[3] = True
-        users = np.arange(5)
-        batch = TripletBatch(users=users, items=np.stack([users + 1, np.full(5, 7)]), hist=hist, hist_mask=hist_mask)
-        monkeypatch.setattr(training, "_BACKWARD_CHUNK", 2)
+        batch = TripletBatch(users=users, items=np.stack([users + 1, neg]), hist=hist, hist_mask=hist_mask)
+        # Validation passes of 2 rows score one triplet each, and backward
+        # chunks of 2 triplets put triplet 3 in the second: it is not the
+        # first pass either way.
+        module = models if loss == "backward" else training
+        monkeypatch.setattr(module, "_BACKWARD_CHUNK", 2)
+        score = getattr(module, loss)
         with pytest.raises(NonFiniteScoreError) as err:
-            training._hinge_mean(batch, ModelKind.HLR, store, margin=0.5)
-        assert (err.value.index, err.value.user, err.value.item) == (3, 3, 4)
-        assert "instance 3 (user 3, item 4)" in str(err.value)
+            score(batch, ModelKind.HLR, store, margin=0.5)
+        item = 4 if side == "positive" else 6
+        assert (err.value.index, err.value.user, err.value.item) == (3, 3, item)
+        assert f"instance 3 (user 3, item {item})" in str(err.value)
 
     def test_non_finite_epoch_loss_is_named(self, monkeypatch):
         monkeypatch.setattr(training, "_hinge_mean", lambda *args: float("nan"))
         _, report = train(_block_split(), _tiny_hp(max_epochs=3))
-        assert report.diverged and report.num_epochs == 0
+        assert report.diverged and report.num_epochs == 0 and report.best_epoch == -1
         assert report.diagnostics == "aborted at epoch 0: non-finite validation loss nan"
 
     def test_invalid_hyperparams_rejected(self):
@@ -397,6 +411,15 @@ class TestGridSearch:
         assert len(result.failed) == 1
         assert result.failed[0].params.lr == 1e200
         assert result.best_params is not None and result.best_params.lr == 0.02
+
+    def test_all_zero_ndcg_grid_keeps_the_first_cell(self, monkeypatch):
+        monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: SimpleNamespace(ndcg=0.0))
+        split = _block_split()
+        base = _tiny_hp(kind=ModelKind.CML, max_epochs=1)
+        result = grid_search(split, base, [0.001, 0.002, 0.003], [3], [0.5], eval_k=5)
+        assert [c.ndcg for c in result.leaderboard] == [0.0, 0.0, 0.0]
+        assert result.best_params == result.leaderboard[0].params
+        assert result.best_params.lr == 0.001
 
     def test_leaderboard_sorted_by_ndcg(self):
         split = _block_split()
