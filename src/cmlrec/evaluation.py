@@ -232,10 +232,13 @@ def evaluate(
     validation items (test phase). History subsampling is seeded from the
     split seed, so repeated evaluation of a frozen store is deterministic;
     with ``workers`` > 1 users are ranked in parallel and aggregated in a
-    fixed order. Raises ``ValueError`` for ``k < 1``.
+    fixed order. Raises ``ValueError`` for ``k < 1`` and a negative
+    ``history_cap``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if history_cap < 0:
+        raise ValueError(f"history_cap must be >= 0, got {history_cap}")
     if phase not in PHASES:
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     check_compatible(store, kind, split)

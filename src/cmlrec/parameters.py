@@ -133,15 +133,15 @@ class SparseGradients:
     """Accumulated partial derivatives, touched rows only.
 
     The pieces that a batch adds are kept with their rows in the store's
-    arena, so no buffer is sized to an embedding table. The first read
-    reduces all pieces once to sorted unique arena rows and their sums, at a
-    cost that scales with the rows touched; ``rows_values`` is the per-tensor
-    public view. ``add_dense`` adds a piece covering every row of a tensor,
-    which suits the N x d keys and memories: a tensor's dense pieces are
-    added in order into one array, which joins the reduction as one piece.
-    The sums are deterministic: the same pieces added in the same order give
-    bit-identical sums (see :func:`_sum_rows`). The added values are kept,
-    not copied, so callers must not change them afterwards.
+    arena, so no buffer is sized to an embedding table. ``sums`` reduces all
+    pieces once to sorted unique arena rows and their sums, at a cost that
+    scales with the rows touched. ``add_dense`` adds a piece covering every
+    row of a tensor, which suits the N x d keys and memories: a tensor's
+    dense pieces are added in order into one array, which joins the
+    reduction as one piece. The sums are deterministic: the same pieces
+    added in the same order give bit-identical sums (see :func:`_sum_rows`).
+    The added values are kept, not copied, so callers must not change them
+    afterwards.
     """
 
     def __init__(self, store: ParameterStore):
@@ -150,9 +150,6 @@ class SparseGradients:
         self._pieces: list[tuple[np.ndarray, np.ndarray]] = []  # (arena rows, values)
         self._dense: dict[str, list[np.ndarray]] = {}
         self._sums: tuple[np.ndarray, np.ndarray] | None = None
-
-    def add(self, tensor: str, row: int, vec: np.ndarray) -> None:
-        self.add_rows(tensor, np.array([row]), np.reshape(vec, (1, -1)))
 
     def add_rows(self, tensor: str, rows: np.ndarray, vecs: np.ndarray) -> None:
         """Scatter-add ``vecs[i]`` into ``rows[i]``; repeated rows accumulate."""
@@ -169,7 +166,7 @@ class SparseGradients:
 
     # A non-finite sum is reported, with its row, by check_finite.
     @np.errstate(over="ignore", invalid="ignore")
-    def _arena_sums(self) -> tuple[np.ndarray, np.ndarray]:
+    def sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted unique touched arena rows and their summed gradients."""
         if self._sums is None:
             dense = [
@@ -179,33 +176,13 @@ class SparseGradients:
             self._sums = _sum_rows(self._pieces + dense, self._dim)
         return self._sums
 
-    def rows_values(self, tensor: str) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted unique touched rows of ``tensor`` and their summed gradients."""
-        rows, values = self._arena_sums()
-        block = self._blocks[tensor]
-        lo, hi = np.searchsorted(rows, (block.start, block.stop))
-        return rows[lo:hi] - block.start, values[lo:hi]
-
-    def tensors(self) -> list[str]:
-        return [name for name in self._blocks if len(self.rows(name))]
-
-    def rows(self, tensor: str) -> np.ndarray:
-        return self.rows_values(tensor)[0]
-
-    def vec(self, tensor: str, row: int) -> np.ndarray:
-        rows, values = self.rows_values(tensor)
-        i = int(np.searchsorted(rows, row))
-        if i < len(rows) and rows[i] == row:
-            return values[i]
-        return np.zeros(self._dim)
-
     def __len__(self) -> int:
-        return len(self._arena_sums()[0])
+        return len(self.sums()[0])
 
     def check_finite(self) -> None:
         """Raise for the first non-finite row in arena order, which is
         ``TENSOR_ORDER``, naming its tensor and its row in that tensor."""
-        rows, values = self._arena_sums()
+        rows, values = self.sums()
         finite = np.isfinite(values)
         if not finite.all():
             raise NonFiniteGradientError(*_locate(self._blocks, int(rows[np.argmax(~finite.all(axis=1))])))
@@ -251,8 +228,9 @@ class AdamState:
         return cls(moment1=np.zeros_like(store.arena), moment2=np.zeros_like(store.arena))
 
 
-def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, lr: float) -> None:
-    """Apply one bias-corrected Adam update to the rows present in ``grads``.
+def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, lr: float) -> np.ndarray:
+    """Apply one bias-corrected Adam update to the rows present in ``grads``
+    and return those rows: the sorted unique arena rows of ``grads.sums()``.
 
     Untouched rows and their moments are left as-is. The step counter
     advances exactly once per call. Raises on a non-finite or negative
@@ -264,7 +242,7 @@ def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, l
     state.step += 1
     bias1 = 1.0 - ADAM_BETA1**state.step
     bias2 = 1.0 - ADAM_BETA2**state.step
-    rows, g = grads._arena_sums()
+    rows, g = grads.sums()
     # the gathered moment rows are updated in place and scattered once
     m = state.moment1[rows]
     m *= ADAM_BETA1
@@ -283,23 +261,21 @@ def adam_step(store: ParameterStore, grads: SparseGradients, state: AdamState, l
     m *= lr
     m /= v
     store.arena[rows] -= m
+    return rows
 
 
-def project_unit_ball(
-    store: ParameterStore,
-    user_rows: np.ndarray | None = None,
-    item_rows: np.ndarray | None = None,
-) -> None:
-    """Rescale user/item rows to L2 norm <= 1 (keys and memories untouched).
+def project_unit_ball(store: ParameterStore, rows: np.ndarray | None = None) -> None:
+    """Rescale the user and item rows among the arena rows ``rows`` (every
+    user and item row when None) to L2 norm <= 1.
 
-    With explicit row arguments only those rows are projected; passing None
-    projects every row of that table. Only rows whose squared norm exceeds 1
-    are rescaled and written back, so rows inside the ball stay
-    bit-identical. Idempotent, and the origin is a fixed point.
+    Users and items are the arena's first rows, those below the item
+    block's end; the key and memory rows among ``rows``, such as those that
+    :func:`adam_step` returns, are left untouched. Only rows whose squared
+    norm exceeds 1 are rescaled and written back, so rows inside the ball
+    stay bit-identical. Idempotent, and the origin is a fixed point.
     """
-    users = np.arange(store.num_users) if user_rows is None else np.asarray(user_rows)
-    items = np.arange(store.num_items) if item_rows is None else np.asarray(item_rows)
-    rows = np.concatenate((users + store.blocks[USER_VECS].start, items + store.blocks[ITEM_VECS].start))
+    stop = store.blocks[ITEM_VECS].stop
+    rows = np.arange(stop) if rows is None else rows[rows < stop]
     block = store.arena[rows]
     squares = np.einsum("ij,ij->i", block, block)  # inf, with no warning, where it overflows
     outside = np.flatnonzero(squares > 1.0)

@@ -3,7 +3,8 @@
 Training minimizes the summed triplet hinge loss with lazy Adam updates and
 unit-ball projection of the touched embedding rows. Model selection is per
 epoch on a fixed validation triplet sample (best epoch = first minimum of
-the validation loss); grid search ranks configurations by validation
+the validation loss, or the last epoch when there are no validation
+triplets); grid search ranks configurations by validation
 NDCG@10.
 """
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .models import (
     batch_distances,
 )
 from .parameters import (
-    ITEM_VECS,
-    USER_VECS,
     AdamState,
     NonFiniteGradientError,
     ParameterStore,
@@ -283,7 +282,9 @@ def train(
     Per epoch: freshly sampled triplets are batched, backward gradients are
     applied with lazy Adam, and every touched embedding row is projected
     back into the unit ball. The returned store is the snapshot from the
-    epoch with the lowest validation loss (first minimum on ties). On
+    epoch with the lowest validation loss (first minimum on ties), or from
+    the last epoch when there are no validation triplets, whose loss then
+    reads 0.0 in every epoch. On
     divergence the loop aborts and returns the last finite snapshot with
     ``report.diverged`` set and a diagnostic message.
     """
@@ -300,6 +301,9 @@ def train(
     )
     adam = AdamState.for_store(store)
     val_batch = _validation_batch(split, hp)
+    if val_batch is None:
+        logger.warning("no validation triplets (the validation view is empty, or its users hold every item): "
+                       "the last epoch is kept as the best")
     report = TrainReport()
     best_loss = np.inf
     best_store: ParameterStore | None = None
@@ -314,8 +318,7 @@ def train(
         try:
             for batch in _epoch_batches(split, hp, sample_gen, hist_gen):
                 grads, loss = backward(batch, hp.kind, store, hp.margin)
-                adam_step(store, grads, adam, hp.lr)
-                project_unit_ball(store, user_rows=grads.rows(USER_VECS), item_rows=grads.rows(ITEM_VECS))
+                project_unit_ball(store, adam_step(store, grads, adam, hp.lr))
                 total += loss
                 count += len(batch)
             train_loss = total / max(count, 1)
@@ -333,7 +336,7 @@ def train(
         report.valid_losses.append(valid_loss)
         report.epoch_seconds.append(seconds)
         last_finite = store.copy()
-        if valid_loss < best_loss:
+        if val_batch is None or valid_loss < best_loss:
             best_loss = valid_loss
             best_store = last_finite
             report.best_epoch = epoch

@@ -71,14 +71,10 @@ def fd_gradients(
 
 def dense_gradients(grads: SparseGradients, store: ParameterStore) -> dict[str, np.ndarray]:
     """Expand sparse analytic gradients into dense per-tensor arrays."""
-    out: dict[str, np.ndarray] = {}
-    for name, tensor in store.tensors().items():
-        dense = np.zeros_like(tensor)
-        if name in grads.tensors():
-            for row in grads.rows(name):
-                dense[row] = grads.vec(name, int(row))
-        out[name] = dense
-    return out
+    dense = np.zeros_like(store.arena)
+    rows, values = grads.sums()
+    dense[rows] = values
+    return {name: dense[block] for name, block in store.blocks.items()}
 
 
 def random_instance(

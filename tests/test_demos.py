@@ -1,7 +1,7 @@
 """The quick demos run to completion with warnings as errors.
 
 ``demos/compare_models.py`` trains every head and takes tens of seconds,
-so it is left to be run by hand.
+so it is left out here; the CI workflow runs it as a step of its own.
 """
 from __future__ import annotations
 

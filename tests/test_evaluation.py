@@ -418,6 +418,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="k must be >= 1"):
             evaluate(store, ModelKind.CML, split, phase="test", k=k)
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_negative_history_cap_rejected(self, kind):
+        split, _ = _oracle_split()
+        store = init_parameters(4, 12, 2, 1, with_item_memory=kind.uses_item_memory, seed=0)
+        with pytest.raises(ValueError, match="history_cap must be >= 0, got -1"):
+            evaluate(store, kind, split, phase="test", history_cap=-1)
+
     def test_invalid_phase(self):
         split, store = _oracle_split()
         with pytest.raises(ValueError):

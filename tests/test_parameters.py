@@ -30,6 +30,7 @@ from cmlrec.parameters import (
     project_unit_ball,
     save_checkpoint,
 )
+from oracles import dense_gradients
 
 
 class TestInit:
@@ -69,12 +70,12 @@ class TestSparseGradients:
     def test_only_touched_rows_reported(self):
         store = init_parameters(5, 5, 3, 2, seed=0)
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 2, np.ones(3))
-        grads.add(USER_VECS, 2, np.ones(3))
-        grads.add(ITEM_VECS, 4, np.full(3, 2.0))
-        assert grads.rows(USER_VECS).tolist() == [2]
-        assert grads.rows(ITEM_VECS).tolist() == [4]
-        np.testing.assert_allclose(grads.vec(USER_VECS, 2), 2 * np.ones(3))
+        grads.add_rows(USER_VECS, np.array([2]), np.ones((1, 3)))
+        grads.add_rows(USER_VECS, np.array([2]), np.ones((1, 3)))
+        grads.add_rows(ITEM_VECS, np.array([4]), np.full((1, 3), 2.0))
+        rows, values = grads.sums()
+        assert rows.tolist() == [2, store.blocks[ITEM_VECS].start + 4]
+        np.testing.assert_allclose(values, [[2.0] * 3, [2.0] * 3])
         assert len(grads) == 2
 
     def test_scatter_add_accumulates_duplicates(self):
@@ -83,8 +84,9 @@ class TestSparseGradients:
         rows = np.array([1, 1, 3])
         vecs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 5.0]])
         grads.add_rows(USER_VECS, rows, vecs)
-        np.testing.assert_allclose(grads.vec(USER_VECS, 1), [2.0, 0.0])
-        np.testing.assert_allclose(grads.vec(USER_VECS, 3), [0.0, 5.0])
+        dense = dense_gradients(grads, store)[USER_VECS]
+        np.testing.assert_allclose(dense[1], [2.0, 0.0])
+        np.testing.assert_allclose(dense[3], [0.0, 5.0])
 
     def test_repeated_rows_match_dense_scatter_reference(self):
         store = init_parameters(6, 5, 3, 2, seed=0)
@@ -100,26 +102,28 @@ class TestSparseGradients:
         dense = gen.normal(size=(6, 3))
         grads.add_dense(USER_VECS, dense)
         reference += dense
-        rows, values = grads.rows_values(USER_VECS)
+        rows, values = grads.sums()
         assert rows.tolist() == list(range(6))
         np.testing.assert_allclose(values, reference, rtol=1e-13, atol=1e-15)
         grads.add_rows(USER_VECS, np.array([5, 5]), np.ones((2, 3)))
-        np.testing.assert_allclose(grads.vec(USER_VECS, 5), reference[5] + 2.0, rtol=1e-13, atol=1e-15)
-        assert grads.tensors() == [USER_VECS]
+        rows, values = grads.sums()
+        assert rows.tolist() == list(range(6))
+        np.testing.assert_allclose(values[5], reference[5] + 2.0, rtol=1e-13, atol=1e-15)
         assert len(grads) == 6
 
     def test_untouched_row_reads_zero(self):
         store = init_parameters(4, 4, 2, 2, seed=0)
         grads = SparseGradients(store)
-        grads.add(ITEM_VECS, 3, np.array([1.0, 2.0]))
-        np.testing.assert_array_equal(grads.vec(ITEM_VECS, 1), [0.0, 0.0])
-        np.testing.assert_array_equal(grads.vec(USER_VECS, 0), [0.0, 0.0])
-        assert grads.rows(USER_VECS).tolist() == []
+        grads.add_rows(ITEM_VECS, np.array([3]), np.array([[1.0, 2.0]]))
+        assert grads.sums()[0].tolist() == [store.blocks[ITEM_VECS].start + 3]
+        dense = dense_gradients(grads, store)
+        np.testing.assert_array_equal(dense[ITEM_VECS][[0, 1, 2]], np.zeros((3, 2)))
+        np.testing.assert_array_equal(dense[USER_VECS], np.zeros((4, 2)))
 
     def test_check_finite_names_offender(self):
         store = init_parameters(4, 4, 2, 2, seed=0)
         grads = SparseGradients(store)
-        grads.add(REL_KEYS, 1, np.array([np.nan, 0.0]))
+        grads.add_rows(REL_KEYS, np.array([1]), np.array([[np.nan, 0.0]]))
         with pytest.raises(NonFiniteGradientError) as err:
             grads.check_finite()
         assert err.value.tensor == REL_KEYS
@@ -135,7 +139,7 @@ class TestSparseGradients:
             grads.add_rows(USER_VECS, np.array([0, 3]), np.ones((2, 2)))
             grads.add_dense(ITEM_REL_KEYS, np.zeros((3, 2)))
             for tensor, row in bad_rows:
-                grads.add(tensor, row, np.array([np.nan, 0.0]))
+                grads.add_rows(tensor, np.array([row]), np.array([[np.nan, 0.0]]))
             with pytest.raises(NonFiniteGradientError) as err:
                 grads.check_finite()
             assert (err.value.tensor, err.value.row) == offender
@@ -169,8 +173,8 @@ class TestSparseGradients:
         grads = SparseGradients(store)
         for piece in pieces:
             grads.add_dense(REL_KEYS, piece)
-        rows, values = grads.rows_values(REL_KEYS)
-        assert rows.tolist() == [0, 1, 2, 3, 4]
+        rows, values = grads.sums()
+        assert rows.tolist() == list(range(store.blocks[REL_KEYS].start, store.blocks[REL_KEYS].stop))
         np.testing.assert_array_equal(values, (pieces[0] + pieces[1]) + pieces[2])
         assert len(grads) == 5
 
@@ -189,8 +193,8 @@ class TestSparseGradients:
                 vecs = gen.normal(size=(9, 3))
                 grads.add_rows(ITEM_VECS, rows, vecs)
                 np.add.at(reference, rows, vecs)
-        rows, values = grads.rows_values(ITEM_VECS)
-        assert rows.tolist() == list(range(7))
+        rows, values = grads.sums()
+        assert rows.tolist() == list(range(store.blocks[ITEM_VECS].start, store.blocks[ITEM_VECS].stop))
         np.testing.assert_allclose(values, reference, rtol=1e-13, atol=1e-13)
 
     def test_same_pieces_give_identical_bytes(self):
@@ -210,7 +214,7 @@ class TestSparseGradients:
                     grads.add_dense(tensor, vecs.copy())
                 else:
                     grads.add_rows(tensor, rows.copy(), vecs.copy())
-            sums.append({name: [a.tobytes() for a in grads.rows_values(name)] for name in grads.tensors()})
+            sums.append([a.tobytes() for a in grads.sums()])
         assert sums[0] == sums[1]
 
 
@@ -228,7 +232,7 @@ class TestAdam:
         store = init_parameters(1, 1, 1, 1, seed=0)
         before = float(store.user_vecs[0, 0])
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 0, np.array([1.0]))
+        grads.add_rows(USER_VECS, np.array([0]), np.array([[1.0]]))
         state = AdamState.for_store(store)
         adam_step(store, grads, state, lr=0.001)
         update = float(store.user_vecs[0, 0]) - before
@@ -239,7 +243,7 @@ class TestAdam:
         store = init_parameters(3, 3, 2, 2, seed=1)
         state = AdamState.for_store(store)
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 1, np.zeros(2))
+        grads.add_rows(USER_VECS, np.array([1]), np.zeros((1, 2)))
         before = store.user_vecs.copy()
         adam_step(store, grads, state, lr=0.01)
         adam_step(store, grads, state, lr=0.01)
@@ -250,7 +254,7 @@ class TestAdam:
         state = AdamState.for_store(store)
         before = store.user_vecs.copy()
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 2, np.ones(4))
+        grads.add_rows(USER_VECS, np.array([2]), np.ones((1, 4)))
         adam_step(store, grads, state, lr=0.01)
         touched = np.zeros(6, dtype=bool)
         touched[2] = True
@@ -284,8 +288,8 @@ class TestAdam:
         store = init_parameters(2, 2, 2, 2, seed=0)
         state = AdamState.for_store(store)
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 0, np.ones(2))
-        grads.add(ITEM_VECS, 1, np.ones(2))
+        grads.add_rows(USER_VECS, np.array([0]), np.ones((1, 2)))
+        grads.add_rows(ITEM_VECS, np.array([1]), np.ones((1, 2)))
         adam_step(store, grads, state, lr=0.001)
         assert state.step == 1
 
@@ -294,11 +298,26 @@ class TestAdam:
         state = AdamState.for_store(store)
         before = store.user_vecs.copy()
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 0, np.array([np.inf, 1.0]))
+        grads.add_rows(USER_VECS, np.array([0]), np.array([[np.inf, 1.0]]))
         with pytest.raises(NonFiniteGradientError):
             adam_step(store, grads, state, lr=0.001)
         np.testing.assert_array_equal(store.user_vecs, before)
         assert state.step == 0
+
+    def test_returns_the_sorted_rows_it_updated(self):
+        store = init_parameters(5, 6, 3, 2, with_item_memory=True, seed=3)
+        state = AdamState.for_store(store)
+        grads = SparseGradients(store)
+        grads.add_rows(ITEM_VECS, np.array([4, 1, 4]), np.ones((3, 3)))
+        grads.add_dense(ITEM_REL_MEMORIES, np.ones((2, 3)))
+        grads.add_rows(USER_VECS, np.array([3, 0]), np.ones((2, 3)))
+        grads.add_dense(REL_KEYS, np.ones((2, 3)))
+        before = store.arena.copy()
+        rows = adam_step(store, grads, state, lr=0.01)
+        items, keys, memories = (store.blocks[name] for name in (ITEM_VECS, REL_KEYS, ITEM_REL_MEMORIES))
+        assert rows.tolist() == [0, 3, items.start + 1, items.start + 4, *range(keys.start, keys.stop),
+                                 *range(memories.start, memories.stop)]
+        assert rows.tolist() == np.flatnonzero((store.arena != before).any(axis=1)).tolist()
 
     def test_negative_lr_rejected(self):
         store = init_parameters(2, 2, 2, 2, seed=0)
@@ -315,7 +334,7 @@ class TestAdam:
         state.moment2 += 0.25
         before = [store.arena.copy(), state.moment1.copy(), state.moment2.copy()]
         grads = SparseGradients(store)
-        grads.add(USER_VECS, 1, np.ones(3))
+        grads.add_rows(USER_VECS, np.array([1]), np.ones((1, 3)))
         with pytest.raises(ValueError, match="lr must be finite"):
             adam_step(store, grads, state, lr=lr)
         for a, b in zip(before, (store.arena, state.moment1, state.moment2)):
@@ -370,7 +389,8 @@ class TestProjection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             project_unit_ball(store)
-            project_unit_ball(store, user_rows=np.array([1]), item_rows=np.array([0, 2]))
+            items = store.blocks[ITEM_VECS].start
+            project_unit_ball(store, np.array([1, items, items + 2]))
         for vec in (store.user_vecs[1], store.item_vecs[2]):
             assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
             np.testing.assert_array_equal(np.sign(vec), np.sign(row))
@@ -387,7 +407,7 @@ class TestProjection:
         assert inside_users.any() and (~inside_users).any() and inside_items.any() and (~inside_items).any()
         partial, full = store.copy(), store.copy()
         user_rows, item_rows = np.arange(0, 40, 3), np.arange(1, 30, 2)
-        project_unit_ball(partial, user_rows=user_rows, item_rows=item_rows)
+        project_unit_ball(partial, np.concatenate((user_rows, item_rows + store.blocks[ITEM_VECS].start)))
         project_unit_ball(full)
         for projected in (partial, full):
             assert projected.user_vecs[inside_users].tobytes() == store.user_vecs[inside_users].tobytes()
@@ -401,10 +421,23 @@ class TestProjection:
         store = self._store()
         store.item_vecs[0] = [3.0, 4.0]
         store.item_vecs[1] = [5.0, 0.0]
-        project_unit_ball(store, user_rows=np.array([1]), item_rows=np.array([0]))
+        project_unit_ball(store, np.array([1, store.blocks[ITEM_VECS].start]))
         assert abs(np.linalg.norm(store.user_vecs[1]) - 1.0) < 1e-6
         assert abs(np.linalg.norm(store.item_vecs[0]) - 1.0) < 1e-6
         np.testing.assert_allclose(store.item_vecs[1], [5.0, 0.0])
+
+    def test_listed_key_rows_keep_their_bytes(self):
+        store = self._store()
+        store.rel_keys[1] = [3.0, 4.0]  # norm 5, listed
+        store.item_vecs[0] = [3.0, 4.0]  # listed
+        store.item_vecs[2] = [0.0, 6.0]  # not listed
+        before = store.arena.copy()
+        embeddings = np.array([1, store.blocks[ITEM_VECS].start])
+        project_unit_ball(store, np.append(embeddings, store.blocks[REL_KEYS].start + 1))
+        np.testing.assert_allclose(store.user_vecs[1], [0.6, 0.8])
+        np.testing.assert_allclose(store.item_vecs[0], [0.6, 0.8])
+        others = np.setdiff1d(np.arange(len(before)), embeddings)
+        assert store.arena[others].tobytes() == before[others].tobytes()
 
 
 class TestCheckpoint:

@@ -13,8 +13,8 @@ import pytest
 from cmlrec import models, rng, training
 from cmlrec.datasets import InteractionDataset, SplitDataset, _Rows, item_history, split_dataset, user_history
 from cmlrec.models import ModelKind, NonFiniteScoreError, TripletBatch
-from cmlrec.parameters import checkpoint_bytes, init_parameters
-from cmlrec.synthetic import planted_clusters
+from cmlrec.parameters import checkpoint_bytes, init_parameters, project_unit_ball
+from cmlrec.synthetic import planted_clusters, planted_split
 from cmlrec.training import (
     Hyperparams,
     grid_cells,
@@ -276,6 +276,26 @@ class TestTrain:
         assert report2.valid_losses == report.valid_losses[: best + 1]
         if report2.best_epoch == best:
             assert checkpoint_bytes(store2) == checkpoint_bytes(store)
+
+    def test_no_validation_triplets_keeps_the_last_epoch(self, monkeypatch, caplog):
+        split = planted_split(60, 40, 4, 14, seed=0)
+        view = split.train
+        empty = InteractionDataset(view.num_users, view.num_items, [], view.user_keys, view.item_keys)
+        split = SplitDataset(train=split.train, validation=empty, test=split.test, seed=split.seed)
+        arenas = []
+
+        def project(store, *args, **kwargs):
+            project_unit_ball(store, *args, **kwargs)
+            arenas.append(store.arena.copy())
+
+        monkeypatch.setattr(training, "project_unit_ball", project)
+        with caplog.at_level(logging.WARNING, logger="cmlrec.training"):
+            store, report = train(split, _tiny_hp(batch_size=32, max_epochs=6))
+        assert report.valid_losses == [0.0] * 6
+        assert report.train_losses[-1] < report.train_losses[0]
+        assert report.best_epoch == report.num_epochs - 1
+        assert np.array_equal(store.arena, arenas[-1])
+        assert sum("no validation triplets" in r.getMessage() for r in caplog.records) == 1
 
     def test_projection_invariant_after_training(self):
         split = _block_split()
