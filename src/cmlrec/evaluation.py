@@ -4,6 +4,17 @@ Every non-excluded item is scored for every evaluated user (no sampled
 candidate shortcut). Users whose phase view holds no relevant items are
 skipped rather than scored as zeros. Ratio metrics are kept in [0, 1]
 internally; the human-readable table multiplies by 100.
+
+:func:`evaluate` ranks its users in blocks: per block, one (users, catalog)
+exclusion mask scattered from the CSR rows of the excluded views, one
+(users, catalog) distance matrix, one 2-D :func:`top_k` and the five
+metrics from one (users, K) hit matrix (:func:`hit_metrics`). ``cml`` fills
+its distance rows from one closed-form pass over the block
+(:func:`models.cml_distances`); every other head fills each row from its
+own :func:`models.candidate_distances` call over the user's candidates.
+:func:`rank_items`, which ``recommend`` calls, is the one-row case of the
+same top-K. The per-user metric functions stay as the readable reference
+that the hit-matrix metrics equal bit for bit.
 """
 from __future__ import annotations
 
@@ -11,13 +22,13 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import rng
+from . import models, rng
 from .datasets import InteractionDataset, SplitDataset, _Rows, item_history, user_history
-from .models import ModelKind, candidate_distances
+from .models import ModelKind, candidate_distances, cml_distances
 from .parameters import ParameterStore
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -70,7 +81,8 @@ def rank_items(
     history: np.ndarray | None = None,
     item_histories: _Rows | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Top-k non-excluded items by ascending distance, ties by item index.
+    """Top-k non-excluded items by ascending distance, ties by item index:
+    the one-row case of :func:`top_k`.
 
     ``exclusions`` holds the item indices removed from the candidate set, in
     any order and with repeats; indices outside ``[0, num_items)`` are
@@ -83,26 +95,63 @@ def rank_items(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     exclusions = np.asarray(exclusions, dtype=np.int64)
-    keep = np.ones(store.num_items, dtype=bool)
-    keep[exclusions[(exclusions >= 0) & (exclusions < store.num_items)]] = False
-    candidates = np.flatnonzero(keep)
-    if len(candidates) == 0:
-        return _EMPTY
-    distances = candidate_distances(user, candidates, kind, store, history, item_histories)
-    return candidates[_top_k(candidates, distances, k)]
+    excluded = np.zeros((1, store.num_items), dtype=bool)
+    excluded[0, exclusions[(exclusions >= 0) & (exclusions < store.num_items)]] = True
+    candidates = np.flatnonzero(~excluded[0])
+    distances = np.empty(excluded.shape)
+    if len(candidates):
+        distances[0, candidates] = candidate_distances(user, candidates, kind, store, history, item_histories)
+    ranked = top_k(distances, excluded, k)[0]
+    return ranked[ranked >= 0]
 
 
-def _top_k(candidates: np.ndarray, distances: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the ``k`` smallest distances, ties by candidate, as a
-    full ``lexsort`` would give them: only the candidates at or below the
-    k-th smallest distance are sorted. NaN distances sort last, so a NaN
-    k-th distance sorts them all."""
-    if k < len(distances):
-        kth = np.partition(distances, k - 1)[k - 1]
-        if not np.isnan(kth):
-            head = np.flatnonzero(distances <= kth)
-            return head[np.lexsort((candidates[head], distances[head]))[:k]]
-    return np.lexsort((candidates, distances))[:k]
+def top_k(distances: np.ndarray, excluded: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` nearest non-excluded items of every row of the (U, C)
+    ``distances``, as a (U, min(k, C)) array of item indices, in the order a
+    full ``lexsort`` of each row's candidates by (distance, item index)
+    gives: ties by item index, NaN after every number. A row with fewer
+    than ``k`` candidates ends in -1 after its last one. An excluded entry is
+    never returned, and its distance is never read: it is overwritten with
+    NaN in place.
+
+    Only a row's candidates at or below its k-th smallest distance are
+    sorted. A row whose k-th value is NaN (fewer than ``k`` candidates with
+    a number) is sorted whole.
+    """
+    rows, items = distances.shape
+    # An excluded entry reads NaN, so the partition puts it after every number.
+    np.copyto(distances, np.nan, where=excluded)
+    bounded = np.zeros(rows, dtype=bool)
+    if k < items:
+        kth = np.partition(distances, k - 1, axis=1)[:, k - 1 : k]
+        bounded = ~np.isnan(kth[:, 0])
+        if bounded.all():
+            return _top_k_at_or_below(distances, kth, k)
+    ranked = np.full((rows, min(k, items)), -1, dtype=np.int64)
+    if bounded.any():
+        ranked[bounded] = _top_k_at_or_below(distances[bounded], kth[bounded], k)
+    whole = np.flatnonzero(~bounded)
+    # A stable sort by (excluded, distance) orders ties, NaNs included, by item index.
+    order = np.lexsort((distances[whole], excluded[whole]), axis=1)[:, : ranked.shape[1]]
+    count = items - excluded[whole].sum(axis=1, keepdims=True)
+    ranked[whole] = np.where(np.arange(ranked.shape[1]) < count, order, -1)
+    return ranked
+
+
+def _top_k_at_or_below(distances: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """:func:`top_k` of rows whose k-th smallest distance ``kth`` (U, 1) is a
+    number: the entries at or below it, sorted by distance and item index."""
+    take = distances <= kth
+    rows, items = np.nonzero(take)  # ascending item index within a row
+    if len(items) > take.shape[0] * k:
+        # Some row's ties at the k-th value straddle k: take them in item order, as many as fit.
+        over = np.flatnonzero(take.sum(axis=1) > k)
+        ties = distances[over] == kth[over]
+        room = k - (distances[over] < kth[over]).sum(axis=1, keepdims=True)
+        take[over] &= ~ties | (np.cumsum(ties, axis=1) <= room)
+        rows, items = np.nonzero(take)
+    rows, items = rows.reshape(-1, k), items.reshape(-1, k)
+    return items[rows, np.argsort(distances[rows, items], axis=1, kind="stable")]
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +174,13 @@ def precision_recall_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> 
 def ndcg_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> float:
     """DCG with 1/log2(i+1) gains over an ideal prefix of min(|relevant|, k)."""
     _require_relevant(relevant)
-    dcg = sum(1.0 / math.log2(i + 2) for i, v in enumerate(ranked[:k]) if v in relevant)
-    ideal = min(len(relevant), k)
-    idcg = sum(1.0 / math.log2(i + 2) for i in range(ideal))
+    dcg = 0.0
+    for i, v in enumerate(ranked[:k]):
+        if v in relevant:
+            dcg += 1.0 / math.log2(i + 2)
+    idcg = 0.0
+    for i in range(min(len(relevant), k)):
+        idcg += 1.0 / math.log2(i + 2)
     return dcg / idcg
 
 
@@ -151,6 +204,26 @@ def mrr_at_k(ranked: Sequence[int], relevant: set[int], k: int) -> float:
         if v in relevant:
             return 1.0 / i
     return 0.0
+
+
+def hit_metrics(hits: np.ndarray, num_relevant: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Precision, recall, NDCG, AP and RR at ``k`` of every row of the
+    (U, W) boolean ``hits``, W <= k, where ``hits[u, i]`` tells whether the
+    item ranked i-th for row u is relevant and ``num_relevant[u]`` counts
+    the row's relevant items. Each value equals its per-user metric
+    function's bit for bit: the same ``math.log2`` discounts, the same
+    divisions, and sums taken left to right over the ranks (``cumsum``;
+    a miss adds 0.0, which leaves a sum unchanged)."""
+    width = hits.shape[1]
+    ideal = np.minimum(num_relevant, k)
+    gains = np.array([1.0 / math.log2(i + 2) for i in range(max(width, int(ideal.max(initial=0))))])
+    count = hits.sum(axis=1)
+    dcg = np.cumsum(np.where(hits, gains[:width], 0.0), axis=1)[:, -1]
+    idcg = np.cumsum(gains)[ideal - 1]
+    precision_at_hits = np.cumsum(hits, axis=1) / np.arange(1, width + 1)
+    ap = np.cumsum(np.where(hits, precision_at_hits, 0.0), axis=1)[:, -1] / ideal
+    rr = np.where(count > 0, 1.0 / (hits.argmax(axis=1) + 1), 0.0)
+    return count / k, count / num_relevant, dcg / idcg, ap, rr
 
 
 def median_popularity(topk_lists: Sequence[Sequence[int]], train: InteractionDataset) -> float:
@@ -179,10 +252,15 @@ def ranking_history(split: SplitDataset, u: int, kind: ModelKind, cap: int) -> n
     return user_history(split, u, cap=cap, gen=gen)
 
 
-def _exclusion_sets(split: SplitDataset, phase: str) -> Callable[[int], np.ndarray]:
-    if phase == "validation":
-        return lambda u: split.train.user_items[u]
-    return lambda u: np.concatenate([split.train.user_items[u], split.validation.user_items[u]])
+def _row_mask(rows: _Rows, users: np.ndarray, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The (users, width) boolean mask with row i set at the entries of
+    ``rows[users[i]]``: one scatter from the CSR rows, with no loop over
+    users. ``out`` is set in place when given."""
+    lengths = rows.lengths[users]
+    positions = np.repeat(rows.starts[users] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    mask = np.zeros((len(users), width), dtype=bool) if out is None else out
+    mask[np.repeat(np.arange(len(users)), lengths), rows.values[positions]] = True
+    return mask
 
 
 def item_history_table(split: SplitDataset, cap: int) -> _Rows:
@@ -230,10 +308,12 @@ def evaluate(
 
     Exclusions are the user's train items (validation phase) or train plus
     validation items (test phase). History subsampling is seeded from the
-    split seed, so repeated evaluation of a frozen store is deterministic;
-    with ``workers`` > 1 users are ranked in parallel and aggregated in a
-    fixed order. Raises ``ValueError`` for ``k < 1`` and a negative
-    ``history_cap``.
+    split seed, so repeated evaluation of a frozen store is deterministic.
+    Users are ranked in blocks of ascending index (see the module
+    docstring); every row is ranked and scored on its own, so the blocking
+    never changes a result. With ``workers`` > 1 the blocks, at least one
+    per worker, are ranked in parallel and aggregated in a fixed order.
+    Raises ``ValueError`` for ``k < 1`` and a negative ``history_cap``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -243,53 +323,76 @@ def evaluate(
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     check_compatible(store, kind, split)
     view = split.validation if phase == "validation" else split.test
-    exclusions_for = _exclusion_sets(split, phase)
-    users = np.flatnonzero(view.user_items.lengths > 0).tolist()
-    if not users:
+    users = np.flatnonzero(view.user_items.lengths > 0)
+    if not len(users):
         raise EvaluationError(f"no users with relevant items in the {phase} view")
 
     item_table = item_history_table(split, history_cap) if kind.uses_item_memory else None
+    num_items = split.num_items
 
-    def eval_user(u: int) -> UserEval:
-        history = ranking_history(split, u, kind, history_cap)
-        exclusions = exclusions_for(u)
-        ranked = rank_items(u, store, kind, exclusions, k, history=history, item_histories=item_table)
-        leaked = (ranked[:, None] == exclusions).any(axis=1)  # a k x |exclusions| test, cheaper than np.isin
+    def rank_block(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        excluded = _row_mask(split.train.user_items, block, num_items)
+        if phase == "test":
+            _row_mask(split.validation.user_items, block, num_items, out=excluded)
+        histories, empty_history = [_EMPTY] * len(block), np.zeros(len(block), dtype=bool)
+        if kind.uses_history:
+            histories = [ranking_history(split, u, kind, history_cap) for u in block.tolist()]
+            empty_history = np.array([len(h) == 0 for h in histories], dtype=bool)
+        if kind is ModelKind.CML:
+            distances = cml_distances(block, store)
+        else:
+            distances = np.empty(excluded.shape)  # excluded entries are never read
+            for i, (u, history) in enumerate(zip(block.tolist(), histories)):
+                candidates = np.flatnonzero(~excluded[i])
+                if len(candidates):
+                    distances[i, candidates] = candidate_distances(u, candidates, kind, store, history, item_table)
+        ranked = top_k(distances, excluded, k)
+        valid = ranked >= 0
+        at = (np.arange(len(block))[:, None], ranked)
+        leaked = excluded[at] & valid
         if leaked.any():
-            raise EvaluationError(f"excluded items {ranked[leaked].tolist()} recommended to user {u}")
-        ranked_list = [int(v) for v in ranked]
-        relevant = set(int(v) for v in view.user_items[u])
-        p, r = precision_recall_at_k(ranked_list, relevant, k)
-        return UserEval(
-            user=u,
-            ranked=ranked_list,
-            precision=p,
-            recall=r,
-            ndcg=ndcg_at_k(ranked_list, relevant, k),
-            ap=map_at_k(ranked_list, relevant, k),
-            rr=mrr_at_k(ranked_list, relevant, k),
-            empty_history=kind.uses_history and len(history) == 0,
-        )
+            i = int(leaked.any(axis=1).argmax())
+            raise EvaluationError(f"excluded items {ranked[i, leaked[i]].tolist()} recommended to user {block[i]}")
+        hits = _row_mask(view.user_items, block, num_items)[at] & valid
+        return ranked, hits, empty_history
 
+    # Blocks of users whose (users, catalog) arrays hold about one ranking
+    # budget each; with workers, at least one block per worker.
+    size = max(1, models._RANK_BLOCK_ELEMENTS // max(num_items, 1))
+    if workers > 1:
+        size = min(size, -(-len(users) // workers))
+    blocks = [users[start : start + size] for start in range(0, len(users), size)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(eval_user, users))
+            results = list(pool.map(rank_block, blocks))
     else:
-        results = [eval_user(u) for u in users]
+        results = [rank_block(block) for block in blocks]
+    ranked = np.concatenate([r[0] for r in results])
+    hits = np.concatenate([r[1] for r in results])
+    empty_history = np.concatenate([r[2] for r in results]).tolist()
+    metrics = [m.tolist() for m in hit_metrics(hits, view.user_items.lengths[users], k)]
 
-    n = len(results)
+    n = len(users)
+    per_user = None
+    if verbose:
+        lists = ranked.tolist()
+        if (ranked < 0).any():
+            lists = [[v for v in row if v >= 0] for row in lists]
+        per_user = [UserEval(u, *values) for u, *values in zip(users.tolist(), lists, *metrics, empty_history)]
+    # Means are Python sums over users in ascending index order, as the per-user reference takes them.
+    precision, recall, ndcg, ap, rr = (sum(values) / n for values in metrics)
     return EvalReport(
         k=k,
         phase=phase,
-        precision=sum(r.precision for r in results) / n,
-        recall=sum(r.recall for r in results) / n,
-        ndcg=sum(r.ndcg for r in results) / n,
-        map=sum(r.ap for r in results) / n,
-        mrr=sum(r.rr for r in results) / n,
-        median_popularity=median_popularity([r.ranked for r in results], split.train),
+        precision=precision,
+        recall=recall,
+        ndcg=ndcg,
+        map=ap,
+        mrr=rr,
+        median_popularity=median_popularity([ranked[ranked >= 0].tolist()], split.train),
         num_evaluated_users=n,
-        num_empty_history=sum(r.empty_history for r in results),
-        per_user=results if verbose else None,
+        num_empty_history=sum(empty_history),
+        per_user=per_user,
     )
 
 

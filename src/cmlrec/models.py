@@ -23,7 +23,9 @@ Ranking (:func:`candidate_distances`) is one block loop for all five
 heads: it scores one user against a block of the candidate matrix Q in
 closed form, with no per-candidate context. The candidates are split into
 evenly sized blocks, as many as their largest temporary holds budgets of
-``_RANK_BLOCK_ELEMENTS``, rounded.
+``_RANK_BLOCK_ELEMENTS``, rounded. Evaluation scores ``cml`` for a block
+of users at once (:func:`cml_distances`): one closed-form pass over every
+item, a few users at a time.
 
 Both training and ranking read the memories of ``hlr``/``hlr++`` in the
 collapsed array form: a key logit ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n),
@@ -760,3 +762,27 @@ def candidate_distances(
             np.add(pu, relation, out=diff[block])
             diff[block] -= cand
     return np.einsum("cd,cd->c", diff, diff)
+
+
+def cml_distances(users: np.ndarray, store: ParameterStore) -> np.ndarray:
+    """The ``cml`` distances ‖p_u − q_v‖² of every user in ``users`` to every
+    item, as a (users, num_items) array; row i equals
+    :func:`candidate_distances` of ``users[i]`` at every item, bit for bit.
+
+    The users are taken a few at a time, so the (users, items, d)
+    difference, one buffer reused by every chunk, holds about a quarter of
+    ``_RANK_BLOCK_ELEMENTS``: it is reduced while it is still in cache. Each
+    chunk is one subtraction and one ``einsum`` over d, the form the
+    one-user path uses; the expanded ‖p‖² − 2pᵀq + ‖q‖² would round
+    differently.
+    """
+    items = store.item_vecs
+    out = np.empty((len(users), len(items)))
+    step = max(1, _RANK_BLOCK_ELEMENTS // 4 // max(items.size, 1))
+    diff = np.empty((min(step, len(users)), *items.shape))
+    for start in range(0, len(users), step):
+        chunk = users[start : start + step]
+        part = diff[: len(chunk)]
+        np.subtract(store.user_vecs[chunk, None, :], items, out=part)
+        np.einsum("ucd,ucd->uc", part, part, out=out[start : start + step])
+    return out

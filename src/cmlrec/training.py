@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .datasets import InteractionDataset, SplitDataset, _Rows
-from .evaluation import evaluate
+from .evaluation import EvaluationError, evaluate
 from .models import (
     _BACKWARD_CHUNK,
     ModelKind,
@@ -402,9 +402,13 @@ def grid_search(
     """Train one model per grid point and rank them by validation NDCG.
 
     A cell whose run raises or diverges is marked failed and skipped; it
-    does not stop the search. Ties in NDCG keep enumeration order.
+    does not stop the search. Ties in NDCG keep enumeration order. Raises
+    :class:`EvaluationError` before training any cell when no user has a
+    validation item, since no cell could then be ranked.
     """
     cells = grid_cells(base.kind, lr_grid, n_grid, margin_grid, default_n=base.n_relations)
+    if not split.validation.user_items.lengths.any():
+        raise EvaluationError("no users with relevant items in the validation view; grid search ranks cells by it")
     ranked: list[GridCell] = []
     failed: list[GridCell] = []
     best_cell: GridCell | None = None

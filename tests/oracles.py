@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's vectorized code paths: the gradient
 oracle differentiates the single-pair scoring path numerically, the
-ranking-metric oracle evaluates the textbook formulas with plain loops, and
-the planted-data oracle draws every cluster with ``Generator.choice``.
+ranking-metric oracle evaluates the textbook formulas with plain loops, the
+planted-data oracle draws every cluster with ``Generator.choice``, and the
+evaluation oracle ranks and scores one user at a time.
 """
 from __future__ import annotations
 
@@ -11,7 +12,19 @@ import math
 
 import numpy as np
 
-from cmlrec.datasets import InteractionDataset
+from cmlrec.datasets import InteractionDataset, SplitDataset
+from cmlrec.evaluation import (
+    EvalReport,
+    UserEval,
+    item_history_table,
+    map_at_k,
+    median_popularity,
+    mrr_at_k,
+    ndcg_at_k,
+    precision_recall_at_k,
+    rank_items,
+    ranking_history,
+)
 from cmlrec.models import (
     ModelKind,
     RelationContext,
@@ -174,6 +187,44 @@ def brute_mrr(ranked: list[int], relevant: set[int], k: int) -> float:
         if v in relevant:
             return 1.0 / i
     return 0.0
+
+
+def evaluate_per_user(
+    store: ParameterStore, kind: ModelKind, split: SplitDataset, phase: str, k: int, history_cap: int
+) -> EvalReport:
+    """The verbose report of ``evaluate`` built one user at a time: each user
+    is ranked by ``rank_items`` and scored by the four per-user metric
+    functions, and the means are left-to-right sums in user order."""
+    view = split.validation if phase == "validation" else split.test
+    item_table = item_history_table(split, history_cap) if kind.uses_item_memory else None
+    results = []
+    for u in range(split.num_users):
+        relevant = set(view.user_items[u].tolist())
+        if not relevant:
+            continue
+        exclusions = split.train.user_items[u]
+        if phase == "test":
+            exclusions = np.concatenate([exclusions, split.validation.user_items[u]])
+        history = ranking_history(split, u, kind, history_cap)
+        ranked = rank_items(u, store, kind, exclusions, k, history=history, item_histories=item_table).tolist()
+        assert not set(ranked) & set(exclusions.tolist())
+        p, r = precision_recall_at_k(ranked, relevant, k)
+        results.append(UserEval(u, ranked, p, r, ndcg_at_k(ranked, relevant, k), map_at_k(ranked, relevant, k),
+                                mrr_at_k(ranked, relevant, k), kind.uses_history and len(history) == 0))
+    n = len(results)
+    return EvalReport(
+        k=k,
+        phase=phase,
+        precision=sum(r.precision for r in results) / n,
+        recall=sum(r.recall for r in results) / n,
+        ndcg=sum(r.ndcg for r in results) / n,
+        map=sum(r.ap for r in results) / n,
+        mrr=sum(r.rr for r in results) / n,
+        median_popularity=median_popularity([r.ranked for r in results], split.train),
+        num_evaluated_users=n,
+        num_empty_history=sum(r.empty_history for r in results),
+        per_user=results,
+    )
 
 
 # ---------------------------------------------------------------------------

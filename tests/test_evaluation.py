@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cmlrec import evaluation, rng
+from cmlrec import evaluation, models, rng
 from cmlrec.datasets import InteractionDataset, SplitDataset, _Rows, item_history, split_dataset
 from cmlrec.evaluation import (
     EvaluationError,
-    _top_k,
     evaluate,
+    hit_metrics,
     item_history_table,
     map_at_k,
     median_popularity,
@@ -21,12 +21,13 @@ from cmlrec.evaluation import (
     rank_items,
     report_csv,
     report_table,
+    top_k,
 )
 from cmlrec.models import ModelKind, RelationContext, score
 from cmlrec.parameters import init_parameters, load_checkpoint, save_checkpoint
 from cmlrec.synthetic import planted_split
 from cmlrec.training import Hyperparams, train
-from oracles import brute_ap, brute_mrr, brute_ndcg, brute_precision, brute_recall
+from oracles import brute_ap, brute_mrr, brute_ndcg, brute_precision, brute_recall, evaluate_per_user
 
 
 class TestMetricExamples:
@@ -98,6 +99,38 @@ class TestOracleEquivalence:
             ]
             for got, want in checks:
                 assert abs(got - want) < 1e-9, f"case {case}: {got} vs {want}"
+
+
+class TestHitMetrics:
+    def test_equal_to_per_user_functions(self):
+        """Every hit-matrix value ``==`` its per-user metric function over
+        seeded lists: |relevant| below and above k, short lists, no hits."""
+        gen = np.random.default_rng(7)
+        kinds = {"few relevant": 0, "many relevant": 0, "no hits": 0, "short list": 0}
+        for case in range(300):
+            k = int(gen.integers(1, 13))
+            catalog = int(gen.integers(2, 40))
+            width = min(k, catalog)
+            rows, relevants = [], []
+            for _ in range(int(gen.integers(1, 6))):
+                ranked = gen.permutation(catalog)[: int(gen.integers(0, width + 1))].tolist()
+                n_rel = int(gen.integers(1, catalog + 1))
+                relevant = set(gen.choice(catalog, size=n_rel, replace=False).tolist())
+                if gen.random() < 0.2:  # no hits
+                    relevant -= set(ranked) or {-1}
+                    relevant = relevant or {catalog}
+                rows.append(ranked)
+                relevants.append(relevant)
+                kinds["few relevant" if len(relevant) < k else "many relevant"] += 1
+                kinds["no hits"] += not set(ranked) & relevant
+                kinds["short list"] += len(ranked) < width
+            hits = np.array([[i < len(r) and r[i] in rel for i in range(width)] for r, rel in zip(rows, relevants)])
+            got = hit_metrics(hits.reshape(len(rows), width), np.array([len(rel) for rel in relevants]), k)
+            for u, (ranked, relevant) in enumerate(zip(rows, relevants)):
+                want = (*precision_recall_at_k(ranked, relevant, k), ndcg_at_k(ranked, relevant, k),
+                        map_at_k(ranked, relevant, k), mrr_at_k(ranked, relevant, k))
+                assert tuple(float(m[u]) for m in got) == want, f"case {case} row {u}"
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestMonotonicity:
@@ -221,11 +254,34 @@ class TestRankItems:
     ])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 8, 20])
     def test_bounded_top_k_matches_full_sort(self, distances, k):
-        d = np.array(distances)
-        cands = np.random.default_rng(len(d)).permutation(np.arange(0, 3 * len(d), 3))
-        full = np.lexsort((cands, d))[:k]
-        assert cands[_top_k(cands, d, k)].tolist() == cands[full].tolist()
-
+        """The 2-D top-K of a block whose rows mix ties straddling k, ±inf,
+        NaN (a NaN k-th value included), rows with fewer than k candidates
+        and a fully excluded row equals a full ``lexsort`` of each row."""
+        base = np.array(distances)
+        width = 3 * len(base)
+        gen = np.random.default_rng(len(base))
+        rows = [
+            (base, np.ones(len(base), dtype=bool)),  # the given values, every other item excluded
+            (np.array([0.3, 0.1, 0.3, 0.3, 0.2, 0.3]), np.arange(6) % 2 == 0),  # ties straddle k, few candidates
+            (np.array([np.inf, -np.inf, 0.1, np.inf, np.nan, -np.inf]), np.ones(6, dtype=bool)),
+            (np.array([np.nan, 0.4, np.nan, 0.2, np.nan]), np.array([True, True, True, False, True])),
+            (np.zeros(0), np.zeros(0, dtype=bool)),  # every item excluded
+            (gen.permutation(np.repeat([0.2, 0.5, np.nan], width // 3)), np.ones(width, dtype=bool)),
+        ]
+        d = np.full((len(rows), width), 0.05)  # excluded entries would rank first if read
+        excluded = np.ones(d.shape, dtype=bool)
+        for i, (values, keep) in enumerate(rows):
+            at = np.sort(gen.choice(width, size=len(values), replace=False))
+            d[i, at] = values
+            excluded[i, at[keep]] = False
+        ranked = top_k(d, excluded, k)
+        assert ranked.shape == (len(rows), min(k, width))
+        for i in range(len(rows)):
+            candidates = np.flatnonzero(~excluded[i])
+            full = candidates[np.lexsort((candidates, d[i, candidates]))][:k]
+            assert ranked[i, : len(full)].tolist() == full.tolist()
+            assert (ranked[i, len(full):] == -1).all()
+        assert (ranked[4] == -1).all()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_brute_force_sort_of_scores(self, kind):
@@ -383,11 +439,46 @@ class TestEvaluate:
     def test_a_leaked_exclusion_is_an_error(self, phase, monkeypatch):
         split, store = _oracle_split()
         split = SplitDataset(split.train, split.test, split.test, seed=0)
-        # Item 3u + 1 is a validation item of user u, and 3u + 2 a train item.
-        monkeypatch.setattr(evaluation, "rank_items", lambda u, *args, **kwargs: np.array([3 * u + 1, 3 * u + 2]))
+        # Item 3u + 1 is a validation item of user u, and 3u + 2 a train item;
+        # the four users are ranked in one block, row u for user u.
+        monkeypatch.setattr(evaluation, "top_k", lambda d, excluded, k: 3 * np.arange(len(d))[:, None] + [1, 2])
         with pytest.raises(EvaluationError, match=r"excluded items \[2\] recommended to user 0"
                            if phase == "validation" else r"excluded items \[1, 2\] recommended to user 0"):
             evaluate(store, ModelKind.CML, split, phase=phase, k=2)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("block_users", [1, 3])
+    @pytest.mark.parametrize("phase", ["validation", "test"])
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_equals_the_per_user_reference(self, kind, phase, block_users, workers, monkeypatch):
+        split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=6)
+        store = init_parameters(40, 30, 6, 3, with_item_memory=kind.uses_item_memory, seed=6)
+        # cap 8: some user and item histories are subsampled, others used whole
+        expected = evaluate_per_user(store, kind, split, phase, 5, 8)
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", block_users * split.num_items)
+        got = evaluate(store, kind, split, phase=phase, k=5, history_cap=8, workers=workers, verbose=True)
+        assert got == expected
+        assert repr(got) == repr(expected)  # the same floats, to the last bit
+
+    def test_block_memory_is_bounded(self):
+        """600 users x 20,000 items: the (users, catalog) arrays of one block
+        hold about one ranking budget; the whole (600, 20,000) distance
+        matrix alone would hold 92 MiB."""
+        n_users, n_items = 600, 20000
+        users = np.arange(n_users)
+        ukeys, ikeys = [f"u{i}" for i in range(n_users)], [f"v{j}" for j in range(n_items)]
+        train = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users)), ukeys, ikeys)
+        test = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users + 1)), ukeys, ikeys)
+        split = SplitDataset(train, InteractionDataset(n_users, n_items, [], ukeys, ikeys), test, seed=0)
+        store = init_parameters(n_users, n_items, 2, 1, seed=0)
+        tracemalloc.start()
+        try:
+            report = evaluate(store, ModelKind.CML, split, phase="test", k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_evaluated_users == n_users
+        assert peak < 8 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MiB"
 
     def test_users_without_relevants_skipped(self):
         split, store = _oracle_split()

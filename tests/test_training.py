@@ -12,6 +12,7 @@ import pytest
 
 from cmlrec import models, rng, training
 from cmlrec.datasets import InteractionDataset, SplitDataset, _Rows, item_history, split_dataset, user_history
+from cmlrec.evaluation import EvaluationError
 from cmlrec.models import ModelKind, NonFiniteScoreError, TripletBatch
 from cmlrec.parameters import checkpoint_bytes, init_parameters, project_unit_ball
 from cmlrec.synthetic import planted_clusters, planted_split
@@ -431,6 +432,17 @@ class TestGridSearch:
         assert len(result.failed) == 1
         assert result.failed[0].params.lr == 1e200
         assert result.best_params is not None and result.best_params.lr == 0.02
+
+    def test_empty_validation_view_fails_before_training(self, monkeypatch):
+        split = planted_split(60, 40, 4, 14, seed=0)
+        view = split.train
+        empty = InteractionDataset(view.num_users, view.num_items, [], view.user_keys, view.item_keys)
+        split = SplitDataset(train=split.train, validation=empty, test=split.test, seed=split.seed)
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(EvaluationError, match="no users with relevant items in the validation view"):
+            grid_search(split, _tiny_hp(kind=ModelKind.CML, max_epochs=1), [0.01, 0.02], [3], [0.5], eval_k=5)
+        assert trained == []
 
     def test_all_zero_ndcg_grid_keeps_the_first_cell(self, monkeypatch):
         monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: SimpleNamespace(ndcg=0.0))
