@@ -8,13 +8,15 @@ internally; the human-readable table multiplies by 100.
 :func:`evaluate` ranks its users in blocks: per block, one (users, catalog)
 exclusion mask scattered from the CSR rows of the excluded views, one
 (users, catalog) distance matrix, one 2-D :func:`top_k` and the five
-metrics from one (users, K) hit matrix (:func:`hit_metrics`). ``cml`` fills
-its distance rows from one closed-form pass over the block
-(:func:`models.cml_distances`); every other head fills each row from its
-own :func:`models.candidate_distances` call over the user's candidates.
+metrics from one (users, K) hit matrix (:func:`hit_metrics`). The heads
+without a history, ``cml`` and ``lrml``, fill the block's distances in one
+closed-form pass over the catalog (:func:`models.catalog_distances`); each
+history head (``adacml``, ``hlr``, ``hlr++``) fills each row from its own
+:func:`models.candidate_distances` call over the user's candidates.
 :func:`rank_items`, which ``recommend`` calls, is the one-row case of the
-same top-K. The per-user metric functions stay as the readable reference
-that the hit-matrix metrics equal bit for bit.
+same distances and top-K, so a user's list is the one :func:`evaluate`
+ranks. The per-user metric functions stay as the readable reference that
+the hit-matrix metrics equal bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import models, rng
 from .datasets import InteractionDataset, SplitDataset, _Rows, item_history, user_history
-from .models import ModelKind, candidate_distances, cml_distances
+from .models import ModelKind, candidate_distances, catalog_distances
 from .parameters import ParameterStore
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -97,12 +99,32 @@ def rank_items(
     exclusions = np.asarray(exclusions, dtype=np.int64)
     excluded = np.zeros((1, store.num_items), dtype=bool)
     excluded[0, exclusions[(exclusions >= 0) & (exclusions < store.num_items)]] = True
-    candidates = np.flatnonzero(~excluded[0])
-    distances = np.empty(excluded.shape)
-    if len(candidates):
-        distances[0, candidates] = candidate_distances(user, candidates, kind, store, history, item_histories)
+    distances = _block_distances(np.array([user]), excluded, kind, store, [history], item_histories)
     ranked = top_k(distances, excluded, k)[0]
     return ranked[ranked >= 0]
+
+
+def _block_distances(
+    users: np.ndarray,
+    excluded: np.ndarray,
+    kind: ModelKind,
+    store: ParameterStore,
+    histories: Sequence[np.ndarray | None],
+    item_histories: _Rows | Sequence[np.ndarray] | None,
+) -> np.ndarray:
+    """The (users, catalog) distances of a block, for :func:`top_k`. A head
+    without a history scores the whole block in one closed-form pass
+    (:func:`models.catalog_distances`); a history head fills row i from one
+    :func:`models.candidate_distances` call over the entries ``excluded[i]``
+    leaves, and its excluded entries are never written."""
+    if not kind.uses_history:
+        return catalog_distances(users, kind, store)
+    distances = np.empty(excluded.shape)
+    for i, (u, history) in enumerate(zip(users.tolist(), histories)):
+        candidates = np.flatnonzero(~excluded[i])
+        if len(candidates):
+            distances[i, candidates] = candidate_distances(u, candidates, kind, store, history, item_histories)
+    return distances
 
 
 def top_k(distances: np.ndarray, excluded: np.ndarray, k: int) -> np.ndarray:
@@ -338,15 +360,7 @@ def evaluate(
         if kind.uses_history:
             histories = [ranking_history(split, u, kind, history_cap) for u in block.tolist()]
             empty_history = np.array([len(h) == 0 for h in histories], dtype=bool)
-        if kind is ModelKind.CML:
-            distances = cml_distances(block, store)
-        else:
-            distances = np.empty(excluded.shape)  # excluded entries are never read
-            for i, (u, history) in enumerate(zip(block.tolist(), histories)):
-                candidates = np.flatnonzero(~excluded[i])
-                if len(candidates):
-                    distances[i, candidates] = candidate_distances(u, candidates, kind, store, history, item_table)
-        ranked = top_k(distances, excluded, k)
+        ranked = top_k(_block_distances(block, excluded, kind, store, histories, item_table), excluded, k)
         valid = ranked >= 0
         at = (np.arange(len(block))[:, None], ranked)
         leaked = excluded[at] & valid

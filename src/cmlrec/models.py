@@ -19,13 +19,14 @@ operations below and is the readable reference. A :class:`TripletBatch`
 holds each user and user-history row once, with the triplet's sides (the
 positives and the negatives) as an axis of its items; training runs each
 chunk ``batch[a:b]`` as one forward and backward pass over both sides.
-Ranking (:func:`candidate_distances`) is one block loop for all five
-heads: it scores one user against a block of the candidate matrix Q in
+Ranking (:func:`candidate_distances`) of the history heads is one block
+loop: it scores one user against a block of the candidate matrix Q in
 closed form, with no per-candidate context. The candidates are split into
 evenly sized blocks, as many as their largest temporary holds budgets of
-``_RANK_BLOCK_ELEMENTS``, rounded. Evaluation scores ``cml`` for a block
-of users at once (:func:`cml_distances`): one closed-form pass over every
-item, a few users at a time.
+``_RANK_BLOCK_ELEMENTS``, rounded. The heads without a history, ``cml``
+and ``lrml``, are scored for a block of users at once instead
+(:func:`catalog_distances`): one closed-form pass over every item, a few
+users at a time, which both evaluation and ``recommend`` rank from.
 
 Both training and ranking read the memories of ``hlr``/``hlr++`` in the
 collapsed array form: a key logit ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n),
@@ -709,23 +710,25 @@ def candidate_distances(
     candidate. ``item_histories`` supplies the item histories of the
     ``hlr++`` head, either as rows over the catalog (row ``v`` holds the
     history of item ``v``; see :func:`evaluation.item_history_table`) or as a
-    list with one user array per candidate. Each candidate block pads only
-    its own rows. Every head scores ‖p + r − q‖² in closed form, one
-    cache-sized block Q of evenly split candidates at a time, with no
-    per-candidate context and no (C, H, d) tensor. Only the translation r
-    differs: none for ``cml``; softmax((K ⊙ p) Qᵀ)ᵀ M for ``lrml``;
-    softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``; the
-    collapsed memory reads for ``hlr`` and ``hlr++``. ``hlr++``'s item side
-    computes the user's key weights over the second memory once, as a
-    contiguous (num_users, N) array, and each block gathers its rows (see
-    :func:`_item_side_relations`). An empty history gives no translation,
-    so those heads then rank exactly like ``cml``.
+    list with one user array per candidate. ``cml`` and ``lrml`` take the
+    user's row of :func:`catalog_distances` at the candidates. The history
+    heads score ‖p + r − q‖² in closed form, one cache-sized block Q of
+    evenly split candidates at a time, with no per-candidate context and no
+    (C, H, d) tensor; each candidate block pads only its own rows. Only the
+    translation r differs: softmax(Hist Qᵀ)ᵀ Hist over the history vectors
+    for ``adacml``; the collapsed memory reads for ``hlr`` and ``hlr++``.
+    ``hlr++``'s item side computes the user's key weights over the second
+    memory once, as a contiguous (num_users, N) array, and each block
+    gathers its rows (see :func:`_item_side_relations`). An empty history
+    gives no translation, so those heads then rank exactly like ``cml``.
     """
+    if not kind.uses_history:
+        return catalog_distances(np.array([user]), kind, store)[0, candidates]
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
     pu = store.user_vecs[user]
     hist = None
-    if kind.uses_history and history is not None and len(history) > 0:
+    if history is not None and len(history) > 0:
         hist = store.item_vecs[history]
     widest = 1 if hist is None else len(hist)
     user_w = table = rows = None
@@ -746,9 +749,7 @@ def candidate_distances(
         block = slice(start, start + step)
         cand = store.item_vecs[candidates[block]]
         relation = None
-        if kind is ModelKind.LRML:
-            relation = _softmax_leading((store.rel_keys * pu) @ cand.T).T @ store.rel_memories
-        elif hist is not None and kind is ModelKind.ADACML:
+        if hist is not None and kind is ModelKind.ADACML:
             relation = _softmax_leading(hist @ cand.T).T @ hist
         elif hist is not None:
             relation = _user_side_relations(pu, cand, hist, store.rel_keys, store.rel_memories)
@@ -764,25 +765,48 @@ def candidate_distances(
     return np.einsum("cd,cd->c", diff, diff)
 
 
-def cml_distances(users: np.ndarray, store: ParameterStore) -> np.ndarray:
-    """The ``cml`` distances ‖p_u − q_v‖² of every user in ``users`` to every
-    item, as a (users, num_items) array; row i equals
-    :func:`candidate_distances` of ``users[i]`` at every item, bit for bit.
+def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore) -> np.ndarray:
+    """The distances of every user in ``users`` to every item, as a
+    (users, num_items) array, for the heads that read no history (``cml``
+    and ``lrml``); they agree with :func:`score`. Ranking scores these heads
+    here only: :func:`candidate_distances` takes its row from this function.
 
-    The users are taken a few at a time, so the (users, items, d)
-    difference, one buffer reused by every chunk, holds about a quarter of
-    ``_RANK_BLOCK_ELEMENTS``: it is reduced while it is still in cache. Each
-    chunk is one subtraction and one ``einsum`` over d, the form the
-    one-user path uses; the expanded ‖p‖² − 2pᵀq + ‖q‖² would round
-    differently.
+    The users are taken a few at a time, so each chunk's largest temporary,
+    the (users, items, d) difference or ``lrml``'s (N, users, items) key
+    logits, holds about a quarter of ``_RANK_BLOCK_ELEMENTS``: it is reduced
+    while it is still in cache. Both buffers are reused by every chunk.
+    ``cml`` subtracts and reduces with ``einsum`` over d; the expanded
+    ‖p‖² − 2pᵀq + ‖q‖² would round differently. ``lrml``'s translation is
+    softmax((K ⊙ p) Qᵀ)ᵀ M: one batched product gives the key logits of
+    the chunk, stored slot-major so that the softmax over the slots reduces
+    whole rows, and a second one writes the relations into the difference
+    buffer, which then adds p and subtracts q in place before the same
+    ``einsum``. Both products make one (N, d) @ (d, items) and one
+    (items, N) @ (N, d) matrix product per user, so a user's row never
+    depends on which users share its chunk.
     """
+    if kind.uses_history:
+        raise ValueError(f"{kind.value} reads a history; rank it with candidate_distances")
     items = store.item_vecs
-    out = np.empty((len(users), len(items)))
-    step = max(1, _RANK_BLOCK_ELEMENTS // 4 // max(items.size, 1))
-    diff = np.empty((min(step, len(users)), *items.shape))
+    num_items, dim = items.shape
+    n_rel = 0 if kind is ModelKind.CML else len(store.rel_keys)
+    out = np.empty((len(users), num_items))
+    step = max(1, _RANK_BLOCK_ELEMENTS // 4 // max(max(dim, n_rel) * num_items, 1))
+    width = min(step, len(users))
+    diff = np.empty((width, num_items, dim))
+    logits = np.empty(n_rel * width * num_items)
     for start in range(0, len(users), step):
         chunk = users[start : start + step]
         part = diff[: len(chunk)]
-        np.subtract(store.user_vecs[chunk, None, :], items, out=part)
+        pu = store.user_vecs[chunk]
+        if kind is ModelKind.CML:
+            np.subtract(pu[:, None, :], items, out=part)
+        else:
+            by_slot = logits[: n_rel * len(chunk) * num_items].reshape(n_rel, len(chunk), num_items)
+            np.matmul(store.rel_keys * pu[:, None, :], items.T, out=by_slot.transpose(1, 0, 2))
+            _softmax_leading(by_slot.reshape(n_rel, -1))
+            np.matmul(by_slot.transpose(1, 2, 0), store.rel_memories, out=part)
+            part += pu[:, None, :]
+            part -= items
         np.einsum("ucd,ucd->uc", part, part, out=out[start : start + step])
     return out

@@ -283,6 +283,30 @@ class TestRankItems:
             assert (ranked[i, len(full):] == -1).all()
         assert (ranked[4] == -1).all()
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_whole_catalog_excluded(self, kind):
+        store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=0)
+        ranked = rank_items(1, store, kind, np.arange(5), 3, history=np.array([0, 2]), item_histories=[])
+        assert ranked.tolist() == []
+
+    # The 19 evaluated users: a budget of 30 elements ranks blocks of one
+    # user; 720 one block scored a user per chunk, 1440 one block in chunks
+    # of 2 users and 2**20 one block in one chunk.
+    @pytest.mark.parametrize("budget", [30, 720, 1440, 2**20])
+    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML], ids=lambda kind: kind.value)
+    def test_lists_the_row_evaluate_ranks(self, kind, budget, monkeypatch):
+        """A head without a history ranks one user in ``rank_items`` from the
+        scorer that ranks a block in ``evaluate``: with k the whole catalog,
+        every list equals the user's row of the verbose report."""
+        split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=7)
+        store = init_parameters(40, 30, 6, 4, seed=7)
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        report = evaluate(store, kind, split, phase="test", k=30, verbose=True)
+        assert report.num_evaluated_users == 19
+        for rec in report.per_user:
+            exclusions = np.concatenate([split.train.user_items[rec.user], split.validation.user_items[rec.user]])
+            assert rank_items(rec.user, store, kind, exclusions, 30).tolist() == rec.ranked
+
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_brute_force_sort_of_scores(self, kind):
         gen = np.random.default_rng(31)
@@ -463,22 +487,24 @@ class TestEvaluate:
     def test_block_memory_is_bounded(self):
         """600 users x 20,000 items: the (users, catalog) arrays of one block
         hold about one ranking budget; the whole (600, 20,000) distance
-        matrix alone would hold 92 MiB."""
+        matrix alone would hold 92 MiB. ``lrml``'s (N, users, items) key
+        logits, N = 8 > d = 2, size its chunks."""
         n_users, n_items = 600, 20000
         users = np.arange(n_users)
         ukeys, ikeys = [f"u{i}" for i in range(n_users)], [f"v{j}" for j in range(n_items)]
         train = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users)), ukeys, ikeys)
         test = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users + 1)), ukeys, ikeys)
         split = SplitDataset(train, InteractionDataset(n_users, n_items, [], ukeys, ikeys), test, seed=0)
-        store = init_parameters(n_users, n_items, 2, 1, seed=0)
-        tracemalloc.start()
-        try:
-            report = evaluate(store, ModelKind.CML, split, phase="test", k=10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report.num_evaluated_users == n_users
-        assert peak < 8 * 2**20, f"evaluate peaked at {peak / 2**20:.1f} MiB"
+        for kind, n_relations in ((ModelKind.CML, 1), (ModelKind.LRML, 8)):
+            store = init_parameters(n_users, n_items, 2, n_relations, seed=0)
+            tracemalloc.start()
+            try:
+                report = evaluate(store, kind, split, phase="test", k=10)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.num_evaluated_users == n_users
+            assert peak < 8 * 2**20, f"{kind.value} evaluate peaked at {peak / 2**20:.1f} MiB"
 
     def test_users_without_relevants_skipped(self):
         split, store = _oracle_split()

@@ -3,6 +3,7 @@ consistency between the single-pair and batched code paths."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cmlrec.models import (
     backward,
     batch_distances,
     candidate_distances,
+    catalog_distances,
     item_item_relation,
     item_relation,
     joint_embedding,
@@ -439,7 +441,7 @@ class TestCandidateDistances:
         # candidates into round(13 * 3 * widest support set / 40) even blocks:
         # 3 blocks (5, 5, 3) for the 3 history items, 4 blocks (4, 4, 4, 1)
         # where an hlr++ item history holds 4 users, and one block of all 13
-        # with no support set (cml, lrml, an empty history).
+        # with an empty history; cml and lrml score the whole catalog.
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
         gen = np.random.default_rng(26)
         store = init_parameters(8, 14, 5, 3, with_item_memory=True, seed=26)
@@ -499,6 +501,62 @@ class TestCandidateDistances:
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)
         with pytest.raises(ValueError, match="candidates"):
             candidate_distances(0, np.arange(5), ModelKind.HLRPP, store, item_histories=[EMPTY] * 4)
+
+
+class TestCatalogDistances:
+    """The one closed-form pass of the heads without a history (``cml``,
+    ``lrml``) against the single-pair reference and the one-user path."""
+
+    USERS = np.array([3, 0, 6, 3, 5, 1, 2])  # unsorted, one user twice
+
+    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML], ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("n_relations", [1, 4])
+    @pytest.mark.parametrize("chunk", [1, 2, 7])  # users per chunk; 7 takes them all at once
+    def test_matches_score_and_candidate_distances(self, kind, n_relations, chunk, monkeypatch):
+        store = init_parameters(7, 11, 3, n_relations, seed=40 + n_relations)
+        # A chunk's largest temporary, max(d, N) x items per user, holds a
+        # quarter of the budget.
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 4 * chunk * max(3, n_relations) * 11)
+        d = catalog_distances(self.USERS, kind, store)
+        assert d.shape == (len(self.USERS), 11)
+        ref = [[score(RelationContext(int(u), v), kind, store).distance for v in range(11)] for u in self.USERS]
+        np.testing.assert_allclose(d, ref, rtol=1e-12, atol=1e-14)
+        gen = np.random.default_rng(chunk)
+        for i, u in enumerate(self.USERS.tolist()):
+            # A user's row depends on no other user of its chunk, so the
+            # one-user path gives it bit for bit.
+            cands = np.sort(gen.choice(11, size=int(gen.integers(1, 12)), replace=False))
+            assert candidate_distances(u, cands, kind, store).tobytes() == d[i, cands].tobytes()
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 1)
+        assert catalog_distances(self.USERS, kind, store).tobytes() == d.tobytes()
+
+    def test_cml_subtracts_then_sums_over_d(self):
+        # The bits of ‖p − q‖² taken as one subtraction and a left-to-right
+        # einsum per user, the form of the one-user ranking loop.
+        store = init_parameters(7, 11, 5, 2, seed=43)
+        d = catalog_distances(self.USERS, ModelKind.CML, store)
+        for i, u in enumerate(self.USERS.tolist()):
+            diff = store.user_vecs[u] - store.item_vecs
+            assert d[i].tobytes() == np.einsum("cd,cd->c", diff, diff).tobytes()
+
+    def test_lrml_chunks_are_sized_by_the_key_logits(self):
+        """N = 64 slots over d = 2: one user's (N, items) key logits hold
+        twice a quarter budget, so each chunk is one user (0.5 MiB of
+        logits); sized by d alone, a chunk would take 16 users and 8 MiB."""
+        store = init_parameters(40, 1000, 2, 64, seed=44)
+        tracemalloc.start()
+        try:
+            catalog_distances(np.arange(40), ModelKind.LRML, store)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"catalog_distances peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
+    def test_history_heads_rejected(self, kind):
+        store = init_parameters(3, 4, 2, 2, with_item_memory=True, seed=0)
+        with pytest.raises(ValueError, match="reads a history"):
+            catalog_distances(np.arange(3), kind, store)
 
 
 class TestBackwardBasics:
