@@ -10,13 +10,21 @@ exclusion mask scattered from the CSR rows of the excluded views, one
 (users, catalog) distance matrix, one 2-D :func:`top_k` and the five
 metrics from one (users, K) hit matrix (:func:`hit_metrics`). The heads
 without a history, ``cml`` and ``lrml``, fill the block's distances in one
-closed-form pass over the catalog (:func:`models.catalog_distances`); each
-history head (``adacml``, ``hlr``, ``hlr++``) fills each row from its own
-:func:`models.candidate_distances` call over the user's candidates.
-:func:`rank_items`, which ``recommend`` calls, is the one-row case of the
-same distances and top-K, so a user's list is the one :func:`evaluate`
-ranks. The per-user metric functions stay as the readable reference that
-the hit-matrix metrics equal bit for bit.
+closed-form pass over the catalog (:func:`models.catalog_distances`).
+``adacml`` fills each row from its own :func:`models.candidate_distances`
+call over the user's candidates. ``hlr`` and ``hlr++`` score every row over
+the whole catalog. The first level of their hierarchy, the key weights of a
+(candidate, history item) pair, does not depend on the user, so a block
+whose history slots number at least twice its distinct history items
+shares one table of them per candidate block
+(:func:`models.history_distances`); the measured crossover lies at 1.25-1.5
+slots per item. Any other block fills each row from its own
+:func:`models.candidate_distances` call, the one-user case of the same
+scoring, which gives each row the same bits. :func:`rank_items`, which
+``recommend`` calls, is the one-row case of the same distances and top-K,
+so a user's list is the one :func:`evaluate` ranks. The per-user metric
+functions stay as the readable reference that the hit-matrix metrics equal
+bit for bit.
 """
 from __future__ import annotations
 
@@ -30,7 +38,7 @@ import numpy as np
 
 from . import models, rng
 from .datasets import InteractionDataset, SplitDataset, _Rows, item_history, user_history
-from .models import ModelKind, candidate_distances, catalog_distances
+from .models import ModelKind, candidate_distances, catalog_distances, history_distances
 from .parameters import ParameterStore
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -99,9 +107,26 @@ def rank_items(
     exclusions = np.asarray(exclusions, dtype=np.int64)
     excluded = np.zeros((1, store.num_items), dtype=bool)
     excluded[0, exclusions[(exclusions >= 0) & (exclusions < store.num_items)]] = True
+    if kind is ModelKind.HLRPP and item_histories is not None and not isinstance(item_histories, _Rows):
+        # hlr++ scores the whole catalog; an excluded item's row is empty.
+        candidates = np.flatnonzero(~excluded[0])
+        if len(item_histories) != len(candidates):
+            raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
+        rows = [_EMPTY] * store.num_items
+        for v, h in zip(candidates.tolist(), item_histories):
+            rows[v] = h
+        item_histories = _Rows.of(rows)
     distances = _block_distances(np.array([user]), excluded, kind, store, [history], item_histories)
     ranked = top_k(distances, excluded, k)[0]
     return ranked[ranked >= 0]
+
+
+def _shares_key_table(histories: Sequence[np.ndarray | None]) -> bool:
+    """Whether a block's users share one table of item-pair key weights:
+    their history slots number at least twice their distinct history items."""
+    lists = [h for h in histories if h is not None and len(h)]
+    slots = sum(map(len, lists))
+    return len(lists) > 1 and slots >= 2 * len(np.unique(np.concatenate(lists)))
 
 
 def _block_distances(
@@ -114,11 +139,23 @@ def _block_distances(
 ) -> np.ndarray:
     """The (users, catalog) distances of a block, for :func:`top_k`. A head
     without a history scores the whole block in one closed-form pass
-    (:func:`models.catalog_distances`); a history head fills row i from one
+    (:func:`models.catalog_distances`). ``adacml`` fills row i from one
     :func:`models.candidate_distances` call over the entries ``excluded[i]``
-    leaves, and its excluded entries are never written."""
+    leaves, and its excluded entries are never written. ``hlr`` and
+    ``hlr++`` score every row over the whole catalog, so that the users of
+    a block share their candidates: when :func:`_shares_key_table` holds,
+    one :func:`models.history_distances` call scores the block from shared
+    tables of key weights; otherwise each row is one
+    :func:`models.candidate_distances` call, the one-user case of the same
+    scoring, which gives the same bits."""
     if not kind.uses_history:
         return catalog_distances(users, kind, store)
+    if kind is not ModelKind.ADACML:
+        catalog = np.arange(excluded.shape[1])
+        if _shares_key_table(histories):
+            return history_distances(users, histories, catalog, kind, store, item_histories)
+        return np.array([candidate_distances(u, catalog, kind, store, history, item_histories)
+                         for u, history in zip(users.tolist(), histories)])
     distances = np.empty(excluded.shape)
     for i, (u, history) in enumerate(zip(users.tolist(), histories)):
         candidates = np.flatnonzero(~excluded[i])
@@ -335,10 +372,13 @@ def evaluate(
     docstring); every row is ranked and scored on its own, so the blocking
     never changes a result. With ``workers`` > 1 the blocks, at least one
     per worker, are ranked in parallel and aggregated in a fixed order.
-    Raises ``ValueError`` for ``k < 1`` and a negative ``history_cap``.
+    Raises ``ValueError`` for ``k < 1``, a negative ``history_cap`` and
+    ``workers < 1``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if history_cap < 0:
         raise ValueError(f"history_cap must be >= 0, got {history_cap}")
     if phase not in PHASES:

@@ -19,10 +19,11 @@ operations below and is the readable reference. A :class:`TripletBatch`
 holds each user and user-history row once, with the triplet's sides (the
 positives and the negatives) as an axis of its items; training runs each
 chunk ``batch[a:b]`` as one forward and backward pass over both sides.
-Ranking (:func:`candidate_distances`) of the history heads is one block
-loop: it scores one user against a block of the candidate matrix Q in
-closed form, with no per-candidate context. The candidates are split into
-evenly sized blocks, as many as their largest temporary holds budgets of
+Ranking of the history heads (:func:`history_distances`, whose one-user
+case is :func:`candidate_distances`) is one block loop: it scores users
+against a block of the candidate matrix Q in closed form, with no
+per-candidate context. The candidates are split into evenly sized blocks,
+as many as a user's largest temporary holds budgets of
 ``_RANK_BLOCK_ELEMENTS``, rounded. The heads without a history, ``cml``
 and ``lrml``, are scored for a block of users at once instead
 (:func:`catalog_distances`): one closed-form pass over every item, a few
@@ -39,11 +40,20 @@ rows. A training pass returns its backward next to its distances, and the
 backward of an attention block gives the memory gradient as two
 (N, B) @ (B, d) products. The attention over history slots
 is one in-place masked softmax (:func:`_masked_softmax`). In ranking, the
-key logits of every (history item, candidate) pair of a block come from one
-GEMM. ``hlr++``'s item side reads the ranked user's key weights, one
-contiguous row per support user, by one (C, J, N) gather, and its attention
-logits and mixed key weights are two batched products. Tests hold the
-single-pair, training and ranking paths together.
+hierarchy is read in its two levels. The first, the key weights
+softmax_n(⟨q_c ⊙ q_h, k_n⟩) of a (candidate, history item) pair, depends
+on the item pair alone, so users whose histories share items share it:
+per candidate block, one table holds the key weights of their distinct
+history items (:func:`_key_weights`), each item's from a product of its
+own, and each user's attention, the second level, reads its own rows of it
+(:func:`_user_attention`). Evaluation shares a table within a block of
+users when their history slots number at least twice their distinct
+history items; below that, a table costs more than it saves (the measured
+crossover lies at 1.25-1.5 slots per item). ``hlr++``'s item side reads the
+ranked user's key weights, one contiguous row per support user, by one
+(C, J, N) gather, and its attention logits and mixed key weights are two
+batched products. Tests hold the single-pair, training and ranking paths
+together.
 """
 from __future__ import annotations
 
@@ -634,50 +644,75 @@ def backward(
     return grads, total
 
 
-def _user_side_relations(
-    query: np.ndarray, anchors: np.ndarray, support: np.ndarray, keys: np.ndarray, memories: np.ndarray
-) -> np.ndarray:
-    """User-side relations (C, d) of many candidates sharing one history.
+def _key_weights(keys: np.ndarray, support: np.ndarray, cand_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first level of the hierarchy: the key weights
+    softmax_n(⟨q_c ⊙ s_h, k_n⟩) of every (support row h, candidate c). They
+    depend on the item pair alone, not on the user who ranks it.
 
-    ``anchors`` (C, d) are the candidate vectors, ``support`` (H, d) the
-    history vectors and ``query`` (d,) the user vector. The key logit of
-    slot n for history row h and candidate c is q_c · (k_n ⊙ s_h), so one
-    GEMM gives all of them as an (N, H·C) array.
+    ``support`` (H, d) holds history item vectors and ``cand_t`` the
+    candidate vectors as a contiguous (d, C) array. Returns the
+    exponentials e (H, N, C) of the max-shifted key logits, one contiguous
+    (N, C) slab per support row, and their sums z (H, C) over the slots; the
+    weight of slot n is e_n / z, and :func:`_user_attention` divides by z
+    only after reducing over the slots. The key logit of slot n is
+    q_c · (k_n ⊙ s_h), so each support row's logits are one
+    (N, d) @ (d, C) matrix product of their own, and the shift and sum
+    reduce its own slab: a row's values never depend on the other rows of
+    the call, and a table over the distinct history items of many users
+    gives each user the bits its own call would.
     """
-    n_rel, dim = keys.shape
-    width = len(support)
-    key_w = ((keys[:, None, :] * support).reshape(n_rel * width, dim) @ anchors.T).reshape(n_rel, -1)
-    _softmax_leading(key_w)
-    alpha = _softmax_leading(((memories @ query) @ key_w).reshape(width, -1))  # (H, C)
-    key_w = key_w.reshape(n_rel, width, -1)
-    key_w *= alpha
-    return key_w.sum(axis=1).T @ memories
+    exps = np.matmul(keys * support[:, None, :], cand_t)
+    exps -= exps.max(axis=1, keepdims=True)
+    np.exp(exps, out=exps)
+    return exps, exps.sum(axis=1)
+
+
+def _user_attention(query: np.ndarray, exps: np.ndarray, sums: np.ndarray, memories: np.ndarray) -> np.ndarray:
+    """The second level: the user's attention over its history rows of the
+    key weights e / z (see :func:`_key_weights`), returning the user-side
+    relations (C, d). The relation of history row h and candidate c is
+    w_hc M, so its attention logit is w_hc · (M p) = (e_hc · (M p)) / z_hc
+    for the user vector ``query`` p, and the attention-weighted sum of
+    relations is (Σ_h (α_hc / z_hc) e_hc) M: one batched product gives the
+    logits and one ``einsum`` pass the mixed weights.
+    """
+    logits = np.matmul(memories @ query, exps)  # (H, C)
+    logits /= sums
+    alpha = _softmax_leading(logits)
+    alpha /= sums
+    return np.einsum("hnc,hc->nc", exps, alpha).T @ memories
+
+
+def _item_key_weights(anchor: np.ndarray, store: ParameterStore) -> np.ndarray:
+    """``hlr++``'s item-side key weights of every user as support for the
+    ranked user ``anchor``, one contiguous (num_users, N) row per user."""
+    return np.ascontiguousarray(_softmax_leading((store.item_rel_keys * anchor) @ store.user_vecs.T).T)
 
 
 def _item_side_relations(
-    cand: np.ndarray,
     ids: np.ndarray,
     mask: np.ndarray,
+    reads: np.ndarray,
     user_w: np.ndarray,
     memories: np.ndarray,
 ) -> np.ndarray | None:
     """Item-side relations (C, d) for ``hlr++``, or None if every item history is empty.
 
     ``ids`` (C, J) holds each candidate's support users zero-padded where
-    ``mask`` is unset. The anchor (the ranked user's vector) is shared by
-    every candidate, so the key weights of a support user depend on that
-    user alone: they are computed once per ranked user, as the rows of
-    ``user_w`` (num_users, N), and one gather through ``ids`` gives the
+    ``mask`` is unset, and ``reads`` (C, N) the candidates' memory reads
+    Q Mᵀ. The anchor (the ranked user's vector) is shared by every
+    candidate, so the key weights of a support user depend on that user
+    alone: they are the rows of ``user_w`` (num_users, N) (see
+    :func:`_item_key_weights`), and one gather through ``ids`` gives the
     (C, J, N) key weights of the block, a contiguous row per slot. The
-    attention logit of support user j for candidate c is w_j · (M q_c), so
-    the logits are one batched product with the reads Q Mᵀ; the mixed key
-    weights are one (C, 1, J) @ (C, J, N) product, and the relations those
-    weights times M.
+    attention logit of support user j for candidate c is w_j · (M q_c), one
+    batched product with the reads; the mixed key weights are one
+    (C, 1, J) @ (C, J, N) product, and the relations those weights times M.
     """
     if not mask.any():
         return None
     key_w = user_w.take(ids, axis=0)  # (C, J, N)
-    logits = key_w @ (cand @ memories.T)[:, :, None]  # (C, J, 1)
+    logits = key_w @ reads[:, :, None]  # (C, J, 1)
     # ``mask.T`` is a contiguous (J, C) array, so the softmax reduces over J
     # along the leading axis: whole rows, not many rows of a few entries.
     beta = _masked_softmax(logits[:, :, 0].T, mask.T, axis=0)
@@ -696,6 +731,14 @@ def _item_side_relations(
 _RANK_BLOCK_ELEMENTS = 1 << 17
 
 
+def _block_step(count: int, n_rel: int, widest: int) -> int:
+    """Candidates per block when ``count`` candidates, each with ``widest``
+    support rows over ``n_rel`` slots, are split evenly into their number of
+    budgets, rounded."""
+    blocks = max(1, round(count * n_rel * widest / _RANK_BLOCK_ELEMENTS))
+    return max(1, -(-count // blocks))
+
+
 def candidate_distances(
     user: int,
     candidates: np.ndarray,
@@ -711,27 +754,62 @@ def candidate_distances(
     ``hlr++`` head, either as rows over the catalog (row ``v`` holds the
     history of item ``v``; see :func:`evaluation.item_history_table`) or as a
     list with one user array per candidate. ``cml`` and ``lrml`` take the
-    user's row of :func:`catalog_distances` at the candidates. The history
-    heads score ‖p + r − q‖² in closed form, one cache-sized block Q of
-    evenly split candidates at a time, with no per-candidate context and no
-    (C, H, d) tensor; each candidate block pads only its own rows. Only the
-    translation r differs: softmax(Hist Qᵀ)ᵀ Hist over the history vectors
-    for ``adacml``; the collapsed memory reads for ``hlr`` and ``hlr++``.
-    ``hlr++``'s item side computes the user's key weights over the second
-    memory once, as a contiguous (num_users, N) array, and each block
-    gathers its rows (see :func:`_item_side_relations`). An empty history
-    gives no translation, so those heads then rank exactly like ``cml``.
+    user's row of :func:`catalog_distances` at the candidates; the history
+    heads are the one-user case of :func:`history_distances`.
     """
     if not kind.uses_history:
         return catalog_distances(np.array([user]), kind, store)[0, candidates]
+    return history_distances(np.array([user]), [history], candidates, kind, store, item_histories)[0]
+
+
+def history_distances(
+    users: np.ndarray,
+    histories: Sequence[np.ndarray | None],
+    candidates: np.ndarray,
+    kind: ModelKind,
+    store: ParameterStore,
+    item_histories: _Rows | Sequence[np.ndarray] | None = None,
+) -> np.ndarray:
+    """The (users, candidates) distances of the history heads, user i
+    attending over ``histories[i]``; each row agrees with :func:`score` and
+    is, bit for bit, the user's :func:`candidate_distances`.
+
+    ‖p + r − q‖² is scored in closed form, one cache-sized block Q of evenly
+    split candidates at a time (:func:`_block_step`), with no per-candidate
+    context and no (C, H, d) tensor. Only the translation r differs:
+    softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``; the
+    collapsed memory reads for ``hlr`` and ``hlr++``. An empty history gives
+    no translation, so those heads then rank exactly like ``cml``.
+
+    The memory heads read their hierarchy in two levels. The first, the key
+    weights of every (history item, candidate) pair (:func:`_key_weights`),
+    does not depend on the user, so the users whose candidates split into
+    the same blocks share it: per block, one table holds the key weights of
+    their distinct history items, and each user's attention
+    (:func:`_user_attention`) reads its own rows of it. A user alone takes
+    its history as the table. Every product has a shape fixed by the user
+    and the block alone, so a row never depends on the other users. The
+    table of a block holds N × (distinct history items) × block key weights.
+    A user's own rows of a block hold at most about 1.5 budgets (the block
+    count is rounded), and when the history slots number at least twice the
+    distinct items (the rule by which evaluation shares a table) the table
+    holds at most half of the users' rows: it stays below the group's
+    users × ``_RANK_BLOCK_ELEMENTS``.
+
+    ``hlr++``'s item side pads each block's item histories and computes
+    their memory reads Q M′ᵀ once per block. Each user's key weights over
+    the second memory are a contiguous (num_users, N) array whose rows each
+    block gathers (see :func:`_item_side_relations`); a user alone computes
+    them once, and a group computes each member's per block, so that it
+    holds one such array at a time.
+    """
+    if not kind.uses_history:
+        raise ValueError(f"{kind.value} reads no history; rank it with catalog_distances")
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
-    pu = store.user_vecs[user]
-    hist = None
-    if history is not None and len(history) > 0:
-        hist = store.item_vecs[history]
-    widest = 1 if hist is None else len(hist)
-    user_w = table = rows = None
+    hists = [_EMPTY if h is None else h for h in histories]
+    table = rows = None
+    item_widest = 0
     if kind is ModelKind.HLRPP and item_histories is not None:
         if isinstance(item_histories, _Rows):
             table, rows = item_histories, candidates
@@ -739,30 +817,62 @@ def candidate_distances(
             table, rows = _Rows.of(item_histories), np.arange(len(candidates))
         else:
             raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
-        # The key weights of every user as the support of ``pu``, one row each.
-        user_w = np.ascontiguousarray(_softmax_leading((store.item_rel_keys * pu) @ store.user_vecs.T).T)
-        widest = max(widest, int(table.lengths[rows].max(initial=0)))
-    blocks = max(1, round(len(candidates) * len(store.rel_keys) * widest / _RANK_BLOCK_ELEMENTS))
-    step = max(1, -(-len(candidates) // blocks))
-    diff = np.empty((len(candidates), store.dim))
-    for start in range(0, len(candidates), step):
-        block = slice(start, start + step)
-        cand = store.item_vecs[candidates[block]]
-        relation = None
-        if hist is not None and kind is ModelKind.ADACML:
-            relation = _softmax_leading(hist @ cand.T).T @ hist
-        elif hist is not None:
-            relation = _user_side_relations(pu, cand, hist, store.rel_keys, store.rel_memories)
-        if user_w is not None:
-            item_rel = _item_side_relations(cand, *table.padded(rows[block]), user_w, store.item_rel_memories)
-            if item_rel is not None:
-                relation = item_rel if relation is None else relation + item_rel
-        if relation is None:
-            np.subtract(pu, cand, out=diff[block])
+        item_widest = int(table.lengths[rows].max(initial=0))
+    n_rel = len(store.rel_keys)
+    steps = [_block_step(len(candidates), n_rel, max(len(h), item_widest, 1)) for h in hists]
+    out = np.empty((len(users), len(candidates)))
+    for step in dict.fromkeys(steps):
+        group = [i for i, s in enumerate(steps) if s == step]
+        if len(group) == 1:
+            support, slots = hists[group[0]], [None]
         else:
-            np.add(pu, relation, out=diff[block])
-            diff[block] -= cand
-    return np.einsum("cd,cd->c", diff, diff)
+            support, where = np.unique(np.concatenate([hists[i] for i in group]), return_inverse=True)
+            slots = np.split(where, np.cumsum([len(hists[i]) for i in group])[:-1])
+        support_vecs = store.item_vecs[support]
+        # hlr++'s (num_users, N) item key weights: a user alone keeps its own
+        # for all its blocks; a group makes each member's per block, so it
+        # never holds more than one.
+        alone_w = None
+        if table is not None and len(group) == 1:
+            alone_w = _item_key_weights(store.user_vecs[users[group[0]]], store)
+        for start in range(0, len(candidates), step):
+            block = slice(start, start + step)
+            cand = store.item_vecs[candidates[block]]
+            key_table = None
+            if kind is not ModelKind.ADACML and len(support):
+                key_table = _key_weights(store.rel_keys, support_vecs, np.ascontiguousarray(cand.T))
+            if table is not None:
+                ids, mask = table.padded(rows[block])
+                reads = cand @ store.item_rel_memories.T
+            for j, i in enumerate(group):
+                pu, relation = store.user_vecs[users[i]], None
+                if len(hists[i]) and kind is ModelKind.ADACML:
+                    hist = support_vecs if slots[j] is None else support_vecs[slots[j]]
+                    relation = _softmax_leading(hist @ cand.T).T @ hist
+                elif len(hists[i]):
+                    exps, sums = key_table
+                    if slots[j] is not None:
+                        exps, sums = exps[slots[j]], sums[slots[j]]
+                    relation = _user_attention(pu, exps, sums, store.rel_memories)
+                if table is not None:
+                    user_w = alone_w if alone_w is not None else _item_key_weights(pu, store)
+                    item_rel = _item_side_relations(ids, mask, reads, user_w, store.item_rel_memories)
+                    if item_rel is not None:
+                        relation = item_rel if relation is None else relation + item_rel
+                if relation is None:
+                    diff = pu - cand
+                else:
+                    diff = np.add(pu, relation, out=relation)
+                    diff -= cand
+                np.einsum("cd,cd->c", diff, diff, out=out[i, block])
+    return out
+
+
+# ``catalog_distances`` splits one user's row into parts of at least this many
+# items: a narrower part would pay the per-part cost for almost no work.
+# Parts of a quarter budget, the size of a chunk of users, cost rank-catalog's
+# 2000-item rows 6-8% in per-part calls; a part holds a whole budget instead.
+_MIN_CATALOG_PART = 256
 
 
 def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore) -> np.ndarray:
@@ -774,7 +884,12 @@ def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore)
     The users are taken a few at a time, so each chunk's largest temporary,
     the (users, items, d) difference or ``lrml``'s (N, users, items) key
     logits, holds about a quarter of ``_RANK_BLOCK_ELEMENTS``: it is reduced
-    while it is still in cache. Both buffers are reused by every chunk.
+    while it is still in cache. A user whose row holds more than that is a
+    chunk of its own, and one whose row holds more than about a whole
+    budget takes the catalog in evenly split parts of about one budget each
+    (:func:`_block_step`), of at least ``_MIN_CATALOG_PART`` items, so one
+    user's temporaries stay bounded however large the catalog. Both buffers
+    are reused by every chunk and part.
     ``cml`` subtracts and reduces with ``einsum`` over d; the expanded
     ‖p‖² − 2pᵀq + ‖q‖² would round differently. ``lrml``'s translation is
     softmax((K ⊙ p) Qᵀ)ᵀ M: one batched product gives the key logits of
@@ -782,7 +897,8 @@ def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore)
     whole rows, and a second one writes the relations into the difference
     buffer, which then adds p and subtracts q in place before the same
     ``einsum``. Both products make one (N, d) @ (d, items) and one
-    (items, N) @ (N, d) matrix product per user, so a user's row never
+    (items, N) @ (N, d) matrix product per user and part, and the parts
+    depend only on the catalog and the store, so a user's row never
     depends on which users share its chunk.
     """
     if kind.uses_history:
@@ -790,23 +906,27 @@ def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore)
     items = store.item_vecs
     num_items, dim = items.shape
     n_rel = 0 if kind is ModelKind.CML else len(store.rel_keys)
-    out = np.empty((len(users), num_items))
     step = max(1, _RANK_BLOCK_ELEMENTS // 4 // max(max(dim, n_rel) * num_items, 1))
-    width = min(step, len(users))
-    diff = np.empty((width, num_items, dim))
-    logits = np.empty(n_rel * width * num_items)
+    width = min(num_items, max(_block_step(num_items, max(dim, n_rel), 1), _MIN_CATALOG_PART))
+    users_per_chunk = min(step, len(users))
+    out = np.empty((len(users), num_items))
+    diff = np.empty((users_per_chunk, width, dim))
+    logits = np.empty(n_rel * users_per_chunk * width)
     for start in range(0, len(users), step):
         chunk = users[start : start + step]
-        part = diff[: len(chunk)]
         pu = store.user_vecs[chunk]
-        if kind is ModelKind.CML:
-            np.subtract(pu[:, None, :], items, out=part)
-        else:
-            by_slot = logits[: n_rel * len(chunk) * num_items].reshape(n_rel, len(chunk), num_items)
-            np.matmul(store.rel_keys * pu[:, None, :], items.T, out=by_slot.transpose(1, 0, 2))
-            _softmax_leading(by_slot.reshape(n_rel, -1))
-            np.matmul(by_slot.transpose(1, 2, 0), store.rel_memories, out=part)
-            part += pu[:, None, :]
-            part -= items
-        np.einsum("ucd,ucd->uc", part, part, out=out[start : start + step])
+        for first in range(0, num_items, width):
+            cols = slice(first, first + width)
+            q = items[cols]
+            part = diff[: len(chunk), : len(q)]
+            if kind is ModelKind.CML:
+                np.subtract(pu[:, None, :], q, out=part)
+            else:
+                by_slot = logits[: n_rel * len(chunk) * len(q)].reshape(n_rel, len(chunk), len(q))
+                np.matmul(store.rel_keys * pu[:, None, :], q.T, out=by_slot.transpose(1, 0, 2))
+                _softmax_leading(by_slot.reshape(n_rel, -1))
+                np.matmul(by_slot.transpose(1, 2, 0), store.rel_memories, out=part)
+                part += pu[:, None, :]
+                part -= q
+            np.einsum("ucd,ucd->uc", part, part, out=out[start : start + step, cols])
     return out

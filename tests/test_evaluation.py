@@ -291,21 +291,74 @@ class TestRankItems:
 
     # The 19 evaluated users: a budget of 30 elements ranks blocks of one
     # user; 720 one block scored a user per chunk, 1440 one block in chunks
-    # of 2 users and 2**20 one block in one chunk.
+    # of 2 users and 2**20 one block in one chunk. With 3 workers the blocks
+    # hold 7, 7 and 5 users. The memory heads read 8-item histories (cap 8),
+    # so they split the catalog into 30 candidate blocks at a budget of 30
+    # and one at the others; every block of more than one user shares a
+    # table of key weights but the last 3-worker block, which scores each of
+    # its users alone.
     @pytest.mark.parametrize("budget", [30, 720, 1440, 2**20])
-    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML], ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML, ModelKind.HLR, ModelKind.HLRPP],
+                             ids=lambda kind: kind.value)
     def test_lists_the_row_evaluate_ranks(self, kind, budget, monkeypatch):
-        """A head without a history ranks one user in ``rank_items`` from the
-        scorer that ranks a block in ``evaluate``: with k the whole catalog,
-        every list equals the user's row of the verbose report."""
+        """``rank_items`` ranks one user from the scorer that ranks a block
+        in ``evaluate``: with k the whole catalog, every list equals the
+        user's row of the verbose report."""
         split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=7)
-        store = init_parameters(40, 30, 6, 4, seed=7)
+        store = init_parameters(40, 30, 6, 4, with_item_memory=kind.uses_item_memory, seed=7)
+        item_table = item_history_table(split, 8) if kind.uses_item_memory else None
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
-        report = evaluate(store, kind, split, phase="test", k=30, verbose=True)
-        assert report.num_evaluated_users == 19
-        for rec in report.per_user:
-            exclusions = np.concatenate([split.train.user_items[rec.user], split.validation.user_items[rec.user]])
-            assert rank_items(rec.user, store, kind, exclusions, 30).tolist() == rec.ranked
+        for workers in (1, 3):
+            report = evaluate(store, kind, split, phase="test", k=30, history_cap=8, workers=workers, verbose=True)
+            assert report.num_evaluated_users == 19
+            for rec in report.per_user:
+                exclusions = np.concatenate([split.train.user_items[rec.user], split.validation.user_items[rec.user]])
+                history = evaluation.ranking_history(split, rec.user, kind, 8)
+                ranked = rank_items(rec.user, store, kind, exclusions, 30, history=history, item_histories=item_table)
+                assert ranked.tolist() == rec.ranked
+
+    @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("budget", [60, 2**20])  # 15 candidate blocks of 2, or one of 30
+    def test_a_shared_table_scores_each_user_as_alone(self, kind, budget, monkeypatch):
+        """The distances of a block that shares a table of key weights equal,
+        bit for bit, those of each user ranked alone, the one-user path of
+        ``rank_items``."""
+        split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=9)
+        store = init_parameters(40, 30, 6, 4, with_item_memory=kind.uses_item_memory, seed=9)
+        item_table = item_history_table(split, 8) if kind.uses_item_memory else None
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        users = np.flatnonzero(split.test.user_items.lengths > 0)
+        histories = [evaluation.ranking_history(split, u, kind, 8) for u in users.tolist()]
+        excluded = evaluation._row_mask(split.train.user_items, users, split.num_items)
+        calls = []
+        per_user = evaluation.candidate_distances
+        monkeypatch.setattr(evaluation, "candidate_distances", lambda *args: calls.append(args[0]) or per_user(*args))
+        shared = evaluation._block_distances(users, excluded, kind, store, histories, item_table)
+        assert calls == []  # the block shared its tables
+        for i, (u, history) in enumerate(zip(users.tolist(), histories)):
+            alone = evaluation._block_distances(np.array([u]), excluded[i : i + 1], kind, store, [history], item_table)
+            assert alone.tobytes() == shared[i : i + 1].tobytes()
+        assert calls == users.tolist()
+
+    def test_key_table_shared_only_by_overlapping_histories(self, monkeypatch):
+        """A block shares a table when its history slots number at least
+        twice its distinct history items; otherwise each user is scored on
+        its own, one ``candidate_distances`` call each."""
+        store = init_parameters(6, 30, 4, 3, seed=10)
+        users = np.arange(6)
+        excluded = np.zeros((6, 30), dtype=bool)
+        calls = []
+        per_user = evaluation.candidate_distances
+        monkeypatch.setattr(evaluation, "candidate_distances", lambda *args: calls.append(args[0]) or per_user(*args))
+        disjoint = [np.arange(5 * u, 5 * u + 5) for u in range(6)]  # 30 slots over 30 items
+        half = [np.arange(5 * (u // 2), 5 * (u // 2) + 5) for u in range(6)]  # 30 slots over 15 items
+        overlapping = [np.arange(3, 8)] * 6  # 30 slots over 5 items
+        for histories, expected in ((disjoint, users.tolist()), (half, []), (overlapping, [])):
+            calls.clear()
+            d = evaluation._block_distances(users, excluded, ModelKind.HLR, store, histories, None)
+            assert calls == expected
+            for u, history in zip(users.tolist(), histories):
+                assert d[u].tobytes() == per_user(u, np.arange(30), ModelKind.HLR, store, history).tobytes()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_brute_force_sort_of_scores(self, kind):
@@ -484,27 +537,72 @@ class TestEvaluate:
         assert got == expected
         assert repr(got) == repr(expected)  # the same floats, to the last bit
 
-    def test_block_memory_is_bounded(self):
+    @staticmethod
+    def _peak_of_evaluate(store, kind, split):
+        tracemalloc.start()
+        try:
+            report = evaluate(store, kind, split, phase="test", k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.num_evaluated_users == split.num_users
+        return peak
+
+    @staticmethod
+    def _wide_split(n_users, n_items, train_pairs):
+        """``n_users`` x ``n_items``: the given train pairs, and one test
+        item per user that no train pair holds."""
+        users = np.arange(n_users)
+        ukeys, ikeys = [f"u{i}" for i in range(n_users)], [f"v{j}" for j in range(n_items)]
+        train = InteractionDataset(n_users, n_items, train_pairs, ukeys, ikeys)
+        test = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users + 1)), ukeys, ikeys)
+        return SplitDataset(train, InteractionDataset(n_users, n_items, [], ukeys, ikeys), test, seed=0)
+
+    def test_block_memory_is_bounded(self, monkeypatch):
         """600 users x 20,000 items: the (users, catalog) arrays of one block
         hold about one ranking budget; the whole (600, 20,000) distance
         matrix alone would hold 92 MiB. ``lrml``'s (N, users, items) key
-        logits, N = 8 > d = 2, size its chunks."""
+        logits, N = 8 > d = 2, size its chunks.
+
+        One user x 20,000 items at d = N = 64: the user's row alone would
+        make a 9.8 MiB difference buffer, and ``lrml`` as much again in key
+        logits; the catalog is split into 10 parts of one budget instead.
+
+        ``hlr``, 6 users x 20,000 items who share their 30 train items: the
+        candidates split into 46 blocks, and each block's table of key
+        weights holds N x 30 x 435 (1 MiB), under the stated bound of the
+        users x ``_RANK_BLOCK_ELEMENTS`` float64s (6 MiB); a table over the
+        whole catalog would hold 46 MiB."""
         n_users, n_items = 600, 20000
         users = np.arange(n_users)
-        ukeys, ikeys = [f"u{i}" for i in range(n_users)], [f"v{j}" for j in range(n_items)]
-        train = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users)), ukeys, ikeys)
-        test = InteractionDataset(n_users, n_items, np.column_stack((users, 2 * users + 1)), ukeys, ikeys)
-        split = SplitDataset(train, InteractionDataset(n_users, n_items, [], ukeys, ikeys), test, seed=0)
+        split = self._wide_split(n_users, n_items, np.column_stack((users, 2 * users)))
         for kind, n_relations in ((ModelKind.CML, 1), (ModelKind.LRML, 8)):
             store = init_parameters(n_users, n_items, 2, n_relations, seed=0)
-            tracemalloc.start()
-            try:
-                report = evaluate(store, kind, split, phase="test", k=10)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert report.num_evaluated_users == n_users
+            peak = self._peak_of_evaluate(store, kind, split)
             assert peak < 8 * 2**20, f"{kind.value} evaluate peaked at {peak / 2**20:.1f} MiB"
+
+        split = self._wide_split(1, n_items, [(0, 0)])
+        for kind in (ModelKind.CML, ModelKind.LRML):
+            store = init_parameters(1, n_items, 64, 64, seed=0)
+            peak = self._peak_of_evaluate(store, kind, split)
+            assert peak < 4 * 2**20, f"{kind.value} evaluate of one user peaked at {peak / 2**20:.1f} MiB"
+
+        n_users = 6
+        split = self._wide_split(n_users, n_items, [(u, 2 * v) for u in range(n_users) for v in range(30)])
+        store = init_parameters(n_users, n_items, 4, 10, seed=0)
+        calls = []
+        per_user = evaluation.candidate_distances
+        monkeypatch.setattr(evaluation, "candidate_distances", lambda *args: calls.append(args[0]) or per_user(*args))
+        peak = self._peak_of_evaluate(store, ModelKind.HLR, split)
+        assert calls == []  # the six users are one block that shares its tables
+        bound = n_users * models._RANK_BLOCK_ELEMENTS * 8
+        assert peak < bound, f"hlr evaluate peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        split, store = _oracle_split()
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            evaluate(store, ModelKind.CML, split, phase="test", k=5, workers=workers)
 
     def test_users_without_relevants_skipped(self):
         split, store = _oracle_split()

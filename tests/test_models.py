@@ -18,6 +18,7 @@ from cmlrec.models import (
     batch_distances,
     candidate_distances,
     catalog_distances,
+    history_distances,
     item_item_relation,
     item_relation,
     joint_embedding,
@@ -501,6 +502,73 @@ class TestCandidateDistances:
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)
         with pytest.raises(ValueError, match="candidates"):
             candidate_distances(0, np.arange(5), ModelKind.HLRPP, store, item_histories=[EMPTY] * 4)
+
+
+class TestHistoryDistances:
+    """Many users ranked at once by the history heads: the memory heads
+    share one table of key weights per candidate block, and every row is
+    the user's own :func:`candidate_distances`, bit for bit."""
+
+    # unsorted, user 3 twice, user 5 with an empty history
+    USERS = np.array([3, 0, 6, 3, 5, 1, 2])
+
+    @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("n_relations", [1, 4])
+    # 2**20 makes one candidate block for every user; at N = 4, 100 splits
+    # the 16 candidates into 1 to 5 blocks by the user's history length, so
+    # the users fall into several groups of equal blocks.
+    @pytest.mark.parametrize("budget", [100, 2**20])
+    def test_rows_are_the_one_user_rows(self, kind, n_relations, budget, monkeypatch):
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        gen = np.random.default_rng(50 + n_relations)
+        store = init_parameters(8, 18, 5, n_relations, with_item_memory=True, seed=50 + n_relations)
+        histories = [np.sort(gen.choice(18, size=int(gen.integers(2, 9)), replace=False)).astype(np.int64)
+                     for _ in self.USERS]
+        histories[4] = EMPTY
+        candidates = np.sort(gen.choice(18, size=16, replace=False)).astype(np.int64)
+        table = _Rows.of([np.sort(gen.choice(8, size=int(gen.integers(0, 5)), replace=False)).astype(np.int64)
+                          for _ in range(18)])
+        if budget == 100 and n_relations == 4:
+            widest = int(table.lengths.max()) if kind.uses_item_memory else 0
+            assert len({models._block_step(16, 4, max(len(h), widest, 1)) for h in histories}) > 1
+        d = history_distances(self.USERS, histories, candidates, kind, store, table)
+        assert d.shape == (len(self.USERS), len(candidates))
+        for i, (u, hist) in enumerate(zip(self.USERS.tolist(), histories)):
+            alone = candidate_distances(u, candidates, kind, store, history=hist, item_histories=table)
+            assert alone.tobytes() == d[i].tobytes()
+            ref = [score(RelationContext(u, int(v), hist, table[int(v)] if kind.uses_item_memory else EMPTY),
+                         kind, store).distance for v in candidates]
+            np.testing.assert_allclose(d[i], ref, rtol=1e-12, atol=1e-14)
+
+    def test_rows_at_benchmark_scale(self):
+        """40 users with 1-30 history items out of 100, 300 candidates,
+        d = 32, N = 10: the table's products are as large as a benchmark
+        block's, and a user's alone can be far smaller. One product over the
+        stacked key rows of every item instead of one per item can round a
+        row differently (BLAS picks its kernel by the shape)."""
+        store = init_parameters(40, 300, 32, 10, seed=3)
+        gen = np.random.default_rng(3)
+        histories = [np.sort(gen.choice(100, int(gen.integers(1, 31)), replace=False)) for _ in range(40)]
+        users, catalog = np.arange(40), np.arange(300)
+        d = history_distances(users, histories, catalog, ModelKind.HLR, store)
+        for u, hist in zip(users.tolist(), histories):
+            assert candidate_distances(u, catalog, ModelKind.HLR, store, history=hist).tobytes() == d[u].tobytes()
+
+    def test_hlrpp_pads_and_reads_each_block_once(self, monkeypatch):
+        """Four users with one candidate block: one ``padded`` call, not one per user."""
+        calls = []
+        padded = _Rows.padded
+        monkeypatch.setattr(_Rows, "padded", lambda rows, *args: calls.append(1) or padded(rows, *args))
+        store = init_parameters(6, 9, 4, 3, with_item_memory=True, seed=51)
+        table = _Rows.of([np.array([v % 6, (v + 1) % 6], dtype=np.int64) for v in range(9)])
+        history_distances(np.arange(4), [np.array([0, 2, 5])] * 4, np.arange(9), ModelKind.HLRPP, store, table)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML], ids=lambda kind: kind.value)
+    def test_heads_without_history_rejected(self, kind):
+        store = init_parameters(3, 4, 2, 2, seed=0)
+        with pytest.raises(ValueError, match="reads no history"):
+            history_distances(np.arange(3), [EMPTY] * 3, np.arange(4), kind, store)
 
 
 class TestCatalogDistances:
