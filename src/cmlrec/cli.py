@@ -88,7 +88,7 @@ _OPTIONS: dict[str, tuple[type, object, str]] = {
     "max_epochs": (int, _HP.max_epochs, "training epoch budget"),
     "history_cap": (int, _HP.history_cap, "attention history subsample size"),
     "workers": (int, 1, "evaluation threads; any count gives the same results (train ignores it); "
-                        "2 threads on 2 cores speed up every head but adacml, which they slow"),
+                        "on 2 cores, 2 threads speed up adacml and hlr++ the most"),
     "k": (int, 10, "ranking cutoff"),
     "phase": (str, "test", "evaluation phase: validation or test"),
     "lr_grid": (str, "0.0002,0.0005,0.00075,0.001", "comma-separated learning rates"),

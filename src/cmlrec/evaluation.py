@@ -10,15 +10,15 @@ exclusion mask scattered from the CSR rows of the excluded views, one
 (users, catalog) distance matrix, one 2-D :func:`top_k` and the five
 metrics from one (users, K) hit matrix (:func:`hit_metrics`). The heads
 without a history, ``cml`` and ``lrml``, fill the block's distances in one
-closed-form pass over the catalog (:func:`models.catalog_distances`).
-``adacml`` fills each row from its own :func:`models.candidate_distances`
-call over the user's candidates. ``hlr`` and ``hlr++`` score every row over
-the whole catalog. The first level of their hierarchy, the key weights of a
-(candidate, history item) pair, does not depend on the user, so a block
-whose history slots number at least twice its distinct history items
-shares one table of them per candidate block
-(:func:`models.history_distances`); the measured crossover lies at 1.25-1.5
-slots per item. Any other block fills each row from its own
+closed-form pass over the catalog (:func:`models.catalog_distances`). The
+three history heads score every row over the whole catalog through
+:func:`models.history_distances`: ``adacml`` ranks a block in one call, by
+classes of equal history length, with batched products. The first level of
+the ``hlr``/``hlr++`` hierarchy, the key weights of a (candidate, history
+item) pair, does not depend on the user, so a block whose history slots
+number at least twice its distinct history items shares one table of them
+per candidate block; the measured crossover lies at 1.25-1.5 slots per
+item. Any other ``hlr``/``hlr++`` block fills each row from its own
 :func:`models.candidate_distances` call, the one-user case of the same
 scoring, which gives each row the same bits. :func:`rank_items`, which
 ``recommend`` calls, is the one-row case of the same distances and top-K,
@@ -100,15 +100,15 @@ def rank_items(
     for history-based kinds. ``item_histories`` is either the rows over the
     catalog that :func:`item_history_table` builds, or a list aligned with
     the candidate order (ascending item index minus exclusions). Raises
-    ``ValueError`` for ``k < 1``.
+    ``ValueError`` for ``k < 1`` and for a list of another length.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     exclusions = np.asarray(exclusions, dtype=np.int64)
     excluded = np.zeros((1, store.num_items), dtype=bool)
     excluded[0, exclusions[(exclusions >= 0) & (exclusions < store.num_items)]] = True
-    if kind is ModelKind.HLRPP and item_histories is not None and not isinstance(item_histories, _Rows):
-        # hlr++ scores the whole catalog; an excluded item's row is empty.
+    if item_histories is not None and not isinstance(item_histories, _Rows):
+        # Ranking reads rows over the catalog; an excluded item's row is empty.
         candidates = np.flatnonzero(~excluded[0])
         if len(item_histories) != len(candidates):
             raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
@@ -135,33 +135,25 @@ def _block_distances(
     kind: ModelKind,
     store: ParameterStore,
     histories: Sequence[np.ndarray | None],
-    item_histories: _Rows | Sequence[np.ndarray] | None,
+    item_histories: _Rows | None,
 ) -> np.ndarray:
-    """The (users, catalog) distances of a block, for :func:`top_k`. A head
-    without a history scores the whole block in one closed-form pass
-    (:func:`models.catalog_distances`). ``adacml`` fills row i from one
-    :func:`models.candidate_distances` call over the entries ``excluded[i]``
-    leaves, and its excluded entries are never written. ``hlr`` and
-    ``hlr++`` score every row over the whole catalog, so that the users of
-    a block share their candidates: when :func:`_shares_key_table` holds,
-    one :func:`models.history_distances` call scores the block from shared
-    tables of key weights; otherwise each row is one
-    :func:`models.candidate_distances` call, the one-user case of the same
-    scoring, which gives the same bits."""
+    """The (users, catalog) distances of a block, for :func:`top_k`, in the
+    shape of its exclusion mask ``excluded``: excluded entries are computed
+    too, and :func:`top_k` drops them. A head without a history scores the
+    whole block in one closed-form pass (:func:`models.catalog_distances`).
+    The history heads score every row over the whole catalog, so that the
+    users of a block share their candidates: ``adacml``, and
+    ``hlr``/``hlr++`` when :func:`_shares_key_table` holds, in one
+    :func:`models.history_distances` call; otherwise each ``hlr``/``hlr++``
+    row is one :func:`models.candidate_distances` call, the one-user case of
+    the same scoring, which gives the same bits."""
     if not kind.uses_history:
         return catalog_distances(users, kind, store)
-    if kind is not ModelKind.ADACML:
-        catalog = np.arange(excluded.shape[1])
-        if _shares_key_table(histories):
-            return history_distances(users, histories, catalog, kind, store, item_histories)
-        return np.array([candidate_distances(u, catalog, kind, store, history, item_histories)
-                         for u, history in zip(users.tolist(), histories)])
-    distances = np.empty(excluded.shape)
-    for i, (u, history) in enumerate(zip(users.tolist(), histories)):
-        candidates = np.flatnonzero(~excluded[i])
-        if len(candidates):
-            distances[i, candidates] = candidate_distances(u, candidates, kind, store, history, item_histories)
-    return distances
+    catalog = np.arange(excluded.shape[1])
+    if kind is ModelKind.ADACML or _shares_key_table(histories):
+        return history_distances(users, histories, catalog, kind, store, item_histories)
+    return np.array([candidate_distances(u, catalog, kind, store, history, item_histories)
+                     for u, history in zip(users.tolist(), histories)])
 
 
 def top_k(distances: np.ndarray, excluded: np.ndarray, k: int) -> np.ndarray:

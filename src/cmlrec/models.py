@@ -19,12 +19,16 @@ operations below and is the readable reference. A :class:`TripletBatch`
 holds each user and user-history row once, with the triplet's sides (the
 positives and the negatives) as an axis of its items; training runs each
 chunk ``batch[a:b]`` as one forward and backward pass over both sides.
-Ranking of the history heads (:func:`history_distances`, whose one-user
-case is :func:`candidate_distances`) is one block loop: it scores users
+Ranking of the three history heads (:func:`history_distances`, whose
+one-user case is :func:`candidate_distances`) is one block loop, which
+evaluation and ``recommend`` run over the whole catalog: it scores users
 against a block of the candidate matrix Q in closed form, with no
 per-candidate context. The candidates are split into evenly sized blocks,
 as many as a user's largest temporary holds budgets of
-``_RANK_BLOCK_ELEMENTS``, rounded. The heads without a history, ``cml``
+``_RANK_BLOCK_ELEMENTS``, rounded. ``adacml`` takes the users of one
+history length a chunk at a time (:func:`_adacml_distances`): each of its
+batched products is a stack of the one user's matrix products, so a row
+never depends on the other users. The heads without a history, ``cml``
 and ``lrml``, are scored for a block of users at once instead
 (:func:`catalog_distances`): one closed-form pass over every item, a few
 users at a time, which both evaluation and ``recommend`` rank from.
@@ -745,17 +749,17 @@ def candidate_distances(
     kind: ModelKind,
     store: ParameterStore,
     history: np.ndarray | None = None,
-    item_histories: _Rows | Sequence[np.ndarray] | None = None,
+    item_histories: _Rows | None = None,
 ) -> np.ndarray:
     """Distances from one user to many candidate items; agrees with :func:`score`.
 
     ``history`` is the user's (already capped) train history shared by every
     candidate. ``item_histories`` supplies the item histories of the
-    ``hlr++`` head, either as rows over the catalog (row ``v`` holds the
-    history of item ``v``; see :func:`evaluation.item_history_table`) or as a
-    list with one user array per candidate. ``cml`` and ``lrml`` take the
-    user's row of :func:`catalog_distances` at the candidates; the history
-    heads are the one-user case of :func:`history_distances`.
+    ``hlr++`` head as rows over the catalog: row ``v`` holds the history of
+    item ``v`` (see :func:`evaluation.item_history_table`). ``cml`` and
+    ``lrml`` take the user's row of :func:`catalog_distances` at the
+    candidates; the history heads are the one-user case of
+    :func:`history_distances`.
     """
     if not kind.uses_history:
         return catalog_distances(np.array([user]), kind, store)[0, candidates]
@@ -768,7 +772,7 @@ def history_distances(
     candidates: np.ndarray,
     kind: ModelKind,
     store: ParameterStore,
-    item_histories: _Rows | Sequence[np.ndarray] | None = None,
+    item_histories: _Rows | None = None,
 ) -> np.ndarray:
     """The (users, candidates) distances of the history heads, user i
     attending over ``histories[i]``; each row agrees with :func:`score` and
@@ -777,9 +781,10 @@ def history_distances(
     ‖p + r − q‖² is scored in closed form, one cache-sized block Q of evenly
     split candidates at a time (:func:`_block_step`), with no per-candidate
     context and no (C, H, d) tensor. Only the translation r differs:
-    softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``; the
-    collapsed memory reads for ``hlr`` and ``hlr++``. An empty history gives
-    no translation, so those heads then rank exactly like ``cml``.
+    softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``
+    (:func:`_adacml_distances`); the collapsed memory reads for ``hlr`` and
+    ``hlr++``. An empty history gives no translation, so those heads then
+    rank exactly like ``cml``.
 
     The memory heads read their hierarchy in two levels. The first, the key
     weights of every (history item, candidate) pair (:func:`_key_weights`),
@@ -796,28 +801,31 @@ def history_distances(
     holds at most half of the users' rows: it stays below the group's
     users × ``_RANK_BLOCK_ELEMENTS``.
 
-    ``hlr++``'s item side pads each block's item histories and computes
-    their memory reads Q M′ᵀ once per block. Each user's key weights over
-    the second memory are a contiguous (num_users, N) array whose rows each
-    block gathers (see :func:`_item_side_relations`); a user alone computes
-    them once, and a group computes each member's per block, so that it
-    holds one such array at a time.
+    ``hlr++``'s item side reads ``item_histories``, rows over the catalog
+    (see :func:`candidate_distances`). It pads each block's item histories
+    and computes their memory reads Q M′ᵀ once per block. Each user's key
+    weights over the second memory are a contiguous (num_users, N) array
+    whose rows each block gathers (see :func:`_item_side_relations`); a user
+    alone computes them once, and a group computes each member's per block,
+    so that it holds one such array at a time.
+
+    Raises ``ValueError`` unless ``histories`` holds one entry per user and
+    ``item_histories`` is None or one row per item of the catalog.
     """
     if not kind.uses_history:
         raise ValueError(f"{kind.value} reads no history; rank it with catalog_distances")
+    if len(histories) != len(users):
+        raise ValueError(f"histories has {len(histories)} entries for {len(users)} users")
     if kind is ModelKind.HLRPP and (store.item_rel_keys is None or store.item_rel_memories is None):
         raise ValueError("hlr++ requires a store initialized with the item memory")
+    rows_over_catalog = isinstance(item_histories, _Rows) and len(item_histories) == store.num_items
+    if item_histories is not None and not rows_over_catalog:
+        raise ValueError(f"item_histories must be rows over the catalog, one for each of its {store.num_items} items")
     hists = [_EMPTY if h is None else h for h in histories]
-    table = rows = None
-    item_widest = 0
-    if kind is ModelKind.HLRPP and item_histories is not None:
-        if isinstance(item_histories, _Rows):
-            table, rows = item_histories, candidates
-        elif len(item_histories) == len(candidates):
-            table, rows = _Rows.of(item_histories), np.arange(len(candidates))
-        else:
-            raise ValueError(f"item_histories has {len(item_histories)} entries for {len(candidates)} candidates")
-        item_widest = int(table.lengths[rows].max(initial=0))
+    if kind is ModelKind.ADACML:
+        return _adacml_distances(users, hists, candidates, store)
+    table = item_histories if kind is ModelKind.HLRPP else None
+    item_widest = 0 if table is None else int(table.lengths[candidates].max(initial=0))
     n_rel = len(store.rel_keys)
     steps = [_block_step(len(candidates), n_rel, max(len(h), item_widest, 1)) for h in hists]
     out = np.empty((len(users), len(candidates)))
@@ -839,17 +847,14 @@ def history_distances(
             block = slice(start, start + step)
             cand = store.item_vecs[candidates[block]]
             key_table = None
-            if kind is not ModelKind.ADACML and len(support):
+            if len(support):
                 key_table = _key_weights(store.rel_keys, support_vecs, np.ascontiguousarray(cand.T))
             if table is not None:
-                ids, mask = table.padded(rows[block])
+                ids, mask = table.padded(candidates[block])
                 reads = cand @ store.item_rel_memories.T
             for j, i in enumerate(group):
                 pu, relation = store.user_vecs[users[i]], None
-                if len(hists[i]) and kind is ModelKind.ADACML:
-                    hist = support_vecs if slots[j] is None else support_vecs[slots[j]]
-                    relation = _softmax_leading(hist @ cand.T).T @ hist
-                elif len(hists[i]):
+                if len(hists[i]):
                     exps, sums = key_table
                     if slots[j] is not None:
                         exps, sums = exps[slots[j]], sums[slots[j]]
@@ -866,6 +871,61 @@ def history_distances(
                     diff -= cand
                 np.einsum("cd,cd->c", diff, diff, out=out[i, block])
     return out
+
+
+def _adacml_distances(
+    users: np.ndarray, histories: Sequence[np.ndarray], candidates: np.ndarray, store: ParameterStore
+) -> np.ndarray:
+    """:func:`history_distances` of ``adacml``, a chunk of users at a time.
+
+    The users are grouped by their exact history length H, which fixes their
+    candidate blocks (:func:`_block_step`), and each group is taken in
+    chunks of G users whose (G, H, block) logits and (G, block, d)
+    relations each hold about one ``_RANK_BLOCK_ELEMENTS`` budget. Per
+    chunk, one gather gives its (G, H, d) histories; per candidate block,
+    one batched product gives the logits Hist Qᵀ, a softmax over H gives
+    the attention, and a second batched product its transpose times Hist
+    gives the relations, to which p is added, q subtracted and the squares
+    summed over d by ``einsum``. Each product is a stack of the one user's
+    matrix products, with the same shapes and the same operand layouts (the
+    right operand of the logits is the transposed view Qᵀ), so a row is the
+    one user's, bit for bit: a contiguous Qᵀ copy, or histories padded to a
+    common length, would round some distances differently.
+    """
+    out = np.empty((len(users), len(candidates)))
+    lengths = np.array([len(h) for h in histories], dtype=np.int64)
+    n_rel, dim = len(store.rel_keys), store.dim
+    for length in dict.fromkeys(lengths.tolist()):
+        members = np.flatnonzero(lengths == length)
+        step = _block_step(len(candidates), n_rel, max(length, 1))
+        chunk = max(1, _RANK_BLOCK_ELEMENTS // (max(length, dim) * step))
+        ids = np.array([histories[i] for i in members.tolist()], dtype=np.int64)  # (users, H)
+        for first in range(0, len(members), chunk):
+            rows = members[first : first + chunk]
+            pu = store.user_vecs[users[rows]][:, None, :]  # (G, 1, d)
+            hist = store.item_vecs[ids[first : first + chunk]]  # (G, H, d)
+            for start in range(0, len(candidates), step):
+                block = slice(start, start + step)
+                out[rows, block] = _adacml_block(pu, hist, store.item_vecs[candidates[block]])
+    return out
+
+
+def _adacml_block(pu: np.ndarray, hist: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The (G, block) ``adacml`` distances of G users, ``pu`` (G, 1, d),
+    with histories ``hist`` (G, H, d) to the candidates ``cand``
+    (block, d). Its temporaries die on return, so that a chunk holds one
+    block's at a time."""
+    if hist.shape[1]:
+        alpha = hist @ cand.T  # (G, H, block)
+        alpha -= alpha.max(axis=1, keepdims=True)
+        np.exp(alpha, out=alpha)
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        diff = alpha.transpose(0, 2, 1) @ hist  # (G, block, d)
+        diff += pu
+        diff -= cand
+    else:
+        diff = pu - cand
+    return np.einsum("gcd,gcd->gc", diff, diff)
 
 
 # ``catalog_distances`` splits one user's row into parts of at least this many

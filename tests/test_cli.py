@@ -325,7 +325,7 @@ def help_options(help_text: str) -> list[str]:
 _HELP_HEAD = ["-h, --help show this help message and exit",
               "--config CONFIG key=value config file; flags override it"]
 _WORKERS = ("--workers WORKERS evaluation threads; any count gives the same results (train ignores it); "
-            "2 threads on 2 cores speed up every head but adacml, which they slow")
+            "on 2 cores, 2 threads speed up adacml and hlr++ the most")
 
 # Each command's options in --help order, and the config it echoes when
 # only the options it cannot run without are given (paths shown as <tmp>).

@@ -296,10 +296,10 @@ class TestRankItems:
     # so they split the catalog into 30 candidate blocks at a budget of 30
     # and one at the others; every block of more than one user shares a
     # table of key weights but the last 3-worker block, which scores each of
-    # its users alone.
+    # its users alone. ``adacml`` ranks every block in one call, by classes of
+    # equal history length.
     @pytest.mark.parametrize("budget", [30, 720, 1440, 2**20])
-    @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML, ModelKind.HLR, ModelKind.HLRPP],
-                             ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
     def test_lists_the_row_evaluate_ranks(self, kind, budget, monkeypatch):
         """``rank_items`` ranks one user from the scorer that ranks a block
         in ``evaluate``: with k the whole catalog, every list equals the
@@ -572,7 +572,15 @@ class TestEvaluate:
         candidates split into 46 blocks, and each block's table of key
         weights holds N x 30 x 435 (1 MiB), under the stated bound of the
         users x ``_RANK_BLOCK_ELEMENTS`` float64s (6 MiB); a table over the
-        whole catalog would hold 46 MiB."""
+        whole catalog would hold 46 MiB.
+
+        ``adacml``, 60 users x 20,000 items with 30 train items each: one
+        length class of 60. At N = 1 the catalog splits into 5 blocks of
+        4,000, and a chunk's (users, 30, 4,000) logits hold a user's 0.9 MiB,
+        so each chunk is one user. Under the stated chunk bound, a chunk's
+        logits and relations each hold about one budget, and with the block's
+        distances the peak stays below 3 budgets (3 MiB); the logits of a
+        whole block of 6 users would hold 5.5 MiB."""
         n_users, n_items = 600, 20000
         users = np.arange(n_users)
         split = self._wide_split(n_users, n_items, np.column_stack((users, 2 * users)))
@@ -597,6 +605,15 @@ class TestEvaluate:
         assert calls == []  # the six users are one block that shares its tables
         bound = n_users * models._RANK_BLOCK_ELEMENTS * 8
         assert peak < bound, f"hlr evaluate peaked at {peak / 2**20:.1f} MiB"
+
+        n_users = 60
+        split = self._wide_split(n_users, n_items, [(u, 2 * (30 * u + v)) for u in range(n_users) for v in range(30)])
+        store = init_parameters(n_users, n_items, 4, 1, seed=0)
+        calls.clear()
+        peak = self._peak_of_evaluate(store, ModelKind.ADACML, split)
+        assert calls == []  # every block is one history_distances call
+        bound = 3 * models._RANK_BLOCK_ELEMENTS * 8
+        assert peak < bound, f"adacml evaluate peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):

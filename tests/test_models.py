@@ -2,6 +2,7 @@
 consistency between the single-pair and batched code paths."""
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -383,21 +384,20 @@ class TestCandidateDistances:
     """The closed-form ranking loop of every head against the single-pair reference."""
 
     @staticmethod
-    def _assert_matches_score(user, cands, kind, store, hist, ihists):
-        d = candidate_distances(user, cands, kind, store, history=hist, item_histories=ihists)
-        ref = [
-            score(RelationContext(user, int(v), hist, ihists[i] if ihists is not None else EMPTY), kind, store).distance
-            for i, v in enumerate(cands)
-        ]
+    def _table(user, cands, ihists, num_items):
+        """The item histories ``ihists`` of ``cands`` as rows over the
+        catalog; the rows of non-candidates are never read."""
+        rows = [np.array([0, user], dtype=np.int64)] * num_items
+        for v, h in zip(cands.tolist(), ihists):
+            rows[v] = h
+        return _Rows.of(rows)
+
+    def _assert_matches_score(self, user, cands, kind, store, hist, ihists):
+        table = self._table(user, cands, ihists, store.num_items)
+        d = candidate_distances(user, cands, kind, store, history=hist, item_histories=table)
+        ref = [score(RelationContext(user, int(v), hist, ihists[i]), kind, store).distance for i, v in enumerate(cands)]
         np.testing.assert_allclose(d, ref, rtol=1e-12, atol=1e-14)
-        if ihists is not None:
-            # The same histories as a table over the catalog, whose rows of
-            # non-candidates are never read, score bit for bit alike.
-            rows = [np.array([0, user], dtype=np.int64)] * store.num_items
-            for v, h in zip(cands.tolist(), ihists):
-                rows[v] = h
-            table = _Rows.of(rows)
-            assert candidate_distances(user, cands, kind, store, history=hist, item_histories=table).tobytes() == d.tobytes()
+        return d
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("n_relations", [1, 4])
@@ -415,11 +415,9 @@ class TestCandidateDistances:
     def test_empty_histories_fall_back_to_cml(self, kind):
         store = init_parameters(4, 9, 5, 3, with_item_memory=True, seed=22)
         cands = np.arange(9, dtype=np.int64)
-        ihists = [EMPTY] * len(cands)
-        d = candidate_distances(1, cands, kind, store, history=EMPTY, item_histories=ihists)
+        d = self._assert_matches_score(1, cands, kind, store, EMPTY, [EMPTY] * len(cands))
         if kind is not ModelKind.LRML:
             assert d.tolist() == candidate_distances(1, cands, ModelKind.CML, store).tolist()
-        self._assert_matches_score(1, cands, kind, store, EMPTY, ihists)
 
     @pytest.mark.parametrize("hist", [EMPTY, np.array([0, 5], dtype=np.int64)])
     def test_hlrpp_mixed_item_history_lengths(self, hist):
@@ -433,7 +431,8 @@ class TestCandidateDistances:
         store = init_parameters(3, 5, 4, 1, with_item_memory=True, seed=24)
         hist = np.array([0, 2], dtype=np.int64)
         self._assert_matches_score(2, np.array([3], dtype=np.int64), kind, store, hist, [np.array([0, 1])])
-        assert candidate_distances(2, EMPTY, kind, store, history=hist, item_histories=[]).shape == (0,)
+        table = self._table(2, EMPTY, [], store.num_items)
+        assert candidate_distances(2, EMPTY, kind, store, history=hist, item_histories=table).shape == (0,)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("budget", [1, 40])
@@ -475,8 +474,8 @@ class TestCandidateDistances:
         for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
             returned.clear()
             self._assert_matches_score(3, cands, ModelKind.HLRPP, store, hist, ihists)
-            # The list form, then the table form, each in 4 blocks.
-            assert [r is None for r in returned] == [False, True, False, False] * 2
+            # 4 blocks, the second without item histories.
+            assert [r is None for r in returned] == [False, True, False, False]
 
     def test_hlrpp_user_just_over_the_budget_is_one_block(self, monkeypatch):
         # 273 candidates with 50-user item rows at N = 10 hold 136,500 key
@@ -499,9 +498,13 @@ class TestCandidateDistances:
         assert d.shape == (273,) and np.isfinite(d).all()
 
     def test_item_histories_must_align_with_candidates(self):
+        """Item histories are rows over the catalog, one per item: a list
+        aligned with the candidates, or a table over fewer items, is refused."""
         store = init_parameters(3, 5, 4, 2, with_item_memory=True, seed=25)
-        with pytest.raises(ValueError, match="candidates"):
-            candidate_distances(0, np.arange(5), ModelKind.HLRPP, store, item_histories=[EMPTY] * 4)
+        for kind, ihists in itertools.product((ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP),
+                                              ([EMPTY] * 5, _Rows.of([EMPTY] * 4))):
+            with pytest.raises(ValueError, match="rows over the catalog, one for each of its 5 items"):
+                candidate_distances(0, np.arange(5), kind, store, item_histories=ihists)
 
 
 class TestHistoryDistances:
@@ -563,6 +566,52 @@ class TestHistoryDistances:
         table = _Rows.of([np.array([v % 6, (v + 1) % 6], dtype=np.int64) for v in range(9)])
         history_distances(np.arange(4), [np.array([0, 2, 5])] * 4, np.arange(9), ModelKind.HLRPP, store, table)
         assert len(calls) == 1
+
+    # Budget 1 scores one candidate per block and one user per chunk; at 200
+    # the 7-item class splits the catalog into 4 blocks of 10 and is taken 2
+    # users at a time (the subset's 25 candidates: 3 blocks of 9, 3 users at
+    # a time), and 2**20 makes one block and one chunk of every class.
+    @pytest.mark.parametrize("budget", [1, 200, 2**20])
+    @pytest.mark.parametrize("subset", [False, True], ids=["catalog", "subset"])
+    def test_adacml_length_classes_are_the_one_user_rows(self, budget, subset, monkeypatch):
+        """``adacml`` ranks the users of one history length a chunk at a
+        time, with batched products; every row is, bit for bit, the user's
+        own :func:`candidate_distances`, whatever its class, chunk and
+        block."""
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        gen = np.random.default_rng(52)
+        store = init_parameters(30, 40, 2, 3, seed=52)
+        lengths = [0] * 4 + [3] * 10 + [7] * 6 + [1, 2, 5, 9]
+        users = gen.permutation(30)[: len(lengths)]
+        users[-1] = users[0]  # one user twice, with another history
+        histories = [np.sort(gen.choice(40, size=n, replace=False)).astype(np.int64) for n in lengths]
+        candidates = np.sort(gen.choice(40, size=25, replace=False)) if subset else np.arange(40)
+        if budget == 200:
+            step = models._block_step(len(candidates), 3, 7)
+            assert (-(-len(candidates) // step), budget // (7 * step)) == ((3, 3) if subset else (4, 2))
+        d = history_distances(users, histories, candidates, ModelKind.ADACML, store)
+        assert d.shape == (len(users), len(candidates))
+        for i, (u, hist) in enumerate(zip(users.tolist(), histories)):
+            assert d[i].tobytes() == candidate_distances(u, candidates, ModelKind.ADACML, store, history=hist).tobytes()
+            ref = [score(RelationContext(u, int(v), hist), ModelKind.ADACML, store).distance for v in candidates]
+            np.testing.assert_allclose(d[i], ref, rtol=1e-12, atol=1e-14)
+
+    def test_adacml_empty_histories_rank_like_cml(self):
+        """With ``history_cap`` 0 every history is empty: one length class
+        whose rows are the ``cml`` rows, bit for bit."""
+        store = init_parameters(7, 12, 4, 2, seed=53)
+        d = history_distances(self.USERS, [EMPTY] * len(self.USERS), np.arange(12), ModelKind.ADACML, store)
+        assert d.tobytes() == catalog_distances(self.USERS, ModelKind.CML, store).tobytes()
+
+    @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("count", [2, 6])
+    def test_one_history_per_user(self, kind, count):
+        """Fewer histories than users would leave rows unwritten, and more
+        would index past the users: both are refused, naming both counts."""
+        store = init_parameters(6, 9, 4, 3, with_item_memory=True, seed=54)
+        histories = [np.array([0, 2]), np.array([1])] + [EMPTY] * (count - 2)
+        with pytest.raises(ValueError, match=f"histories has {count} entries for 4 users"):
+            history_distances(np.arange(4), histories, np.arange(9), kind, store)
 
     @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML], ids=lambda kind: kind.value)
     def test_heads_without_history_rejected(self, kind):
