@@ -518,11 +518,13 @@ def _read_keys(path: str, expected: int) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
     rows = [line.partition("\t") for line in lines if line]
-    if [idx for idx, _, _ in rows] == [str(i) for i in range(expected)]:
+    # Nothing here may grow with ``expected`` beyond the file's rows: a
+    # corrupt count is refused at the cost of reading the file.
+    if len(rows) == expected and [idx for idx, _, _ in rows] == [str(i) for i in range(expected)]:
         listed = [key for _, _, key in rows]  # line i holds index i, as save_split_dir writes it
         if len(set(listed)) == expected:
             return listed
-    keys: list[str | None] = [None] * expected
+    keys: dict[int, str] = {}
     lines_of: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line:
@@ -534,7 +536,7 @@ def _read_keys(path: str, expected: int) -> list[str]:
             raise ParseError(lineno, f"bad index in key map: {idx_str!r}", path) from exc
         if not 0 <= idx < expected:
             raise ParseError(lineno, f"key-map index {idx} out of range 0..{expected - 1}", path)
-        if keys[idx] is not None:
+        if idx in keys:
             raise ParseError(lineno, f"key-map index {idx} is listed twice", path)
         if key in lines_of:
             raise ParseError(lineno, f"key-map key {key!r} is listed twice (first on line {lines_of[key]})", path)
@@ -542,7 +544,7 @@ def _read_keys(path: str, expected: int) -> list[str]:
         lines_of[key] = lineno
     if len(lines_of) != expected:
         raise DataError(f"{path}: expected {expected} key rows, found {len(lines_of)}")
-    return keys
+    return [keys[i] for i in range(expected)]
 
 
 def _read_pairs(path: str, num_users: int, num_items: int) -> np.ndarray:

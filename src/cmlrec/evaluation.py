@@ -22,8 +22,10 @@ metrics equal bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -389,8 +391,9 @@ def evaluate(
         if (ranked < 0).any():
             lists = [[v for v in row if v >= 0] for row in lists]
         per_user = [UserEval(u, *values) for u, *values in zip(users.tolist(), lists, *metrics, empty_history)]
-    # Means are Python sums over users in ascending index order, as the per-user reference takes them.
-    precision, recall, ndcg, ap, rr = (sum(values) / n for values in metrics)
+    # Means are left-to-right sums over users in ascending index order, as the per-user reference
+    # takes them; sum() would not do, as it compensates float sums from Python 3.12 on.
+    precision, recall, ndcg, ap, rr = (functools.reduce(operator.add, values, 0.0) / n for values in metrics)
     return EvalReport(
         k=k,
         phase=phase,

@@ -239,9 +239,10 @@ def stable_softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = 
 
     ``out=logits`` is the in-place form. Over the leading axis (``axis=0``)
     of a contiguous array it combines whole rows, which is much cheaper than
-    many short last-axis reductions.
+    many short last-axis reductions. An empty ``axis`` gives an empty
+    result: the max starts from -inf, which leaves every other max exact.
     """
-    shifted = np.subtract(logits, np.max(logits, axis=axis, keepdims=True), out=out)
+    shifted = np.subtract(logits, np.max(logits, axis=axis, keepdims=True, initial=-np.inf), out=out)
     ex = np.exp(shifted, out=out)
     ex /= ex.sum(axis=axis, keepdims=True)
     return ex
@@ -671,7 +672,8 @@ def _user_attention(query: np.ndarray, exps: np.ndarray, sums: np.ndarray, memor
     w_hc M, so its attention logit is w_hc · (M p) = (e_hc · (M p)) / z_hc
     for the user vector ``query`` p, and the attention-weighted sum of
     relations is (Σ_h (α_hc / z_hc) e_hc) M: one batched product gives the
-    logits and one ``einsum`` pass the mixed weights.
+    logits and one ``einsum`` pass the mixed weights. An empty history
+    (H = 0) sums no terms: its relations are zero.
     """
     logits = np.matmul(memories @ query, exps)  # (H, C)
     logits /= sums
@@ -693,8 +695,8 @@ def _item_side_relations(
     reads: np.ndarray,
     user_w: np.ndarray,
     memories: np.ndarray,
-) -> np.ndarray | None:
-    """Item-side relations (C, d) for ``hlr++``, or None if every item history is empty.
+) -> np.ndarray:
+    """Item-side relations (C, d) for ``hlr++``.
 
     ``ids`` (C, J) holds each candidate's support users zero-padded where
     ``mask`` is unset, and ``reads`` (C, N) the candidates' memory reads
@@ -706,9 +708,9 @@ def _item_side_relations(
     attention logit of support user j for candidate c is w_j · (M q_c), one
     batched product with the reads; the mixed key weights are one
     (C, 1, J) @ (C, J, N) product, and the relations those weights times M.
+    A candidate with an empty item history has no set slot, so its
+    attention, and with it its relation, is zero.
     """
-    if not mask.any():
-        return None
     key_w = user_w.take(ids, axis=0)  # (C, J, N)
     logits = key_w @ reads[:, :, None]  # (C, J, 1)
     # ``mask.T`` is a contiguous (J, C) array, so the softmax reduces over J
@@ -801,8 +803,9 @@ def history_distances(
     context and no (C, H, d) tensor. Only the translation r differs:
     softmax(Hist Qᵀ)ᵀ Hist over the history vectors for ``adacml``
     (:func:`_adacml_distances`); the collapsed memory reads for ``hlr`` and
-    ``hlr++``. An empty history gives no translation, so those heads then
-    rank exactly like ``cml``.
+    ``hlr++``. An empty history sums no terms, so it gives a zero
+    translation through the same path: ``adacml`` and ``hlr`` then rank
+    exactly like ``cml``, and ``hlr++`` by its item side alone.
 
     The memory heads read their hierarchy in two levels. The first, the key
     weights of every (history item, candidate) pair (:func:`_key_weights`),
@@ -862,27 +865,18 @@ def history_distances(
             for start in range(0, num_items, step):
                 block = slice(start, start + step)
                 cand = store.item_vecs[block]
-                key_table = None
-                if len(support):
-                    key_table = _key_weights(store.rel_keys, support_vecs, np.ascontiguousarray(cand.T))
+                exps, sums = _key_weights(store.rel_keys, support_vecs, np.ascontiguousarray(cand.T))
                 if table is not None:
                     ids, mask = table.padded(block)
                     reads = cand @ store.item_rel_memories.T
                 for i, rows in zip(members, slots):
-                    pu, relation = store.user_vecs[users[i]], None
-                    if histories.lengths[i]:
-                        exps, sums = key_table
-                        relation = _user_attention(pu, exps[rows], sums[rows], store.rel_memories)
+                    pu = store.user_vecs[users[i]]
+                    diff = _user_attention(pu, exps[rows], sums[rows], store.rel_memories)
                     if table is not None:
                         user_w = alone_w if alone_w is not None else _item_key_weights(pu, store)
-                        item_rel = _item_side_relations(ids, mask, reads, user_w, store.item_rel_memories)
-                        if item_rel is not None:
-                            relation = item_rel if relation is None else relation + item_rel
-                    if relation is None:
-                        diff = pu - cand
-                    else:
-                        diff = np.add(pu, relation, out=relation)
-                        diff -= cand
+                        diff += _item_side_relations(ids, mask, reads, user_w, store.item_rel_memories)
+                    diff += pu
+                    diff -= cand
                     np.einsum("cd,cd->c", diff, diff, out=out[i, block])
     return out
 
@@ -926,14 +920,11 @@ def _adacml_block(pu: np.ndarray, hist: np.ndarray, cand: np.ndarray) -> np.ndar
     with histories ``hist`` (G, H, d) to the candidates ``cand``
     (block, d). Its temporaries die on return, so that a chunk holds one
     block's at a time."""
-    if hist.shape[1]:
-        alpha = hist @ cand.T  # (G, H, block)
-        stable_softmax(alpha, axis=1, out=alpha)
-        diff = alpha.transpose(0, 2, 1) @ hist  # (G, block, d)
-        diff += pu
-        diff -= cand
-    else:
-        diff = pu - cand
+    alpha = hist @ cand.T  # (G, H, block)
+    stable_softmax(alpha, axis=1, out=alpha)
+    diff = alpha.transpose(0, 2, 1) @ hist  # (G, block, d)
+    diff += pu
+    diff -= cand
     return np.einsum("gcd,gcd->gc", diff, diff)
 
 

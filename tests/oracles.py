@@ -8,7 +8,9 @@ evaluation oracle ranks and scores one user at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -215,11 +217,11 @@ def evaluate_per_user(
     return EvalReport(
         k=k,
         phase=phase,
-        precision=sum(r.precision for r in results) / n,
-        recall=sum(r.recall for r in results) / n,
-        ndcg=sum(r.ndcg for r in results) / n,
-        map=sum(r.ap for r in results) / n,
-        mrr=sum(r.rr for r in results) / n,
+        precision=functools.reduce(operator.add, (r.precision for r in results), 0.0) / n,
+        recall=functools.reduce(operator.add, (r.recall for r in results), 0.0) / n,
+        ndcg=functools.reduce(operator.add, (r.ndcg for r in results), 0.0) / n,
+        map=functools.reduce(operator.add, (r.ap for r in results), 0.0) / n,
+        mrr=functools.reduce(operator.add, (r.rr for r in results), 0.0) / n,
         median_popularity=median_popularity([r.ranked for r in results], split.train),
         num_evaluated_users=n,
         num_empty_history=sum(r.empty_history for r in results),

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,22 @@ class TestEvaluateCommand:
                        "--data", str(data), "--model", "cml")
         assert code == EXIT_DATA
         assert "checkpoint not found" in capsys.readouterr().err
+
+    def test_corrupt_key_count_is_refused_in_small_memory(self, workspace, tmp_path, capsys):
+        _, data, run = workspace
+        shutil.copytree(data, tmp_path / "data")
+        meta = tmp_path / "data" / "meta"
+        meta.write_text(re.sub(r"^num_users=\d+$", "num_users=1000000", meta.read_text(), flags=re.M))
+        tracemalloc.start()
+        try:
+            code = run_cli("evaluate", "--checkpoint", str(run / "model.ckpt"),
+                           "--data", str(tmp_path / "data"), "--model", "hlr")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        assert "expected 1000000 key rows, found 20" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     def test_missing_data_dir(self, workspace, capsys):
         _, _, run = workspace

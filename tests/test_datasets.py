@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -498,6 +499,23 @@ class TestDirectoryRoundTrip:
         with pytest.raises(ParseError) as err:
             load_split_dir(out)
         assert err.value.line_number == 2
+
+
+    def test_a_corrupt_key_count_is_refused_in_small_memory(self, tmp_path):
+        # meta claims a million users over a 50-row key file: the refusal
+        # costs memory in the file's rows, not in the claimed count.
+        split = split_dataset(_dense_dataset(np.random.default_rng(17), n_u=50, n_v=10, p=0.5), seed=1)
+        save_split_dir(split, tmp_path, k=1, threshold=0.0)
+        meta = (tmp_path / "meta").read_text()
+        (tmp_path / "meta").write_text(meta.replace("num_users=50\n", "num_users=1000000\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="expected 1000000 key rows, found 50$"):
+                load_split_dir(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _load_view_text(path, text: str, parse) -> np.ndarray | ParseError:

@@ -1,6 +1,7 @@
 """Ranking metrics against a brute-force oracle, plus the evaluate pipeline."""
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -578,6 +579,33 @@ class TestEvaluate:
         got = evaluate(store, kind, split, phase=phase, k=5, history_cap=8, workers=workers, verbose=True)
         assert got == expected
         assert repr(got) == repr(expected)  # the same floats, to the last bit
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", [ModelKind.ADACML, ModelKind.HLR, ModelKind.HLRPP], ids=lambda kind: kind.value)
+    def test_cap_zero_ranks_like_cml(self, kind, workers):
+        # With no user or item history the translation is zero, so every
+        # list and metric is cml's, to the last bit.
+        split = planted_split(num_users=40, num_items=30, n_clusters=5, interactions_per_user=15, seed=7)
+        store = init_parameters(40, 30, 6, 3, with_item_memory=True, seed=7)
+        plain = evaluate(store, ModelKind.CML, split, phase="test", k=5, workers=workers, verbose=True)
+        got = evaluate(store, kind, split, phase="test", k=5, history_cap=0, workers=workers, verbose=True)
+        assert all(r.empty_history for r in got.per_user)
+        assert [dataclasses.replace(r, empty_history=False) for r in got.per_user] == plain.per_user
+        assert got.num_empty_history == got.num_evaluated_users == plain.num_evaluated_users
+        assert repr(dataclasses.replace(got, per_user=None, num_empty_history=0)) == repr(
+            dataclasses.replace(plain, per_user=None))
+
+    @pytest.mark.parametrize("kind", list(ModelKind), ids=lambda kind: kind.value)
+    def test_means_are_left_to_right_sums(self, kind):
+        split = planted_split(num_users=60, num_items=40, n_clusters=5, interactions_per_user=15, seed=8)
+        store = init_parameters(60, 40, 6, 3, with_item_memory=kind.uses_item_memory, seed=8)
+        report = evaluate(store, kind, split, phase="test", k=10, history_cap=8, verbose=True)
+        for mean, field in ((report.precision, "precision"), (report.recall, "recall"), (report.ndcg, "ndcg"),
+                            (report.map, "ap"), (report.mrr, "rr")):
+            total = 0.0
+            for rec in report.per_user:
+                total += getattr(rec, field)
+            assert repr(mean) == repr(total / report.num_evaluated_users)
 
     @staticmethod
     def _peak_of_evaluate(store, kind, split):

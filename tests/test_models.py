@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,26 @@ class TestSoftmax:
         w = stable_softmax(np.array([1e300, 0.0, -1e300]))
         assert np.isfinite(w).all()
         assert abs(w.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("shape,axis", [((0, 4), 0), ((4, 0), -1), ((2, 0, 3), 1)],
+                             ids=["leading", "last", "middle"])
+    def test_empty_axis_gives_an_empty_result(self, shape, axis, in_place):
+        logits = np.empty(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = stable_softmax(logits, axis=axis, out=logits if in_place else None)
+        assert w.shape == shape
+        assert w is logits if in_place else w is not logits
+
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_bits_are_the_plain_max_shift(self, axis):
+        logits = np.random.default_rng(2).normal(scale=20, size=(7, 9))
+        ex = np.exp(logits - logits.max(axis=axis, keepdims=True))
+        expected = ex / ex.sum(axis=axis, keepdims=True)
+        assert stable_softmax(logits, axis=axis).tobytes() == expected.tobytes()
+        buf = logits.copy()
+        assert stable_softmax(buf, axis=axis, out=buf).tobytes() == expected.tobytes()
 
 
 class TestMaskedSoftmax:
@@ -457,8 +478,8 @@ class TestCandidateDistances:
         # Item rows hold 0-12 users, so rows both narrower and wider than the
         # N slots occur. The budget splits the 13 items into
         # 13 * N * 12 (the widest row) / budget = 4 even blocks of 4
-        # (4, 4, 4, 1); the second block's rows are all empty, so it scores
-        # no item side.
+        # (4, 4, 4, 1); the second block's rows are all empty, so its item
+        # side is zero.
         monkeypatch.setattr(models, "_RANK_BLOCK_ELEMENTS", 39 * n_relations)
         item_side, returned = models._item_side_relations, []
 
@@ -476,7 +497,8 @@ class TestCandidateDistances:
             returned.clear()
             self._assert_matches_score(3, cands, ModelKind.HLRPP, store, hist, ihists)
             # 4 blocks, the second without item histories.
-            assert [r is None for r in returned] == [False, True, False, False]
+            assert [r.shape for r in returned] == [(4, 5), (4, 5), (4, 5), (1, 5)]
+            assert [not r.any() for r in returned] == [False, True, False, False]
 
     def test_hlrpp_user_just_over_the_budget_is_one_block(self, monkeypatch):
         # 273 items with 50-user item rows at N = 10 hold 136,500 key
